@@ -5,11 +5,13 @@
 With ``--trace 0`` the op list runs in a closed loop (one client, one op at
 a time) for about ``--seconds`` seconds, in whole passes; every pass sets
 the groups up afresh.  Times are normalised by calibration slices (see
-``Clock``).  The end-to-end metrics of BENCHMARK.json are printed with their
-units.  With ``--trace 1`` an untraced, a traced and another untraced pass
-run (with the workload's trace-only ops), and the per-layer metrics of
-BENCHMARK.json are printed.
-Every output is checked against ``reference.py`` after the timed region.
+``Clock``).  Peak memory is read when the first pass ends, so it does not
+depend on how many passes fit.  The end-to-end metrics of BENCHMARK.json
+are printed with their units.  With ``--trace 1`` an untraced, a traced
+and another untraced pass run (with the workload's trace-only ops), and
+the per-layer metrics of BENCHMARK.json are printed.
+Every distinct output of every op is checked against ``reference.py``
+after the timed region.
 The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}.
 """
@@ -28,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import traceback
+from array import array
 from time import perf_counter
 
 import perms
@@ -74,20 +77,29 @@ def calibration_slice() -> float:
 class Clock:
     """Times ops.  Started as a context manager, it also runs a calibration
     slice from a SIGALRM timer every CALIBRATE_EVERY_S of wall time, during
-    ops as well as between them; the slices' time is taken out of the op
-    that they interrupted.  Unstarted, it gives raw wall times."""
+    ops as well as between them; the part of a slice that falls within an
+    op is taken out of that op's time.  Unstarted, it gives raw wall times."""
 
     def __init__(self):
+        self.starts: list[float] = []      # when each slice started
         self.ends: list[float] = []        # when each slice ended
-        self.slices: list[float] = []      # how long each slice took
-        self.stolen = 0.0                  # total time spent in slices
+        self.slices: list[float] = []      # how long each slice's work took
+        self._busy = False
         self._previous = None
 
     def _tick(self, signum, frame):
-        t0 = perf_counter()
-        self.slices.append(calibration_slice())
-        self.ends.append(perf_counter())
-        self.stolen += self.ends[-1] - t0
+        if self._busy:   # a slow slice outlasted the interval: skip, do not nest
+            return
+        self._busy = True
+        try:
+            t0 = perf_counter()
+            took = calibration_slice()
+            t1 = perf_counter()
+            self.starts.append(t0)
+            self.slices.append(took)
+            self.ends.append(t1)
+        finally:
+            self._busy = False
 
     def __enter__(self):
         self._previous = signal.signal(signal.SIGALRM, self._tick)
@@ -99,11 +111,17 @@ class Clock:
         signal.signal(signal.SIGALRM, self._previous)
 
     def time(self, fn):
-        """(result, start, end, raw seconds) of fn(), slices taken out."""
-        stolen, start = self.stolen, perf_counter()
+        """(result, start, end, seconds) of fn(): seconds is end - start less
+        the overlap of every slice with [start, end].  A slice that runs
+        just before start or just after end overlaps nothing."""
+        first, start = len(self.ends), perf_counter()
         result = fn()
         end = perf_counter()
-        return result, start, end, end - start - (self.stolen - stolen)
+        inside = sum(max(0.0, min(end, self.ends[j]) - max(start, self.starts[j]))
+                     for j in range(first, len(self.ends)))
+        seconds = end - start - inside
+        assert seconds >= 0, f"negative op time {seconds}"
+        return result, start, end, seconds
 
     def factor(self, start: float, end: float) -> float:
         """Reference slice seconds over the median of the slices that ended
@@ -118,11 +136,36 @@ class Clock:
         return REFERENCE_SLICE_S / statistics.median(self.slices[lo:hi])
 
 
-def run_pass(wl, inputs, clock, tracer=None):
+class Samples:
+    """The op samples of whole passes, so sample j is op j % n_ops.  Times
+    sit in flat arrays, and each distinct (op, output, error) is kept once
+    with its count, so the harness's memory grows by 24 bytes per sample
+    and not with the outputs."""
+
+    def __init__(self, n_ops: int):
+        self.n_ops = n_ops
+        self.start, self.end, self.raw = array("d"), array("d"), array("d")
+        self.outputs: dict = {}   # (op index, repr) -> [op index, output, error, count]
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def add(self, index, start, end, raw, output, error) -> None:
+        self.start.append(start)
+        self.end.append(end)
+        self.raw.append(raw)
+        entry = self.outputs.setdefault((index, repr((output, error))), [index, output, error, 0])
+        entry[3] += 1
+
+    def normalised(self, clock: Clock) -> list[float]:
+        return [raw * clock.factor(start, end)
+                for start, end, raw in zip(self.start, self.end, self.raw)]
+
+
+def run_pass(wl, inputs, clock, samples, tracer=None):
     """Set up, bind and run every op once, under ``tracer`` when one is
-    given.  Returns (setup timing, records); a timing is (start, end, raw
-    seconds) and a record is (op index, start, end, raw seconds, plain
-    output, error)."""
+    given, adding each op to ``samples``.  Returns the set-up timing
+    (start, end, seconds)."""
     gc.collect()
     if tracer is not None and not wl.fresh_import:
         tracer.install()
@@ -130,7 +173,6 @@ def run_pass(wl, inputs, clock, tracer=None):
         state, *setup = clock.time(lambda: wl.setup(inputs))
         if tracer is not None and wl.fresh_import:
             tracer.install()
-        records = []
         for i, call in enumerate(wl.calls(state, inputs)):
             if tracer is not None:
                 tracer.op = i
@@ -139,9 +181,8 @@ def run_pass(wl, inputs, clock, tracer=None):
             except Exception:  # an unexpected exception is a failed op
                 timing = [0.0, 0.0, 0.0]
                 result, error = None, traceback.format_exc().strip().splitlines()[-1]
-            records.append((i, *timing, None if error else wl.plain(inputs["ops"][i], result),
-                            error))
-        return setup, records
+            samples.add(i, *timing, None if error else wl.plain(inputs["ops"][i], result), error)
+        return setup
     finally:
         if tracer is not None:
             tracer.uninstall()
@@ -149,17 +190,18 @@ def run_pass(wl, inputs, clock, tracer=None):
 
 def measure(wl, inputs, seconds: float):
     """Whole passes until the next one would end after ``seconds``, then
-    extra set-ups up to SETUP_SAMPLES.  Returns normalised set-up seconds
-    and records (op index, raw latency, normalised latency, output, error)."""
+    extra set-ups up to SETUP_SAMPLES.  Returns normalised set-up seconds,
+    the samples, their normalised latencies, and the peak resident memory
+    in MB when the first pass ended."""
     clock = Clock()
-    setups, records = [], []
+    setups, samples, peak_rss_mb = [], Samples(len(inputs["ops"])), None
     with clock:
         start = perf_counter()
         while True:
             t0 = perf_counter()
-            setup, recs = run_pass(wl, inputs, clock)
-            setups.append(setup)
-            records += recs
+            setups.append(run_pass(wl, inputs, clock, samples))
+            if peak_rss_mb is None:
+                peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             now = perf_counter()
             if (now - start) + (now - t0) > seconds:
                 break
@@ -167,8 +209,7 @@ def measure(wl, inputs, seconds: float):
             gc.collect()
             setups.append(clock.time(lambda: wl.setup(inputs))[1:])
     setups = [raw * clock.factor(start, end) for start, end, raw in setups]
-    return setups, [(i, raw, raw * clock.factor(start, end), out, err)
-                    for i, start, end, raw, out, err in records]
+    return setups, samples, samples.normalised(clock), peak_rss_mb
 
 
 def import_seconds() -> float:
@@ -185,12 +226,13 @@ def import_seconds() -> float:
     return statistics.median(samples)
 
 
-def check(wl, inputs, records):
-    """Reference-check every record; returns the failure lines."""
+def check(wl, inputs, samples):
+    """Reference-check each distinct output once.  Returns the number of
+    failed samples and one line per failing distinct output."""
     import reference
     checker = reference.Checker()
-    failures = []
-    for index, _, _, output, error in records:
+    failed, lines = 0, []
+    for index, output, error, count in samples.outputs.values():
         problem = error and "exception: " + error
         if problem is None:
             try:
@@ -198,8 +240,10 @@ def check(wl, inputs, records):
             except Exception:
                 problem = "reference check raised: " + traceback.format_exc().splitlines()[-1]
         if problem:
-            failures.append(f"op {index} {json.dumps(inputs['ops'][index])}: {problem}")
-    return failures
+            failed += count
+            lines.append(f"op {index} {json.dumps(inputs['ops'][index])} ({count} samples): "
+                         f"{problem}")
+    return failed, lines
 
 
 def kind(op) -> str:
@@ -207,7 +251,7 @@ def kind(op) -> str:
     return op[1][0] if op[0] == "cli" else op[0]
 
 
-def describe(wl, inputs, records, seed):
+def describe(wl, inputs, latencies, seed):
     ops = inputs["ops"]
     kinds = {}
     for op in ops:
@@ -218,15 +262,16 @@ def describe(wl, inputs, records, seed):
     print("ops by kind: " + ", ".join(f"{k} {100 * n / len(ops):.1f}%"
                                       for k, n in sorted(kinds.items())))
     busy = {}
-    for index, _, latency, _, _ in records:
-        busy[kind(ops[index])] = busy.get(kind(ops[index]), 0.0) + latency
+    for j, latency in enumerate(latencies):
+        op = ops[j % len(ops)]
+        busy[kind(op)] = busy.get(kind(op), 0.0) + latency
     total = sum(busy.values())
     print("time by kind: " + ", ".join(f"{k} {100 * t / total:.1f}%"
                                        for k, t in sorted(busy.items())))
     if inputs["groups"]:
         by_group = {}
-        for index, _, latency, _, _ in records:
-            g = inputs["groups"][ops[index][1]]
+        for j, latency in enumerate(latencies):
+            g = inputs["groups"][ops[j % len(ops)][1]]
             by_group[g] = by_group.get(g, 0.0) + latency
         top = max(by_group, key=by_group.get)
         print(f"largest group share of op time: {top} {100 * by_group[top] / total:.1f}%")
@@ -234,24 +279,23 @@ def describe(wl, inputs, records, seed):
 
 def end_to_end(wl, inputs, seconds):
     """The end-to-end metrics from normalised latencies."""
-    setups, records = measure(wl, inputs, seconds)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    latencies = sorted(r[2] for r in records)
-    p50, _ = percentile(latencies, 50)
-    tail, beyond = percentile(latencies, wl.tail_percentile)
-    values = {"ops_per_s": len(latencies) / sum(latencies),
+    setups, samples, latencies, peak_rss_mb = measure(wl, inputs, seconds)
+    ordered = sorted(latencies)
+    p50, _ = percentile(ordered, 50)
+    tail, beyond = percentile(ordered, wl.tail_percentile)
+    values = {"ops_per_s": len(ordered) / sum(ordered),
               "op_p50_ms": 1000 * p50, "op_tail_ms": 1000 * tail,
               "setup_s": statistics.median(setups), "peak_rss_mb": peak_rss_mb}
-    raw = sorted(r[1] for r in records)
+    raw = sorted(samples.raw)
     print(f"raw wall time: {len(raw) / sum(raw):.6g} ops/s, "
           f"p50 {1000 * percentile(raw, 50)[0]:.6g} ms, "
           f"p{wl.tail_percentile} {1000 * percentile(raw, wl.tail_percentile)[0]:.6g} ms; "
-          f"speed factor (raw / normalised time) {sum(raw) / sum(latencies):.4f}")
-    print(f"{len(latencies) // len(inputs['ops'])} passes, {len(latencies)} op samples, "
+          f"speed factor (raw / normalised time) {sum(raw) / sum(ordered):.4f}")
+    print(f"{len(ordered) // samples.n_ops} passes, {len(ordered)} op samples, "
           f"{len(setups)} setup samples; op_tail_ms is p{wl.tail_percentile} with {beyond} "
           "samples beyond it"
           + ("" if beyond >= MIN_BEYOND_TAIL else " (fewer than 10: tail is unreliable)"))
-    return values, records
+    return values, samples, latencies
 
 
 def traced(wl, inputs, seed):
@@ -263,20 +307,16 @@ def traced(wl, inputs, seed):
     if wl.name == "cli_calls":
         extra["cli.import_s"] = import_seconds()
 
-    def raw_pass(tracer=None):
-        records = run_pass(wl, inputs, Clock(), tracer=tracer)[1]
-        return [(i, raw, raw, out, err) for i, _, _, raw, out, err in records]
-
-    plain = raw_pass()
-    tracer = Tracer()
-    records = raw_pass(tracer)
-    again = raw_pass()
-    base = min(sum(r[2] for r in plain), sum(r[2] for r in again))
-    extra["trace.overhead_ratio"] = sum(r[2] for r in records) / base
+    n = len(inputs["ops"])
+    samples, tracer = Samples(n), Tracer()
+    for pass_tracer in (None, tracer, None):
+        run_pass(wl, inputs, Clock(), samples, tracer=pass_tracer)
+    plain, traced_pass, again = (samples.raw[k * n:(k + 1) * n] for k in range(3))
+    extra["trace.overhead_ratio"] = sum(traced_pass) / min(sum(plain), sum(again))
     if wl.name == "cli_calls":
         by_command = {}
-        for index, _, latency, _, _ in plain + again:
-            by_command.setdefault(inputs["ops"][index][1][0], []).append(latency)
+        for j, latency in enumerate(plain + again):
+            by_command.setdefault(inputs["ops"][j % n][1][0], []).append(latency)
         for command, lats in by_command.items():
             extra[f"cli.{command}.p50_ms"] = 1000 * statistics.median(lats)
     out_dir = os.path.join(HERE, "out")
@@ -289,7 +329,7 @@ def traced(wl, inputs, seed):
         return extra[name] if name in extra else (
             0.0 if name.startswith("cli.") and name.endswith(".p50_ms")
             else tracer.metric(name))
-    return value, plain + records + again
+    return value, samples, list(samples.raw)
 
 
 def main(argv=None) -> int:
@@ -317,29 +357,33 @@ def main(argv=None) -> int:
         print(f"perfbench: unknown workload {args.workload!r}", file=sys.stderr)
         return 2
     wl = workloads.WORKLOADS[args.workload]
+    why = {w["name"]: w["why"] for w in spec["workloads"]}.get(wl.name, "")
+    if f"op_tail_ms is p{wl.tail_percentile}" not in why:
+        print(f"perfbench: the why of {wl.name} in BENCHMARK.json must end "
+              f"'op_tail_ms is p{wl.tail_percentile}'", file=sys.stderr)
+        return 2
     inputs = wl.inputs(args.seed)
 
     if args.trace:
         inputs = {**inputs, "ops": inputs["ops"] + inputs.get("trace_ops", [])}
-        value, records = traced(wl, inputs, args.seed)
+        value, samples, latencies = traced(wl, inputs, args.seed)
         wanted = spec["per_layer"]
         metrics = {m["name"]: {"value": value(m["name"]), "unit": m["unit"]} for m in wanted}
     else:
-        values, records = end_to_end(wl, inputs, args.seconds)
+        values, samples, latencies = end_to_end(wl, inputs, args.seconds)
         metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
                    for m in spec["end_to_end"]}
-    describe(wl, inputs, records, args.seed)
-    failures = check(wl, inputs, records)
+    describe(wl, inputs, latencies, args.seed)
+    failed, failures = check(wl, inputs, samples)
     for name, m in metrics.items():
         print(f"{name} = {m['value']:.6g} {m['unit']}")
-    print(f"failed_ratio = {len(failures) / len(records):.6g} ratio "
-          f"({len(failures)} of {len(records)} ops)")
+    print(f"failed_ratio = {failed / len(samples):.6g} ratio ({failed} of {len(samples)} ops)")
     for line in failures[:50]:
         print("FAILED " + line)
     if len(failures) > 50:
-        print(f"... and {len(failures) - 50} more failures")
-    print(json.dumps({"correct": not failures, "attempted": len(records),
-                      "failed": len(failures), "metrics": metrics}))
+        print(f"... and {len(failures) - 50} more failing outputs")
+    print(json.dumps({"correct": not failed, "attempted": len(samples),
+                      "failed": failed, "metrics": metrics}))
     return 0
 
 

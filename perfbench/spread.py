@@ -2,8 +2,12 @@
 spread (interquartile distance as a share of the median).
 
     python3 perfbench/spread.py --workload axis_queries --seeds 1-10 [--trace 1] [--json out.json]
+                                [--record]
 
 Runs are sequential, one process at a time, from the root of the checkout.
+``--record`` stores the medians as the workload's baseline in
+perfbench/baseline.json: its end-to-end part with ``--trace 0``, its
+per-layer part with ``--trace 1``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BASELINE = os.path.join(ROOT, "perfbench", "baseline.json")
 
 
 def seeds(text: str) -> list[int]:
@@ -32,6 +37,8 @@ def main() -> int:
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--json", help="write medians and spreads to this file")
+    parser.add_argument("--record", action="store_true",
+                        help="store the medians as this workload's baseline")
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -50,7 +57,7 @@ def main() -> int:
         for line in lines:
             for key in ("ops by kind", "time by kind", "largest group share of op time"):
                 if line.startswith(key + ":"):
-                    notes.setdefault(key, line.partition(": ")[2])
+                    notes.setdefault(key.replace(" ", "_"), line.partition(": ")[2])
             if "samples beyond it" in line:
                 notes.setdefault("samples", line)
         if proc.returncode or not result["correct"]:
@@ -75,7 +82,24 @@ def main() -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
                        "trace": args.trace, **notes, "metrics": summary}, fh, indent=1)
+    if args.record:
+        record(args, notes, summary)
     return 0
+
+
+def record(args, notes: dict, summary: dict) -> None:
+    with open(BASELINE, encoding="utf-8") as fh:
+        baseline = json.load(fh)
+    entry = baseline["workloads"].setdefault(args.workload, {})
+    if args.trace:
+        entry["per_layer"] = {"seeds": args.seeds,
+                              **{name: m["median"] for name, m in summary.items()}}
+    else:
+        entry.update(notes)
+        entry["end_to_end"] = {"seeds": args.seeds, **summary}
+    with open(BASELINE, "w", encoding="utf-8") as fh:
+        json.dump(baseline, fh, indent=1)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ start, end, parent span, op id) are also kept in memory, up to SPAN_LIMIT,
 and written out when the run ends.  Very hot leaf calls are only counted.
 
 Two counters read private attributes by name: ``PermGroup._chain`` (chain
-builds) and ``PermGroup._elements`` (elements enumerated and scanned).  A
+builds) and ``PermGroup._elements`` (elements enumerated).  A
 change that renames them must update this file in a benchmark change of its
 own.
 """
@@ -128,10 +128,17 @@ class Tracer:
                     self._count(name + ".enumerated", len(result))
             return before, after
         if name == "perm.PermGroup.normaliser":
-            def after(result, token, g, h, *a, **k):
-                if h.generators:
-                    self._count(name + ".elements_scanned", len(getattr(g, "_elements", ())))
-            return None, after
+            # Permutation products made while an outermost normaliser call
+            # runs: its search and the subgroup it builds, as executed.
+            mul = self.stats.setdefault("perm.Permutation.mul", [0, 0.0, 0.0])
+
+            def before(*a, **k):
+                return None if self.active[name] else mul[0]
+
+            def after(result, at_entry, *a, **k):
+                if at_entry is not None:
+                    self._count(name + ".mul_calls", mul[0] - at_entry)
+            return before, after
         if name == "perm.PermGroup.point_stabiliser":
             return (lambda g, point: self._seen(name, g, point)), None
         if name == "bmtree.designated_sylow":

@@ -241,9 +241,12 @@ class AxisQueries(Workload):
 
 class SpectrumSweep(Workload):
     name = "spectrum_sweep"
-    # Above p90 sit single configurations whose order changes with the drawn
-    # word lengths; p80 falls among several configurations of similar cost.
-    tail_percentile = 80
+    # Op costs come in steps between configurations, and a percentile that
+    # falls on a step jumps with noise.  Five ops each of sylow:3:sym:9 and
+    # sylow:2:sym:8 (10-13 ms) put the median inside one cluster of similar
+    # ops, and p85 falls among the four 45-60 ms ops of sylow:2:sym:12 and
+    # cyclic:16.
+    tail_percentile = 85
 
     VALUE_CAP = 10 ** 6
     EXPONENT_CAP = 12
@@ -255,8 +258,8 @@ class SpectrumSweep(Workload):
         ("alt:9", None, 10, 2), ("dihedral:12", None, 11, 2),
         ("dihedral:20", None, 12, 1), ("cyclic:16", None, 18, 2),
         ("C2wrC4", None, 10, 2), ("S3wrS2", None, 10, 2),
-        ("sylow:2:sym:8", 2, 14, 2), ("sylow:2:sym:12", 2, 19, 2),
-        ("sylow:2:sym:16", 2, 10, 1), ("sylow:3:sym:9", 3, 12, 2),
+        ("sylow:2:sym:8", 2, 14, 5), ("sylow:2:sym:12", 2, 19, 2),
+        ("sylow:2:sym:16", 2, 10, 1), ("sylow:3:sym:9", 3, 12, 5),
         ("sylow:3:sym:12", 3, 14, 2), ("sylow:3:sym:27", 3, 15, 1),
         ("sylow:5:sym:15", 5, 10, 2), ("sylow:7:sym:14", 7, 9, 1),
         # small configurations, checked by brute force over all axes
