@@ -118,14 +118,7 @@ def normal_subgroups(g: PermGroup) -> list[frozenset[Permutation]]:
 
 def find_conjugator(g: PermGroup, h: PermGroup, k: PermGroup) -> Permutation | None:
     """Some x in g with x h x^-1 = k, by brute force."""
-    if h.order() != k.order():
-        return None
-    kset = k.element_set()
-    for x in g.elements():
-        xinv = x.inverse()
-        if all(x * y * xinv in kset for y in h.generators):
-            return x
-    return None
+    return next(g.conjugators([(h, k)]), None)
 
 
 def find_basis_conjugator(g: PermGroup, b1: sylow.SylowBasis,
@@ -134,13 +127,8 @@ def find_basis_conjugator(g: PermGroup, b1: sylow.SylowBasis,
     same prime."""
     if b1.primes() != b2.primes():
         return None
-    sets = {p: b2.members[p].element_set() for p in b2.members}
-    for x in g.elements():
-        xinv = x.inverse()
-        if all(all(x * y * xinv in sets[p] for y in b1.members[p].generators)
-               for p in b1.members):
-            return x
-    return None
+    pairs = [(b1.members[p], b2.members[p]) for p in b1.members]
+    return next(g.conjugators(pairs), None)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +292,17 @@ def c09_localised_sandwich() -> CheckResult:
         problems.append(((len(a.word), loc, f_amb.degree),
                          f"k={f_amb.degree} p={p} {a.describe()}: {broken}"))
 
-    # one group and one F(p) per (k, p), so the local Sylow family is built once
+    # one group per k, so F(p) and the local Sylow family are built once
     ambients = {k: PermGroup.symmetric(k) for k in (3, 4, 5)}
-    sylows = {(k, p): bmtree.designated_sylow(ambients[k], p)
-              for k in ambients for p in (2, 3, 5) if p <= k}
     for k in (3, 4):
         for p in [q for q in (2, 3) if q <= k]:
-            for a in valid_axes(sylows[k, p], 3):
+            for a in valid_axes(bmtree.designated_sylow(ambients[k], p), 3):
                 check(a, ambients[k], p)
     rng = random.Random(_SEED + 9)
     for _ in range(200):
         k = rng.choice((3, 4, 5))
         p = rng.choice([q for q in (2, 3, 5) if q <= k])
-        check(random_axis(rng, sylows[k, p], 4), ambients[k], p)
+        check(random_axis(rng, bmtree.designated_sylow(ambients[k], p), 4), ambients[k], p)
     # smallest counterexamples (shortest word, then least local scale) first
     shown = [text for _, text in sorted(problems)[:3]]
     detail = f"{checked} axes satisfy the sandwich" if not problems else \
@@ -332,7 +318,6 @@ def c10_modular_p_parts() -> CheckResult:
     for k in (3, 4):
         for f in _sweep_groups(k):
             primes = list(prime_factors(f.order())) or []
-            locals_ = {p: bmtree.designated_sylow(f, p) for p in primes}
             for a in valid_axes(f, 3):
                 checked += 1
                 delta = modular(a)
@@ -343,7 +328,7 @@ def c10_modular_p_parts() -> CheckResult:
                     problems.append(f"{f.degree}/{a.describe()}: p-parts multiply to "
                                     f"{product} != {delta}")
                 for p in primes:
-                    if a.twist in locals_[p]:
+                    if a.twist in bmtree.designated_sylow(f, p):
                         local_delta = Fraction(localisation_scale(a, p),
                                                localisation_scale(inverse_axis(a), p))
                         if rational_p_part(delta, p) != local_delta:

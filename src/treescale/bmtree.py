@@ -105,10 +105,15 @@ def modular(a: AxisData) -> Fraction:
 
 def designated_sylow(f: PermGroup, p: int) -> PermGroup:
     """F(p): the block constructor on full symmetric groups, the generic
-    algorithm otherwise."""
-    if f.order() == math.factorial(f.degree):
-        return sylow_of_symmetric(f.degree, p)
-    return sylow_subgroup(f, p)
+    algorithm otherwise.  Cached on f, write-once per prime."""
+    cached = f._sylows.get(p)
+    if cached is None:
+        if f.order() == math.factorial(f.degree):
+            cached = sylow_of_symmetric(f.degree, p)
+        else:
+            cached = sylow_subgroup(f, p)
+        f._sylows[p] = cached
+    return cached
 
 
 def localized_scale(a: AxisData, p: int) -> int:
@@ -123,8 +128,9 @@ def localized_scale(a: AxisData, p: int) -> int:
     return scale(AxisData(fp, a.twist, a.word))
 
 
-def _local_sylow_family(f: PermGroup, p: int) -> tuple[PermGroup, dict[int, PermGroup]]:
-    """(P, Q): the local actions of a local Sylow p-subgroup S of U(F)_v.
+def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
+    """Q: with P = F(p), the local actions of a local Sylow p-subgroup S of
+    U(F)_v.
 
     S is the maximal pro-p subgroup of U(F)_v whose local action is in
     P = F(p) at v and in Q_c at a vertex entered from v's side by colour c,
@@ -146,8 +152,8 @@ def _local_sylow_family(f: PermGroup, p: int) -> tuple[PermGroup, dict[int, Perm
         q = sylow_subgroup(f.point_stabiliser(r), p, start=root.point_stabiliser(r))
         for c, t in root._transversal(r).items():
             family[c] = q.conjugate(t)
-    f._local_sylows[p] = (root, family)
-    return root, family
+    f._local_sylows[p] = family
+    return family
 
 
 def localisation_scale(a: AxisData, p: int) -> int:
@@ -161,8 +167,8 @@ def localisation_scale(a: AxisData, p: int) -> int:
     ambient factor |F_{c_{i-1}} . c_i|.
     """
     require_valid(a)
-    root, family = _local_sylow_family(a.group, p)
-    if a.twist not in root:
+    family = _local_sylow_family(a.group, p)
+    if a.twist not in designated_sylow(a.group, p):
         raise InvalidAxisError(["twist is not a member of the designated Sylow subgroup"])
     prev = a.seam_colour
     value = 1
@@ -212,8 +218,7 @@ class ScaleSpectrum:
 
 
 def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
-                   prime: int | None = None, cap: int | None = None,
-                   start_colours=None) -> ScaleSpectrum:
+                   prime: int | None = None, cap: int | None = None) -> ScaleSpectrum:
     """All scale values (or their p-exponents) of valid axes with word length
     at most max_len, by dynamic programming over the colour digraph.
 
@@ -221,18 +226,15 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     exponent); a state of word (c_1..c_j) is finalised over every seam
     colour c_0 in the F-orbit of c_j with c_0 != c_1 by multiplying in the
     first factor.  Values over the cap are dropped and flagged.
-
-    ``start_colours`` restricts the words to the given first colours; the
-    union of the spectra over a partition of the colours equals the full
-    spectrum, so partitions may be evaluated independently and merged.
     """
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
     if mode not in ("values", "exponents"):
         raise PreconditionError(f"unknown spectrum mode {mode!r}")
     if mode == "exponents":
-        if prime is None:
-            raise PreconditionError("exponent mode needs a prime")
+        if prime is None or not is_prime(prime):
+            raise PreconditionError(
+                f"exponent mode needs a prime, got {'none' if prime is None else prime}")
         if cap is None:
             cap = EXPONENT_CAP
     else:
@@ -267,15 +269,12 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
             w_cache[key] = weight(a, b)
         return w_cache[key]
 
-    starts = tuple(colours) if start_colours is None else tuple(sorted(start_colours))
-    if any(not 1 <= c <= k for c in starts):
-        raise PreconditionError("start colours must lie in the colour range")
     orbit_sets = {c: f.orbit(c) for c in colours}
     entries = {unit}
     truncated = False
     # state (start colour, current colour) -> set of accumulated weights of
     # the factors strictly after the seam factor
-    frontier: dict[tuple[int, int], set[int]] = {(c, c): {unit} for c in starts}
+    frontier: dict[tuple[int, int], set[int]] = {(c, c): {unit} for c in colours}
     for length in range(1, max_len + 1):
         if length > 1:
             new: dict[tuple[int, int], set[int]] = {}

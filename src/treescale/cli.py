@@ -84,8 +84,6 @@ def cmd_aggregate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = parse_group_spec(args.group)
-    if args.mode == "exponents" and args.prime is None:
-        raise PreconditionError("exponent mode needs --prime")
     sp = bmtree.scale_spectrum(spec.group, args.max_len, mode=args.mode,
                                prime=args.prime, cap=args.cap)
     payload = {"command": "spectrum", "group": spec.canonical}

@@ -14,14 +14,12 @@ Axis literals: ``twist=(1 2 3); word=1,4,2`` or ``twist=id; word=1,2``.
 
 from __future__ import annotations
 
-import math
 import os
 
-from .bmtree import AxisData
+from .bmtree import AxisData, designated_sylow
 from .errors import ParseError
 from .perm import PermGroup, Permutation
 from .supernat import is_prime
-from .sylow import sylow_of_symmetric, sylow_subgroup
 
 
 class GroupSpec:
@@ -82,11 +80,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         if not inner:
             raise ParseError(f"sylow spec needs an inner group: {spec!r}")
         inner_spec = parse_group_spec(inner)
-        parent = inner_spec.group
-        if parent.order() == math.factorial(parent.degree):
-            group = sylow_of_symmetric(parent.degree, p)
-        else:
-            group = sylow_subgroup(parent, p)
+        group = designated_sylow(inner_spec.group, p)
         return GroupSpec(f"sylow:{p}:{inner_spec.canonical}", group)
     if head == "gens":
         ktext, _, body = rest.partition(":")
@@ -127,6 +121,7 @@ def parse_axis(group: PermGroup, text: str) -> AxisData:
     """Parse an axis literal against a known colour group."""
     twist = None
     word = None
+    seen = set()
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -136,6 +131,9 @@ def parse_axis(group: PermGroup, text: str) -> AxisData:
             raise ParseError(f"bad axis clause {chunk!r}")
         key = key.strip().lower()
         value = value.strip()
+        if key in seen:
+            raise ParseError(f"repeated axis clause {key!r}")
+        seen.add(key)
         if key == "twist":
             if value == "id":
                 twist = Permutation.identity(group.degree)
@@ -143,11 +141,9 @@ def parse_axis(group: PermGroup, text: str) -> AxisData:
                 twist = Permutation.parse(value, group.degree)
         elif key == "word":
             try:
-                word = tuple(int(tok) for tok in value.split(",") if tok.strip())
+                word = tuple(int(tok) for tok in value.split(","))
             except ValueError:
                 raise ParseError(f"bad word {value!r}") from None
-            if not word:
-                raise ParseError("axis word is empty")
         else:
             raise ParseError(f"unknown axis key {key!r}")
     if twist is None or word is None:

@@ -173,14 +173,38 @@ class Permutation:
         return self.images < other.images
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(i) = p(q(i)); the right factor applies first."""
-    return p * q
-
-
 def commutator(a: Permutation, b: Permutation) -> Permutation:
     """[a, b] = a^-1 b^-1 a b."""
     return a.inverse() * b.inverse() * a * b
+
+
+def _orbit_transversal(degree: int, point: int, gens) -> dict[int, Permutation]:
+    """Breadth-first orbit of point under gens: maps each q in the orbit to
+    a product u of generators with u(point) = q."""
+    trans = {point: Permutation.identity(degree)}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for pt in frontier:
+            u = trans[pt]
+            for g in gens:
+                q = g(pt)
+                if q not in trans:
+                    trans[q] = g * u
+                    nxt.append(q)
+        frontier = nxt
+    return trans
+
+
+def _schreier_generators(trans: dict[int, Permutation], gens):
+    """The nontrivial Schreier generators t_{g(pt)}^-1 g t_pt of the point
+    stabiliser, in (sorted point, generator) order."""
+    for pt in sorted(trans):
+        u = trans[pt]
+        for g in gens:
+            sg = trans[g(pt)].inverse() * g * u
+            if not sg.is_identity():
+                yield sg
 
 
 class _Chain:
@@ -202,7 +226,7 @@ class _Chain:
             self._place(g)
         i = degree - 1
         while i >= 0:
-            self._recompute_orbit(i)
+            self.orbits[i] = _orbit_transversal(degree, i + 1, self._gens_from(i))
             added_at = self._verify_level(i)
             i = i - 1 if added_at is None else added_at
 
@@ -214,42 +238,18 @@ class _Chain:
     def _gens_from(self, i: int) -> list[Permutation]:
         return [g for lvl in self.level_gens[i:] for g in lvl]
 
-    def _recompute_orbit(self, i: int) -> None:
-        base = i + 1
-        gens = self._gens_from(i)
-        trans = {base: Permutation.identity(self.degree)}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                u = trans[pt]
-                for g in gens:
-                    q = g(pt)
-                    if q not in trans:
-                        trans[q] = g * u
-                        nxt.append(q)
-            frontier = nxt
-        self.orbits[i] = trans
-
     def _verify_level(self, i: int) -> int | None:
         """Sift all Schreier generators of level i through the chain below.
 
         Returns the level index a new strong generator was added at, or None
         when the level verifies cleanly.
         """
-        trans = self.orbits[i]
-        gens = self._gens_from(i)
-        for pt in sorted(trans):
-            u = trans[pt]
-            for g in gens:
-                sg = trans[g(pt)].inverse() * g * u
-                if sg.is_identity():
-                    continue
-                residue = self._sift_from(i + 1, sg)
-                if residue is not None:
-                    j = residue.min_moved() - 1
-                    self.level_gens[j].append(residue)
-                    return j
+        for sg in _schreier_generators(self.orbits[i], self._gens_from(i)):
+            residue = self._sift_from(i + 1, sg)
+            if residue is not None:
+                j = residue.min_moved() - 1
+                self.level_gens[j].append(residue)
+                return j
         return None
 
     def _sift_from(self, start: int, g: Permutation) -> Permutation | None:
@@ -293,12 +293,13 @@ class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Values are immutable; the stabiliser chain, order, element list,
-    per-point stabilisers and the local Sylow families of ``bmtree`` (one
-    per prime) are write-once caches.
+    per-point stabilisers, and the designated Sylow subgroups F(p) and local
+    Sylow families of ``bmtree`` (one per prime) are write-once caches.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
-                 "_element_set", "_stabilisers", "_transversals", "_local_sylows")
+                 "_element_set", "_stabilisers", "_transversals", "_sylows",
+                 "_local_sylows")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -320,6 +321,7 @@ class PermGroup:
         self._element_set = None
         self._stabilisers = {}
         self._transversals = {}
+        self._sylows = {}
         self._local_sylows = {}
 
     # -- constructors ------------------------------------------------------
@@ -402,22 +404,10 @@ class PermGroup:
         """Orbit transversal: maps q to some u in G with u(point) = q."""
         self._check_point(point)
         cached = self._transversals.get(point)
-        if cached is not None:
-            return cached
-        trans = {point: Permutation.identity(self.degree)}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                u = trans[pt]
-                for g in self.generators:
-                    q = g(pt)
-                    if q not in trans:
-                        trans[q] = g * u
-                        nxt.append(q)
-            frontier = nxt
-        self._transversals[point] = trans
-        return trans
+        if cached is None:
+            cached = _orbit_transversal(self.degree, point, self.generators)
+            self._transversals[point] = cached
+        return cached
 
     def orbit(self, point: int) -> set[int]:
         return set(self._transversal(point))
@@ -428,15 +418,8 @@ class PermGroup:
         cached = self._stabilisers.get(point)
         if cached is not None:
             return cached
-        trans = self._transversal(point)
-        gens = []
-        for pt in sorted(trans):
-            u = trans[pt]
-            for g in self.generators:
-                sg = trans[g(pt)].inverse() * g * u
-                if not sg.is_identity() and sg not in gens:
-                    gens.append(sg)
-        stab = PermGroup(self.degree, gens)
+        stab = PermGroup(self.degree,
+                         _schreier_generators(self._transversal(point), self.generators))
         self._stabilisers[point] = stab
         return stab
 
@@ -479,15 +462,7 @@ class PermGroup:
         return False
 
     def is_nilpotent(self) -> bool:
-        term = self
-        for _ in range(self._series_cap()):
-            nxt = commutator_subgroup(self, term)
-            if nxt.order() == 1:
-                return True
-            if nxt.order() == term.order():
-                return False
-            term = nxt
-        return False
+        return nilpotent_residual(self).order() == 1
 
     # -- subgroup algebra ----------------------------------------------------
 
@@ -512,10 +487,20 @@ class PermGroup:
                 f"group order {self.order()} exceeds enumeration bound {bound}")
         if h.is_trivial():
             return self
-        hset = h.element_set(bound)
-        found = [g for g in self.elements(bound)
-                 if all(g * x * g.inverse() in hset for x in h.generators)]
-        return PermGroup(self.degree, spanning_generators(self.degree, found))
+        return PermGroup(self.degree, spanning_generators(
+            self.degree, self.conjugators([(h, h)], bound)))
+
+    def conjugators(self, pairs, bound: int = ENUMERATION_BOUND):
+        """Each x in G, in canonical element order, with x H x^-1 = K for
+        every pair (H, K); none when some pair has unequal orders."""
+        pairs = list(pairs)
+        if any(h.order() != k.order() for h, k in pairs):
+            return
+        checks = [(h.generators, k.element_set(bound)) for h, k in pairs]
+        for x in self.elements(bound):
+            xinv = x.inverse()
+            if all(x * y * xinv in kset for gens, kset in checks for y in gens):
+                yield x
 
 
 def spanning_generators(degree: int, elements) -> list[Permutation]:
@@ -531,10 +516,6 @@ def spanning_generators(degree: int, elements) -> list[Permutation]:
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
     return h.degree == g.degree and all(x in g for x in h.generators)
-
-
-def conjugate_subgroup(g: Permutation, h: PermGroup) -> PermGroup:
-    return h.conjugate(g)
 
 
 def intersect(h: PermGroup, k: PermGroup, bound: int = ENUMERATION_BOUND) -> PermGroup:
@@ -583,18 +564,6 @@ def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
     """[G, H] for H <= G, as a normal closure in G."""
     comms = [commutator(a, b) for a in g.generators for b in h.generators]
     return normal_closure(g, comms)
-
-
-def derived_series(g: PermGroup) -> list[PermGroup]:
-    series = [g]
-    for _ in range(g._series_cap()):
-        nxt = derived_subgroup(series[-1])
-        if nxt.order() == series[-1].order():
-            break
-        series.append(nxt)
-        if nxt.order() == 1:
-            break
-    return series
 
 
 def lower_central_series(g: PermGroup) -> list[PermGroup]:

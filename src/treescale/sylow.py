@@ -239,14 +239,8 @@ def sylow_basis(g: PermGroup, bound: int = ENUMERATION_BOUND) -> SylowBasis:
 def basis_normaliser(g: PermGroup, basis: SylowBasis,
                      bound: int = ENUMERATION_BOUND) -> PermGroup:
     """Intersection of the normalisers of the basis members."""
-    member_sets = {p: m.element_set(bound) for p, m in basis.members.items()}
-    found = []
-    for x in g.elements(bound):
-        xinv = x.inverse()
-        if all(all(x * h * xinv in member_sets[p] for h in basis.members[p].generators)
-               for p in basis.members):
-            found.append(x)
-    return PermGroup(g.degree, spanning_generators(g.degree, found))
+    pairs = [(m, m) for m in basis.members.values()]
+    return PermGroup(g.degree, spanning_generators(g.degree, g.conjugators(pairs, bound)))
 
 
 def is_normal_in(v: PermGroup, u: PermGroup) -> bool:

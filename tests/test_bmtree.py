@@ -206,8 +206,9 @@ class TestLocalisationScale:
     def test_local_sylow_family(self):
         f = PermGroup.symmetric(5)
         for p in (2, 3, 5):
-            root, family = _local_sylow_family(f, p)
-            assert _local_sylow_family(f, p) is _local_sylow_family(f, p)
+            root, family = designated_sylow(f, p), _local_sylow_family(f, p)
+            assert designated_sylow(f, p) is root
+            assert _local_sylow_family(f, p) is family
             for c in range(1, 6):
                 fc, q = f.point_stabiliser(c), family[c]
                 assert all(x in fc for x in q.generators)
@@ -271,19 +272,9 @@ class TestSpectrum:
         assert a == b
 
     def test_exponent_mode_needs_prime(self):
-        with pytest.raises(PreconditionError):
-            scale_spectrum(S4, 4, mode="exponents")
-
-    def test_partition_by_start_colour_merges_exactly(self):
-        full = scale_spectrum(S4, 4)
-        merged = set()
-        truncated = False
-        for c in range(1, 5):
-            part = scale_spectrum(S4, 4, start_colours=[c])
-            merged |= set(part.entries)
-            truncated |= part.truncated
-        assert merged == set(full.entries)
-        assert truncated == full.truncated
+        for prime in (None, 4, 1):
+            with pytest.raises(PreconditionError):
+                scale_spectrum(S4, 4, mode="exponents", prime=prime)
 
     def test_values_contain_every_axis_scale(self):
         sp = set(scale_spectrum(S4, 3).entries)

@@ -93,6 +93,8 @@ class TestAxisLiterals:
     def test_errors(self):
         g = PermGroup.symmetric(4)
         for bad in ("twist=id", "word=1,2", "twist=id; word=", "twist=id; word=a",
-                    "nonsense", "twist=id; word=1,2; extra=3"):
+                    "nonsense", "twist=id; word=1,2; extra=3",
+                    "twist=id; word=1,2,,3", "twist=id; word=1,2,",
+                    "twist=(1 2); word=1,2; word=1", "twist=id; twist=id; word=1,2"):
             with pytest.raises(ParseError):
                 parse_axis(g, bad)
