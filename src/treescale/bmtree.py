@@ -220,12 +220,16 @@ class ScaleSpectrum:
 def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
                    prime: int | None = None, cap: int | None = None) -> ScaleSpectrum:
     """All scale values (or their p-exponents) of valid axes with word length
-    at most max_len, by dynamic programming over the colour digraph.
+    at most max_len, by dynamic programming over the orbitals of F.
 
-    States are (start colour, current colour, accumulated product or
-    exponent); a state of word (c_1..c_j) is finalised over every seam
-    colour c_0 in the F-orbit of c_j with c_0 != c_1 by multiplying in the
-    first factor.  Values over the cap are dropped and flagged.
+    A word (c_1..c_j) is in the state of the orbital of (c_1, c_j) and
+    carries the accumulated product (or exponent) of the factors after the
+    seam factor.  It is finalised over every seam colour c_0 in the F-orbit
+    of c_j with c_0 != c_1 by multiplying in the first factor.  The weights
+    |F_a . b| and the seam rule are F-invariant, so pairs in one orbital
+    carry the same accumulations and the quotient is exact.  In exponent
+    mode a state's exponents are the set bits of an int, so a step is a
+    shift.  Values over the cap are dropped and flagged.
     """
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
@@ -237,75 +241,70 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
                 f"exponent mode needs a prime, got {'none' if prime is None else prime}")
         if cap is None:
             cap = EXPONENT_CAP
+        if cap < 0:
+            raise PreconditionError(f"exponent cap must be at least 0, got {cap}")
     else:
         prime = None
         if cap is None:
             cap = VALUE_CAP
+        if cap < 1:
+            raise PreconditionError(f"value cap must be at least 1, got {cap}")
+
+    table = f.orbitals()
+    index = table.index
+    if mode == "values":
+        weights = table.sizes
+        start = {1}
+
+        def advance(accs, w):
+            kept = {acc * w for acc in accs if acc * w <= cap}
+            return kept, len(kept) < len(accs)
+    else:
+        weights = [valuation(size, prime) for size in table.sizes]
+        start = 1
+        full = (1 << (cap + 1)) - 1
+
+        def advance(mask, w):
+            moved = mask << w
+            return moved & full, moved > full
 
     k = f.degree
-    colours = range(1, k + 1)
-    if mode == "values":
-        unit = 1
+    diagonal = [index[c][c] for c in range(k)]
+    # steps[t]: the (source orbital, weight) pairs that extend a word into
+    # orbital t; seams[o]: the first-factor weights that finalise orbital o
+    steps = [{(index[s - 1][c], weights[index[c][n - 1]])
+              for c in range(k) if c != n - 1}
+             for s, n in table.labels]
+    seams = [{weights[index[x][s - 1]] for x in range(k)
+              if x != s - 1 and diagonal[x] == diagonal[c - 1]}
+             for s, c in table.labels]
 
-        def weight(a, b):
-            return f.suborbit_size(a, b)
-
-        def combine(acc, w):
-            return acc * w
-    else:
-        unit = 0
-
-        def weight(a, b):
-            return valuation(f.suborbit_size(a, b), prime)
-
-        def combine(acc, w):
-            return acc + w
-
-    w_cache: dict[tuple[int, int], int] = {}
-
-    def w(a, b):
-        key = (a, b)
-        if key not in w_cache:
-            w_cache[key] = weight(a, b)
-        return w_cache[key]
-
-    orbit_sets = {c: f.orbit(c) for c in colours}
-    entries = {unit}
+    found = start
     truncated = False
-    # state (start colour, current colour) -> set of accumulated weights of
-    # the factors strictly after the seam factor
-    frontier: dict[tuple[int, int], set[int]] = {(c, c): {unit} for c in colours}
+    frontier = {o: start for o in set(diagonal)}
     for length in range(1, max_len + 1):
         if length > 1:
-            new: dict[tuple[int, int], set[int]] = {}
-            for (start, cur), accs in frontier.items():
-                for nxt in colours:
-                    if nxt == cur:
-                        continue
-                    step = w(cur, nxt)
-                    bucket = new.setdefault((start, nxt), set())
-                    for acc in accs:
-                        val = combine(acc, step)
-                        if val > cap:
-                            truncated = True
-                        else:
-                            bucket.add(val)
-            frontier = {k_: v for k_, v in new.items() if v}
+            new = {}
+            for t, sources in enumerate(steps):
+                for o, w in sources:
+                    if o in frontier:
+                        kept, over = advance(frontier[o], w)
+                        truncated = truncated or over
+                        if kept:
+                            new[t] = new[t] | kept if t in new else kept
+            frontier = new
             if not frontier:
                 break
-        for (start, cur), accs in frontier.items():
-            for seam in orbit_sets[cur]:
-                if seam == start:
-                    continue
-                first = w(seam, start)
-                for acc in accs:
-                    val = combine(acc, first)
-                    if val > cap:
-                        truncated = True
-                    else:
-                        entries.add(val)
-    return ScaleSpectrum(mode, prime, max_len, cap, truncated,
-                         tuple(sorted(entries)))
+        for o, accs in frontier.items():
+            for w in seams[o]:
+                kept, over = advance(accs, w)
+                truncated = truncated or over
+                found = found | kept
+    if mode == "values":
+        entries = sorted(found)
+    else:
+        entries = [e for e in range(found.bit_length()) if found >> e & 1]
+    return ScaleSpectrum(mode, prime, max_len, cap, truncated, tuple(entries))
 
 
 _LOCAL_KINDS = ("zero-only", "even-naturals", "naturals-minus-one", "all-naturals")

@@ -9,6 +9,9 @@ Builtin grammar:
 Group files: first significant line ``degree k``, then one generator per
 line in disjoint-cycle notation; blank lines and ``#`` comments ignored.
 
+Every form refuses a degree above ``DEGREE_BOUND`` with a precondition
+error before it builds anything.
+
 Axis literals: ``twist=(1 2 3); word=1,4,2`` or ``twist=id; word=1,2``.
 """
 
@@ -17,9 +20,15 @@ from __future__ import annotations
 import os
 
 from .bmtree import AxisData, designated_sylow
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .perm import PermGroup, Permutation
 from .supernat import is_prime
+
+# The largest degree a group spec may have.  The cost of stabiliser chains
+# and of the orbital table grows as a power of the degree, so a spec like
+# sym:2000 would otherwise run for an unbounded time.  The tests, the
+# battery and the benchmark use degrees of at most 27.
+DEGREE_BOUND = 32
 
 
 class GroupSpec:
@@ -45,6 +54,13 @@ def _parse_count(token: str, what: str) -> int:
     return k
 
 
+def _parse_degree(token: str, what: str) -> int:
+    k = _parse_count(token, what)
+    if k > DEGREE_BOUND:
+        raise PreconditionError(f"degree {k} exceeds the degree bound {DEGREE_BOUND}")
+    return k
+
+
 _SIMPLE_BUILTINS = {
     "sym": PermGroup.symmetric,
     "alt": PermGroup.alternating,
@@ -67,7 +83,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     head, _, rest = spec.partition(":")
     head = head.lower()
     if head in _SIMPLE_BUILTINS:
-        k = _parse_count(rest, "point count")
+        k = _parse_degree(rest, "point count")
         try:
             return GroupSpec(f"{head}:{k}", _SIMPLE_BUILTINS[head](k))
         except Exception as exc:
@@ -84,7 +100,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         return GroupSpec(f"sylow:{p}:{inner_spec.canonical}", group)
     if head == "gens":
         ktext, _, body = rest.partition(":")
-        k = _parse_count(ktext, "point count")
+        k = _parse_degree(ktext, "point count")
         gens = []
         if body.strip():
             for chunk in body.split(";"):
@@ -106,7 +122,7 @@ def parse_group_file(text: str, source: str = "<group file>") -> PermGroup:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "degree":
                 raise ParseError(f"{source}:{lineno}: expected 'degree k', got {line!r}")
-            degree = _parse_count(parts[1], "degree")
+            degree = _parse_degree(parts[1], "degree")
             continue
         try:
             gens.append(Permutation.parse(line, degree))
@@ -155,5 +171,5 @@ def render_axis(a: AxisData) -> str:
     return a.describe()
 
 
-__all__ = ["GroupSpec", "parse_group_spec", "parse_group_file", "parse_axis",
-           "render_axis"]
+__all__ = ["DEGREE_BOUND", "GroupSpec", "parse_group_spec", "parse_group_file",
+           "parse_axis", "render_axis"]

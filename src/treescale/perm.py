@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from typing import NamedTuple
 
 from .errors import EnumerationBoundError, ParseError, PreconditionError
 
@@ -289,17 +290,33 @@ class _Chain:
         return result
 
 
+class Orbitals(NamedTuple):
+    """The orbitals of G: its orbits on ordered pairs of points.
+
+    ``index[a - 1][b - 1]`` numbers the orbital of (a, b).  Orbital o has
+    label ``labels[o]`` = (r, m), itself a pair in it: r is the least point
+    of the orbit of a, and m the least point of the G_r-orbit of u^-1(b) for
+    any u in G with u(r) = a.  Orbitals are numbered in label order, and
+    ``sizes[o]`` is |G_a . b| for every (a, b) in orbital o.
+    """
+
+    index: tuple[tuple[int, ...], ...]
+    labels: tuple[tuple[int, int], ...]
+    sizes: tuple[int, ...]
+
+
 class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Values are immutable; the stabiliser chain, order, element list,
-    per-point stabilisers, and the designated Sylow subgroups F(p) and local
-    Sylow families of ``bmtree`` (one per prime) are write-once caches.
+    per-point stabilisers, the orbital table, and the designated Sylow
+    subgroups F(p) and local Sylow families of ``bmtree`` (one per prime)
+    are write-once caches.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
-                 "_element_set", "_stabilisers", "_transversals", "_sylows",
-                 "_local_sylows")
+                 "_element_set", "_stabilisers", "_transversals", "_orbitals",
+                 "_sylows", "_local_sylows")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -321,6 +338,7 @@ class PermGroup:
         self._element_set = None
         self._stabilisers = {}
         self._transversals = {}
+        self._orbitals = None
         self._sylows = {}
         self._local_sylows = {}
 
@@ -423,10 +441,38 @@ class PermGroup:
         self._stabilisers[point] = stab
         return stab
 
+    def orbitals(self) -> Orbitals:
+        """The orbital table, built from the transversal and the point
+        stabiliser of the least point of each orbit."""
+        if self._orbitals is None:
+            k = self.degree
+            index: list[tuple[int, ...] | None] = [None] * k
+            labels: list[tuple[int, int]] = []
+            sizes: list[int] = []
+            for r in range(1, k + 1):
+                if index[r - 1] is not None:
+                    continue
+                stab = self.point_stabiliser(r)
+                at_r = [-1] * k  # at_r[x - 1]: the orbital of (r, x)
+                for m in range(1, k + 1):
+                    if at_r[m - 1] >= 0:
+                        continue
+                    suborbit = stab.orbit(m)
+                    for x in suborbit:
+                        at_r[x - 1] = len(labels)
+                    labels.append((r, m))
+                    sizes.append(len(suborbit))
+                for a, u in self._transversal(r).items():
+                    index[a - 1] = tuple(at_r[x - 1] for x in u.inverse().images)
+            self._orbitals = Orbitals(tuple(index), tuple(labels), tuple(sizes))
+        return self._orbitals
+
     def suborbit_size(self, i: int, j: int) -> int:
         """|G_i . j|, the length of the suborbit of j at the point i."""
+        self._check_point(i)
         self._check_point(j)
-        return len(self.point_stabiliser(i).orbit(j))
+        table = self.orbitals()
+        return table.sizes[table.index[i - 1][j - 1]]
 
     def transporter_images(self, a: int, b: int, c: int) -> set[int]:
         """{f(c) : f in G, f(a) = b}; empty iff b is not in the orbit of a."""

@@ -63,9 +63,11 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p^e dividing n (n >= 1)."""
+    """Largest e with p^e dividing n (n >= 1, p >= 2)."""
     if n < 1:
         raise PreconditionError("valuation needs n >= 1")
+    if p < 2:
+        raise PreconditionError(f"valuation needs a base of at least 2, got {p}")
     e = 0
     while n % p == 0:
         e += 1

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treescale import balloracle
 from treescale.acceptance import valid_axes
@@ -26,6 +27,19 @@ S3 = PermGroup.symmetric(3)
 S4 = PermGroup.symmetric(4)
 S5 = PermGroup.symmetric(5)
 C3_ON_5 = PermGroup(5, ["(1 2 3)"])
+
+
+@st.composite
+def small_groups(draw):
+    """A random group of degree at most 6.  Its generators preserve the
+    blocks {1..split} and {split+1..degree}, so split < degree gives an
+    intransitive group."""
+    degree = draw(st.integers(1, 6))
+    split = draw(st.integers(1, degree))
+    low, high = list(range(1, split + 1)), list(range(split + 1, degree + 1))
+    gens = draw(st.lists(st.tuples(st.permutations(low), st.permutations(high)),
+                         min_size=1, max_size=3))
+    return PermGroup(degree, [Permutation(a + b) for a, b in gens])
 
 
 def axis(group, twist, word):
@@ -288,6 +302,42 @@ class TestSpectrum:
                                prime=3, cap=8)
         for v in ambient.entries:
             assert valuation(v, 3) in local.entries
+
+    def test_cap_below_the_unit_is_refused(self):
+        for kwargs in ({"cap": 0}, {"cap": -1},
+                       {"mode": "exponents", "prime": 3, "cap": -1}):
+            with pytest.raises(PreconditionError, match="cap"):
+                scale_spectrum(S4, 4, **kwargs)
+        at_unit = scale_spectrum(S4, 4, cap=1)
+        assert at_unit.entries == (1,) and at_unit.truncated
+        at_zero = scale_spectrum(S4, 4, mode="exponents", prime=3, cap=0)
+        assert at_zero.entries == (0,) and at_zero.truncated
+
+    def test_relabelled_group_has_the_same_spectrum(self):
+        rng = random.Random(5)
+        for f, p in ((designated_sylow(PermGroup.symmetric(9), 3), 3),
+                     (PermGroup(7, ["(1 2)(3 4)", "(5 6 7)"]), 2),
+                     (PermGroup.dihedral(6), 2)):
+            images = list(range(1, f.degree + 1))
+            rng.shuffle(images)
+            g = f.conjugate(Permutation(images))
+            for kwargs in ({}, {"mode": "exponents", "prime": p, "cap": 20}):
+                assert scale_spectrum(g, 7, **kwargs) == scale_spectrum(f, 7, **kwargs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(), st.integers(1, 4), st.sampled_from([2, 3, 5]))
+    def test_equals_brute_force_over_valid_axes(self, f, n, p):
+        # valid_axes visits every twist for every word, so the length is
+        # cut until the brute force stays small
+        while n > 1 and f.order() * f.degree * (f.degree - 1) ** (n - 1) > 5000:
+            n -= 1
+        scales = [scale(a) for a in valid_axes(f, n)]
+        values = scale_spectrum(f, n, cap=10 ** 9)
+        assert values.entries == tuple(sorted({1, *scales}))
+        assert not values.truncated
+        exponents = scale_spectrum(f, n, mode="exponents", prime=p, cap=10 ** 6)
+        assert exponents.entries == tuple(sorted({0, *(valuation(v, p) for v in scales)}))
+        assert not exponents.truncated
 
 
 class TestCasePrediction:

@@ -1,8 +1,11 @@
 """End-to-end CLI tests: outputs, JSON key order, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treescale.cli import main
 
@@ -126,6 +129,19 @@ def test_basis_insoluble_is_precondition(capsys):
     assert code == 1 and "soluble" in err
 
 
+def test_spectrum_cap_below_the_unit(capsys):
+    code, out, err = run(capsys, "spectrum", "--group", "sylow:3:sym:6", "--max-len", "4",
+                         "--mode", "exponents", "--prime", "3", "--cap", "-1")
+    assert code == 1 and out == "" and err.startswith("precondition-error:")
+    code, _, err = run(capsys, "spectrum", "--group", "sym:3", "--cap", "0")
+    assert code == 1 and "value cap" in err
+
+
+def test_degree_bound_exit_code(capsys):
+    code, out, err = run(capsys, "spectrum", "--group", "sym:2000", "--max-len", "2")
+    assert code == 1 and out == "" and "degree bound" in err
+
+
 def test_argparse_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum"])
@@ -149,3 +165,75 @@ def test_verify_json_shape(capsys):
     assert code == 0
     assert payload[0]["name"] == "c13_spectrum_exponent_inclusion"
     assert set(payload[0]) == {"name", "passed", "law", "detail"}
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+def _junk_or(*good):
+    """Mostly the given values, one time in ten short junk text."""
+    good = st.one_of(*good)
+    return st.integers(0, 9).flatmap(lambda i: good if i else st.text(max_size=6))
+
+
+_COUNT = st.one_of(st.integers(1, 6), st.integers(-2, 6),
+                   st.integers(33, 10 ** 6)).map(str)
+# Groups stay small within the degree bound, so every call is quick; counts
+# above it must be refused at once.
+_GROUP = _junk_or(
+    st.builds("{}:{}".format,
+              st.sampled_from(["sym", "alt", "cyclic", "dihedral", "trivial",
+                               "sylow:2:sym", "sylow:4:sym", "gens", "nope"]),
+              _COUNT),
+    st.sampled_from(["gens:5:(1 2 3);(4 5)", "gens:3:(1 4)", "gens:4:", "gens:4:(1 2",
+                     "sylow:3:", "sylow:3:gens:40:", "file:/no/such/path", ""]))
+_AXIS = _junk_or(st.sampled_from([
+    "twist=id; word=1,2", "twist=(1 2 3); word=1,4,2", "twist=(1 2); word=3",
+    "twist=id; word=1,1", "twist=id; word=", "word=1,2", "twist=id; word=1,2,,3",
+    "twist=(1 9); word=1", "twist=id; word=0,2", "twist=id; word=-1,2",
+    "twist=(); word=2,1", "twist=id; word=99999999999999999999,1"]))
+_VALUES = {
+    "--group": _GROUP,
+    "--axis": _AXIS,
+    "--prime": _junk_or(st.integers(-2, 12).map(str), st.just("999983")),
+    "--max-len": _junk_or(st.integers(-2, 6).map(str)),
+    "--mode": _junk_or(st.sampled_from(["values", "exponents"])),
+    "--cap": _junk_or(st.integers(-3, 10 ** 6).map(str)),
+    "--power": _junk_or(st.integers(-1, 3).map(str)),
+    "--k": _junk_or(st.integers(-2, 40).map(str)),
+    # never a real suite name: the battery is slow and tested elsewhere
+    "--suite": st.sampled_from(["nope", "", "al", "inclusion2"]),
+}
+_OPTIONS = {
+    "scale": ["--group", "--axis"], "inverse": ["--group", "--axis"],
+    "modular": ["--group", "--axis"], "aggregate": ["--group", "--axis"],
+    "oracle": ["--group", "--axis", "--power"],
+    "localscale": ["--group", "--axis", "--prime"],
+    "spectrum": ["--group", "--max-len", "--mode", "--prime", "--cap"],
+    "predict": ["--k", "--prime"], "sylow": ["--group", "--prime"],
+    "basis": ["--group"], "verify": ["--suite"],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option in _OPTIONS[command]:
+        if option == "--suite" or draw(st.integers(0, 9)):
+            argv += [option, draw(_VALUES[option])]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+    assert code in {0, 1, 2, 3}, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -2,9 +2,9 @@
 
 import pytest
 
-from treescale.errors import ParseError
-from treescale.groupspec import (parse_axis, parse_group_file, parse_group_spec,
-                                 render_axis)
+from treescale.errors import ParseError, PreconditionError
+from treescale.groupspec import (DEGREE_BOUND, parse_axis, parse_group_file,
+                                 parse_group_spec, render_axis)
 from treescale.perm import PermGroup
 
 
@@ -39,6 +39,17 @@ class TestBuiltins:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_group_spec("file:/no/such/path")
+
+    def test_degree_bound(self, tmp_path):
+        assert DEGREE_BOUND == 32
+        assert parse_group_spec(f"sym:{DEGREE_BOUND}").group.degree == DEGREE_BOUND
+        path = tmp_path / "big.txt"
+        path.write_text(f"degree {DEGREE_BOUND + 1}\n(1 2)\n", encoding="utf-8")
+        for bad in (f"sym:{DEGREE_BOUND + 1}", "alt:2000", "cyclic:40", "dihedral:33",
+                    "trivial:100", "sylow:2:sym:64", f"gens:{DEGREE_BOUND + 1}:(1 2)",
+                    "gens:100000:", f"file:{path}"):
+            with pytest.raises(PreconditionError, match="degree bound"):
+                parse_group_spec(bad)
 
 
 class TestGroupFile:

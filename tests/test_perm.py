@@ -13,6 +13,7 @@ from treescale.errors import EnumerationBoundError, ParseError, PreconditionErro
 from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation,
                             derived_subgroup, generated, intersect,
                             is_subgroup, lower_central_series, normal_closure)
+from treescale.sylow import sylow_of_symmetric
 
 
 def brute_force_elements(degree, gens):
@@ -178,6 +179,46 @@ class TestOrbits:
                     ga = g.point_stabiliser(a)
                     gb = g.point_stabiliser(b)
                     assert g.suborbit_size(a, b) * intersect(ga, gb).order() == ga.order()
+
+
+class TestOrbitals:
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_symmetric_has_rank_two(self, k):
+        table = PermGroup.symmetric(k).orbitals()
+        assert table.labels == ((1, 1), (1, 2))
+        assert table.sizes == (1, k - 1)
+
+    def test_sylow_3_of_sym27(self):
+        assert len(sylow_of_symmetric(27, 3).orbitals().labels) == 7
+
+    def test_intransitive_diagonal(self):
+        # orbits {1,2,3}, {4}, {5}: one diagonal orbital per orbit
+        table = PermGroup(5, ["(1 2 3)"]).orbitals()
+        diagonal = {table.labels[table.index[c][c]] for c in range(5)}
+        assert diagonal == {(1, 1), (4, 4), (5, 5)}
+        assert len(table.labels) == 11
+
+    def test_matches_brute_force(self):
+        # (a, b) and (c, d) share an orbital iff some element maps one to
+        # the other; each label lies in its orbital; sizes are suborbits
+        for g in (PermGroup.dihedral(5), PermGroup(6, ["(1 2 3)", "(4 5)"]),
+                  PermGroup(6, ["(1 2)(3 4)(5 6)", "(1 3 5)(2 4 6)"]),
+                  PermGroup.trivial(3)):
+            table = g.orbitals()
+            k = g.degree
+            pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
+            for a, b in pairs:
+                images = {(x(a), x(b)) for x in g.elements()}
+                here = table.index[a - 1][b - 1]
+                assert images == {pr for pr in pairs
+                                  if table.index[pr[0] - 1][pr[1] - 1] == here}
+                assert table.labels[here] in images
+                assert table.sizes[here] == len(g.point_stabiliser(a).orbit(b))
+            assert list(table.labels) == sorted(table.labels)
+
+    def test_write_once(self):
+        g = PermGroup.symmetric(4)
+        assert g.orbitals() is g.orbitals()
 
 
 class TestTransporters:

@@ -104,3 +104,12 @@ def test_rational_p_part():
     assert rational_p_part(Fraction(1), 5) == 1
     with pytest.raises(PreconditionError):
         rational_p_part(Fraction(-1), 2)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_base_below_two_is_refused(p):
+    # a base of 1, 0 or -1 would divide n forever
+    with pytest.raises(PreconditionError):
+        valuation(4, p)
+    with pytest.raises(PreconditionError):
+        rational_p_part(Fraction(9, 2), p)
