@@ -31,12 +31,12 @@ def sylow_subgroup(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND,
     """A Sylow p-subgroup of g containing the p-subgroup ``start`` (trivial
     by default), grown one p-step at a time.
 
-    At each step the normaliser of the current p-subgroup is scanned in
-    canonical element order for an element of p-power order outside the
-    subgroup whose p-th power falls inside; adjoining it multiplies the
-    order by exactly p.  Such an element exists while the current subgroup
-    is not Sylow, since it is then a proper normal subgroup of a p-subgroup
-    of its normaliser.
+    At each step the elements of g normalising the current p-subgroup are
+    scanned in canonical element order, without building the normaliser,
+    for the first one of p-power order outside the subgroup whose p-th
+    power falls inside; adjoining it multiplies the order by exactly p.
+    Such an element exists while the current subgroup is not Sylow, since
+    it is then a proper normal subgroup of a p-subgroup of its normaliser.
     """
     _require_prime(p)
     target = p_part_of_order(g, p)
@@ -47,21 +47,11 @@ def sylow_subgroup(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND,
     else:
         current = start
     while current.order() < target:
-        norm = g.normaliser(current, bound)
-        grown = None
         cur_set = current.element_set(bound)
-        for x in norm.elements(bound):
-            if x in cur_set:
-                continue
-            o = x.order()
-            q = 1
-            while q < o:
-                q *= p
-            if q != o:
-                continue
-            if x ** p in cur_set:
-                grown = x
-                break
+        # pow(p, o, o) == 0 exactly when the order o is a power of p
+        grown = next((x for x in g.conjugators([(current, current)], bound)
+                      if x not in cur_set and pow(p, o := x.order(), o) == 0
+                      and x ** p in cur_set), None)
         if grown is None:
             raise RuntimeError("Sylow growth step found no witness; this is a bug")
         current = PermGroup(g.degree, list(current.generators) + [grown])
@@ -109,19 +99,21 @@ def _wreath_generators(degree: int, start: int, p: int, j: int) -> list[Permutat
 
 
 def p_core(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND) -> PermGroup:
-    """O_p(g): intersect conjugates of one Sylow p-subgroup until stable."""
+    """O_p(g): intersect the element set of one Sylow p-subgroup with its
+    conjugates by the generators of g until stable, then build one group."""
     _require_prime(p)
-    core = sylow_subgroup(g, p, bound)
+    sylow = sylow_subgroup(g, p, bound)
+    members = sylow.element_set(bound)
     while True:
-        stable = True
+        before = len(members)
         for x in g.generators:
-            conj = core.conjugate(x)
-            meet = intersect(core, conj, bound)
-            if meet.order() < core.order():
-                core = meet
-                stable = False
-        if stable:
-            return core
+            xinv = x.inverse()
+            members = members & {x * y * xinv for y in members}
+        if len(members) == before:
+            break
+    if len(members) == sylow.order():
+        return sylow
+    return PermGroup(g.degree, spanning_generators(g.degree, sorted(members)))
 
 
 def pi_core(g: PermGroup, pi, bound: int = ENUMERATION_BOUND) -> PermGroup:
@@ -193,16 +185,20 @@ def are_permutable(a: PermGroup, b: PermGroup, bound: int = ENUMERATION_BOUND) -
 
 
 def _sylow_conjugates(g: PermGroup, p: int, bound: int) -> list[PermGroup]:
-    """All conjugates of the canonical Sylow p-subgroup, discovery order."""
+    """All conjugates of the canonical Sylow p-subgroup, discovery order,
+    each told apart by its conjugated element set."""
     base = sylow_subgroup(g, p, bound)
-    seen = {base.element_set(bound)}
+    members = base.element_set(bound)
+    if all(x * y * x.inverse() in members for x in g.generators for y in base.generators):
+        return [base]
+    seen = {members}
     out = [base]
     for x in g.elements(bound):
-        conj = base.conjugate(x)
-        key = conj.element_set(bound)
+        xinv = x.inverse()
+        key = frozenset(x * y * xinv for y in members)
         if key not in seen:
             seen.add(key)
-            out.append(conj)
+            out.append(base.conjugate(x))
     return out
 
 

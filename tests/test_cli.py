@@ -99,6 +99,13 @@ def test_basis_command(capsys):
     assert [(m["prime"], m["order"]) for m in payload["members"]] == [(2, 8), (3, 3)]
 
 
+def test_basis_command_on_a_two_group(capsys):
+    code, out, _ = run(capsys, "basis", "--group", "sylow:2:sym:8", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert [(m["prime"], m["order"]) for m in payload["members"]] == [(2, 128)]
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--group", "sym:4",
                        "--axis", "twist=id; word=1,2")

@@ -3,19 +3,22 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treescale.acceptance import all_subgroups, find_conjugator
 from treescale.errors import PreconditionError
-from treescale.perm import PermGroup, Permutation
+from treescale.perm import ENUMERATION_BOUND, PermGroup, Permutation, intersect
 from treescale.supernat import prime_factors, valuation
-from treescale.sylow import (SylowBasis, are_permutable, basis_normaliser,
-                             core_commensurability_check, corpus, fitting,
-                             is_normal_in, is_p_normal, p_core,
-                             p_part_of_order, pi_core, subgroup_index,
+from treescale.sylow import (SylowBasis, _sylow_conjugates, are_permutable,
+                             basis_normaliser, core_commensurability_check,
+                             corpus, fitting, is_normal_in, is_p_normal,
+                             p_core, p_part_of_order, pi_core, subgroup_index,
                              sylow_basis, sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
+GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
+              sylow2sym8=sylow_of_symmetric(8, 2))
 
 
 class TestSylowSubgroup:
@@ -64,6 +67,67 @@ class TestSylowSubgroup:
         from treescale.errors import EnumerationBoundError
         with pytest.raises(EnumerationBoundError):
             sylow_subgroup(PermGroup.symmetric(15), 2)
+
+
+def reference_sylow(g, p, start=None):
+    """The growth loop that builds each normaliser and scans its element
+    list; ``sylow_subgroup`` must pick the same witnesses."""
+    current = PermGroup.trivial(g.degree) if start is None else start
+    while current.order() < p_part_of_order(g, p):
+        cur_set = current.element_set()
+        grown = next(x for x in g.normaliser(current).elements()
+                     if x not in cur_set and x.order() == p ** valuation(x.order(), p)
+                     and x ** p in cur_set)
+        current = PermGroup(g.degree, list(current.generators) + [grown])
+    return current
+
+
+def reference_p_core(g, p):
+    """Intersect the Sylow subgroup with its conjugates by the generators,
+    as groups, until stable; ``p_core`` must give the same generators."""
+    core = reference_sylow(g, p)
+    while True:
+        stable = True
+        for x in g.generators:
+            meet = intersect(core, core.conjugate(x))
+            if meet.order() < core.order():
+                core, stable = meet, False
+        if stable:
+            return core
+
+
+def p_subgroup_of(g, p, index):
+    """The cyclic group of the p-part of the index-th element of g."""
+    x = g.elements()[index % g.order()]
+    o = x.order()
+    return PermGroup(g.degree, [x ** (o // p ** valuation(o, p))])
+
+
+small_groups = st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.permutations(list(range(1, d + 1))).map(Permutation), max_size=3).map(
+        lambda gens, d=d: PermGroup(d, gens)))
+
+
+def assert_pinned(g, index):
+    for p in prime_factors(g.order()):
+        assert sylow_subgroup(g, p).generators == reference_sylow(g, p).generators
+        start = p_subgroup_of(g, p, index)
+        assert (sylow_subgroup(g, p, start=start).generators
+                == reference_sylow(g, p, start).generators)
+        assert p_core(g, p).generators == reference_p_core(g, p).generators
+
+
+class TestPinnedToNormaliserScan:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_corpus(self, name):
+        g = GROUPS[name]
+        for index in range(0, g.order(), 5):
+            assert_pinned(g, index)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups, st.integers(0, 719))
+    def test_random_groups(self, g, index):
+        assert_pinned(g, index)
 
 
 class TestSylowOfSymmetric:
@@ -132,6 +196,31 @@ class TestCores:
         assert is_p_normal(PermGroup.alternating(4), 2)
         assert not is_p_normal(PermGroup.symmetric(4), 2)
         assert is_p_normal(PermGroup.dihedral(4), 2)
+
+
+class TestSylowTheory:
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_conjugate_count(self, name):
+        g = GROUPS[name]
+        for p in prime_factors(g.order()):
+            conjugates = _sylow_conjugates(g, p, ENUMERATION_BOUND)
+            assert len(conjugates) % p == 1
+            assert len(conjugates) == g.order() // g.normaliser(conjugates[0]).order()
+            assert len({c.element_set() for c in conjugates}) == len(conjugates)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_p_core_is_the_meet_of_all_conjugates(self, name):
+        g = GROUPS[name]
+        for p in prime_factors(g.order()):
+            meet = frozenset.intersection(
+                *(c.element_set() for c in _sylow_conjugates(g, p, ENUMERATION_BOUND)))
+            assert p_core(g, p).element_set() == meet
+
+    @pytest.mark.parametrize("name", ["q8", "d8", "sylow2sym8"])
+    def test_nilpotent_groups_have_one_conjugate_per_prime(self, name):
+        g = GROUPS[name]
+        for p in prime_factors(g.order()):
+            assert len(_sylow_conjugates(g, p, ENUMERATION_BOUND)) == 1
 
 
 class TestBasis:

@@ -1,7 +1,8 @@
 """Differential checks of the group engine against sympy.combinatorics, an
 implementation that shares no code with it: orders, orbits, point
-stabilisers, solubility, nilpotency, Sylow orders and derived-series
-lengths.  Skipped when sympy is absent."""
+stabilisers, solubility, nilpotency, Sylow orders, derived-series lengths,
+and the normality of p-cores and the Fitting subgroup.  Skipped when sympy
+is absent."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from treescale.groupspec import parse_group_spec
 from treescale.perm import Permutation, derived_subgroup, is_subgroup
 from treescale.supernat import prime_factors
-from treescale.sylow import sylow_subgroup
+from treescale.sylow import fitting, p_core, sylow_subgroup
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -66,3 +67,20 @@ def test_sylow_and_derived_series_agree_with_sympy(case):
         assert is_subgroup(sylow, ours)
         assert sylow.order() == theirs.sylow_subgroup(p).order()
     assert derived_length(ours) == len(theirs.derived_series())
+
+
+def sympy_subgroup(group):
+    return sympy_group(group.degree, [x.images for x in group.generators])
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens_specs())
+def test_cores_are_normal_according_to_sympy(case):
+    spec, degree, images = case
+    ours = parse_group_spec(spec).group
+    theirs = sympy_group(degree, images)
+    assert sympy_subgroup(fitting(ours)).is_normal(theirs)
+    for p in prime_factors(ours.order()):
+        core = sympy_subgroup(p_core(ours, p))
+        assert core.is_normal(theirs)
+        assert core.is_subgroup(theirs.sylow_subgroup(p))
