@@ -130,7 +130,7 @@ def cmd_basis(args) -> int:
                "law": "a soluble group has pairwise permutable Sylow subgroups"}
     lines = [f"p={m['prime']}: order {m['order']}, generators "
              + (", ".join(m["generators"]) or "none") for m in members]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines) or "trivial group: no primes, empty basis")
     return 0
 
 

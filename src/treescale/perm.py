@@ -23,6 +23,17 @@ ENUMERATION_BOUND = 200_000
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+class _IdentityImages(dict):
+    """The image tuple (1, ..., k) of the identity, one per degree k."""
+
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        images = self[k] = tuple(range(1, k + 1))
+        return images
+
+
+_IDENTITY = _IdentityImages()
+
+
 class Permutation:
     """A permutation of {1..degree}; images[i-1] is the image of i."""
 
@@ -34,13 +45,20 @@ class Permutation:
             raise ValueError(f"not a bijection of 1..{len(images)}: {images!r}")
         self.images = images
 
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple already known to be a bijection of 1..len, unchecked."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
     @property
     def degree(self) -> int:
         return len(self.images)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(1, degree + 1))
+        return cls._of(_IDENTITY[degree])
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -103,13 +121,23 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise PreconditionError("degree mismatch in composition")
         mine = self.images
-        return Permutation(tuple(mine[q - 1] for q in other.images))
+        return Permutation._of(tuple([mine[q - 1] for q in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Permutation(inv)
+        for i, img in enumerate(self.images, 1):
+            inv[img - 1] = i
+        return Permutation._of(tuple(inv))
+
+    def conjugate(self, x: "Permutation") -> "Permutation":
+        """x * self * x^-1 in one pass: it maps x(i) to x(self(i))."""
+        xs = x.images
+        if len(self.images) != len(xs):
+            raise PreconditionError("degree mismatch in conjugation")
+        out = [0] * len(xs)
+        for xi, img in zip(xs, self.images):
+            out[xi - 1] = xs[img - 1]
+        return Permutation._of(tuple(out))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -124,7 +152,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
+        return self.images == _IDENTITY[len(self.images)]
 
     def min_moved(self) -> int | None:
         for i, img in enumerate(self.images):
@@ -189,7 +217,7 @@ def _orbit_transversal(degree: int, point: int, gens) -> dict[int, Permutation]:
         for pt in frontier:
             u = trans[pt]
             for g in gens:
-                q = g(pt)
+                q = g.images[pt - 1]
                 if q not in trans:
                     trans[q] = g * u
                     nxt.append(q)
@@ -203,7 +231,7 @@ def _schreier_generators(trans: dict[int, Permutation], gens):
     for pt in sorted(trans):
         u = trans[pt]
         for g in gens:
-            sg = trans[g(pt)].inverse() * g * u
+            sg = trans[g.images[pt - 1]].inverse() * g * u
             if not sg.is_identity():
                 yield sg
 
@@ -259,7 +287,7 @@ class _Chain:
         for lvl in range(start, self.degree):
             if h.is_identity():
                 return None
-            t = h(lvl + 1)
+            t = h.images[lvl]
             if t == lvl + 1:
                 continue
             trans = self.orbits[lvl]
@@ -514,8 +542,7 @@ class PermGroup:
 
     def conjugate(self, g: Permutation) -> "PermGroup":
         """The conjugate g G g^-1."""
-        ginv = g.inverse()
-        return PermGroup(self.degree, [g * h * ginv for h in self.generators])
+        return PermGroup(self.degree, [h.conjugate(g) for h in self.generators])
 
     def same_subgroup(self, other: "PermGroup") -> bool:
         return (self.degree == other.degree
@@ -544,8 +571,7 @@ class PermGroup:
             return
         checks = [(h.generators, k.element_set(bound)) for h, k in pairs]
         for x in self.elements(bound):
-            xinv = x.inverse()
-            if all(x * y * xinv in kset for gens, kset in checks for y in gens):
+            if all(y.conjugate(x) in kset for gens, kset in checks for y in gens):
                 yield x
 
 
@@ -593,7 +619,7 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
     while queue:
         x = queue.pop(0)
         for c in g.generators:
-            y = c * x * c.inverse()
+            y = x.conjugate(c)
             if y not in closure:
                 gens.append(y)
                 closure = PermGroup(g.degree, gens)

@@ -107,8 +107,7 @@ def p_core(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND) -> PermGroup:
     while True:
         before = len(members)
         for x in g.generators:
-            xinv = x.inverse()
-            members = members & {x * y * xinv for y in members}
+            members = members & {y.conjugate(x) for y in members}
         if len(members) == before:
             break
     if len(members) == sylow.order():
@@ -120,21 +119,41 @@ def pi_core(g: PermGroup, pi, bound: int = ENUMERATION_BOUND) -> PermGroup:
     """O_pi(g): the largest normal subgroup whose order is a pi-number.
 
     An element belongs to it exactly when its normal closure is a pi-group,
-    so the core is generated by all such elements.
+    so the core is generated by all such elements.  No closure is built for
+    an element whose order is not a pi-number, nor for a conjugate of an
+    element whose closure failed: its closure is the same.
     """
     pi = frozenset(pi)
     for p in pi:
         _require_prime(p)
     members: list[Permutation] = []
     core = PermGroup.trivial(g.degree)
+    failed: set[Permutation] = set()
     for x in g.elements(bound):
-        if x.is_identity() or x in core:
+        if (x.is_identity() or x in failed or not set(prime_factors(x.order())) <= pi
+                or x in core):
             continue
         closure = normal_closure(g, [x])
         if set(prime_factors(closure.order())) <= pi:
             members.append(x)
             core = PermGroup(g.degree, spanning_generators(g.degree, members))
+        else:
+            failed |= _conjugacy_class(g, x)
     return core
+
+
+def _conjugacy_class(g: PermGroup, x: Permutation) -> set[Permutation]:
+    """The conjugates of x by g, closed under the generators' conjugation."""
+    found = {x}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        for c in g.generators:
+            z = y.conjugate(c)
+            if z not in found:
+                found.add(z)
+                frontier.append(z)
+    return found
 
 
 def fitting(g: PermGroup, bound: int = ENUMERATION_BOUND) -> PermGroup:
@@ -189,13 +208,12 @@ def _sylow_conjugates(g: PermGroup, p: int, bound: int) -> list[PermGroup]:
     each told apart by its conjugated element set."""
     base = sylow_subgroup(g, p, bound)
     members = base.element_set(bound)
-    if all(x * y * x.inverse() in members for x in g.generators for y in base.generators):
+    if all(y.conjugate(x) in members for x in g.generators for y in base.generators):
         return [base]
     seen = {members}
     out = [base]
     for x in g.elements(bound):
-        xinv = x.inverse()
-        key = frozenset(x * y * xinv for y in members)
+        key = frozenset(y.conjugate(x) for y in members)
         if key not in seen:
             seen.add(key)
             out.append(base.conjugate(x))

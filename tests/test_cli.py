@@ -106,6 +106,13 @@ def test_basis_command_on_a_two_group(capsys):
     assert [(m["prime"], m["order"]) for m in payload["members"]] == [(2, 128)]
 
 
+def test_basis_of_the_trivial_group(capsys):
+    code, out, _ = run(capsys, "basis", "--group", "trivial:1")
+    assert code == 0 and out == "trivial group: no primes, empty basis\n"
+    code, out, _ = run(capsys, "basis", "--group", "trivial:1", "--json")
+    assert code == 0 and json.loads(out)["members"] == []
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--group", "sym:4",
                        "--axis", "twist=id; word=1,2")

@@ -61,6 +61,8 @@ class TestPermutation:
     def test_not_bijection(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
+        with pytest.raises(ValueError):
+            Permutation((2, 3))
 
     @given(perms)
     def test_inverse_law(self, p):
@@ -89,6 +91,90 @@ class TestPermutation:
     def test_order(self):
         assert Permutation.parse("(1 2 3)(4 5)", 5).order() == 6
         assert Permutation.identity(3).order() == 1
+
+
+def image_tuples(degree, count):
+    """count image tuples of one degree, as plain tuples."""
+    return st.tuples(*[st.permutations(list(range(1, degree + 1))).map(tuple)] * count)
+
+
+def kernel_cases(count):
+    return st.integers(1, 12).flatmap(lambda n: image_tuples(n, count))
+
+
+def mismatched_pairs():
+    return st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+        lambda nm: nm[0] != nm[1]).flatmap(
+            lambda nm: st.tuples(image_tuples(nm[0], 1), image_tuples(nm[1], 1)))
+
+
+# Plain-tuple references: images[i - 1] is the image of i, and the right
+# factor applies first.
+def tuple_product(p, q):
+    return tuple(p[i - 1] for i in q)
+
+
+def tuple_inverse(p):
+    return tuple(sorted(range(1, len(p) + 1), key=lambda i: p[i - 1]))
+
+
+def tuple_power(p, n):
+    step = p if n >= 0 else tuple_inverse(p)
+    out = tuple(range(1, len(p) + 1))
+    for _ in range(abs(n)):
+        out = tuple_product(out, step)
+    return out
+
+
+def assert_built_as(result, images):
+    """result has the expected images, as a tuple, and equals and hashes
+    like the same permutation built through the checking constructor."""
+    assert type(result.images) is tuple
+    assert result.images == images
+    checked = Permutation(result.images)
+    assert result == checked and hash(result) == hash(checked)
+
+
+class TestKernel:
+    @given(kernel_cases(2))
+    def test_product(self, case):
+        p, q = case
+        assert_built_as(Permutation(p) * Permutation(q), tuple_product(p, q))
+
+    @given(kernel_cases(1))
+    def test_inverse(self, case):
+        p, = case
+        assert_built_as(Permutation(p).inverse(), tuple_inverse(p))
+
+    @given(kernel_cases(1), st.integers(-7, 7))
+    def test_power(self, case, n):
+        p, = case
+        assert_built_as(Permutation(p) ** n, tuple_power(p, n))
+
+    @given(kernel_cases(2))
+    def test_conjugate(self, case):
+        y, x = case
+        expected = tuple_product(tuple_product(x, y), tuple_inverse(x))
+        got = Permutation(y).conjugate(Permutation(x))
+        assert_built_as(got, expected)
+        assert got == Permutation(x) * Permutation(y) * Permutation(x).inverse()
+
+    @given(kernel_cases(1))
+    def test_is_identity(self, case):
+        p, = case
+        ident = tuple(range(1, len(p) + 1))
+        assert Permutation(p).is_identity() == (p == ident)
+        assert (Permutation(p) * Permutation(p).inverse()).is_identity()
+        assert_built_as(Permutation.identity(len(p)), ident)
+        assert Permutation.identity(len(p)).is_identity()
+
+    @given(mismatched_pairs())
+    def test_degree_mismatch(self, case):
+        (p,), (q,) = case
+        with pytest.raises(PreconditionError):
+            Permutation(p) * Permutation(q)
+        with pytest.raises(PreconditionError):
+            Permutation(p).conjugate(Permutation(q))
 
 
 class TestGroupOrder:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from treescale.acceptance import all_subgroups, find_conjugator
 from treescale.errors import PreconditionError
-from treescale.perm import ENUMERATION_BOUND, PermGroup, Permutation, intersect
+from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation, intersect,
+                            normal_closure, spanning_generators)
 from treescale.supernat import prime_factors, valuation
 from treescale.sylow import (SylowBasis, _sylow_conjugates, are_permutable,
                              basis_normaliser, core_commensurability_check,
@@ -128,6 +129,42 @@ class TestPinnedToNormaliserScan:
     @given(small_groups, st.integers(0, 719))
     def test_random_groups(self, g, index):
         assert_pinned(g, index)
+
+
+def reference_pi_core(g, pi):
+    """The closure of every element not yet in the core, none skipped;
+    ``pi_core`` must give the same generators."""
+    members = []
+    core = PermGroup.trivial(g.degree)
+    for x in g.elements():
+        if x.is_identity() or x in core:
+            continue
+        if set(prime_factors(normal_closure(g, [x]).order())) <= set(pi):
+            members.append(x)
+            core = PermGroup(g.degree, spanning_generators(g.degree, members))
+    return core
+
+
+PRIME_SETS = ({2}, {3}, {2, 3}, {5}, {2, 5})
+
+
+class TestPiCorePinnedToClosureScan:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_corpus(self, name):
+        g = GROUPS[name]
+        for pi in PRIME_SETS:
+            assert pi_core(g, pi).generators == reference_pi_core(g, pi).generators
+
+    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("pi", PRIME_SETS[:4], ids=str)
+    def test_symmetric(self, k, pi):
+        g = PermGroup.symmetric(k)
+        assert pi_core(g, pi).generators == reference_pi_core(g, pi).generators
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups, st.sampled_from(PRIME_SETS))
+    def test_random_groups(self, g, pi):
+        assert pi_core(g, pi).generators == reference_pi_core(g, pi).generators
 
 
 class TestSylowOfSymmetric:

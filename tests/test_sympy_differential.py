@@ -1,8 +1,9 @@
 """Differential checks of the group engine against sympy.combinatorics, an
-implementation that shares no code with it: orders, orbits, point
-stabilisers, solubility, nilpotency, Sylow orders, derived-series lengths,
-and the normality of p-cores and the Fitting subgroup.  Skipped when sympy
-is absent."""
+implementation that shares no code with it: permutation products, inverses,
+orders, cycles and conjugates; group orders, orbits, point stabilisers,
+solubility, nilpotency, Sylow orders, derived-series lengths, and the
+normality of p-cores and the Fitting subgroup.  Skipped when sympy is
+absent."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,34 @@ from treescale.supernat import prime_factors
 from treescale.sylow import fitting, p_core, sylow_subgroup
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
+
+
+@st.composite
+def permutation_pairs(draw):
+    degree = draw(st.integers(1, 12))
+    points = list(range(1, degree + 1))
+    return Permutation(draw(st.permutations(points))), Permutation(draw(st.permutations(points)))
+
+
+def sympy_permutation(p):
+    return combinatorics.Permutation([i - 1 for i in p.images])
+
+
+def images_of(s):
+    return tuple(i + 1 for i in s.array_form)
+
+
+@given(permutation_pairs())
+def test_kernel_agrees_with_sympy(pair):
+    p, q = pair
+    sp, sq = sympy_permutation(p), sympy_permutation(q)
+    # sympy's a*b applies a first, so p * q here is sympy's Q*P
+    assert (p * q).images == images_of(sq * sp)
+    assert p.inverse().images == images_of(~sp)
+    assert p.order() == sp.order()
+    assert p.cycles() == [tuple(i + 1 for i in c) for c in sp.cyclic_form]
+    # sympy's P^Q is Q^-1 P Q applied left to right, that is q p q^-1 here
+    assert p.conjugate(q).images == images_of(sp ^ sq)
 
 
 @st.composite
