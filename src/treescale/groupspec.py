@@ -76,9 +76,12 @@ def parse_group_spec(text: str) -> GroupSpec:
         path = spec[len("file:"):]
         if not os.path.exists(path):
             raise ParseError(f"group file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            group = parse_group_file(fh.read(), source=path)
-        return GroupSpec(spec, group)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read group file {path}: {exc}") from None
+        return GroupSpec(spec, parse_group_file(text, source=path))
 
     head, _, rest = spec.partition(":")
     head = head.lower()

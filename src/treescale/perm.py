@@ -225,15 +225,38 @@ def _orbit_transversal(degree: int, point: int, gens) -> dict[int, Permutation]:
     return trans
 
 
-def _schreier_generators(trans: dict[int, Permutation], gens):
+class _InverseImages(dict):
+    """Image tuples of the inverses of a transversal's elements, each made
+    on first use and never changed after."""
+
+    __slots__ = ("trans",)
+
+    def __init__(self, trans: dict[int, Permutation]):
+        super().__init__()
+        self.trans = trans
+
+    def __missing__(self, q: int) -> tuple[int, ...]:
+        images = self[q] = self.trans[q].inverse().images
+        return images
+
+
+def _schreier_generators(trans: dict[int, Permutation], gens, inverses=None):
     """The nontrivial Schreier generators t_{g(pt)}^-1 g t_pt of the point
-    stabiliser, in (sorted point, generator) order."""
+    stabiliser, in (sorted point, generator) order.  A pair with
+    g t_pt = t_{g(pt)}, a tree edge of the orbit walk, gives the identity
+    and costs one product; the inverses come from the memo ``inverses`` of
+    trans, a fresh one when none is given."""
+    if inverses is None:
+        inverses = _InverseImages(trans)
+    gen_images = [g.images for g in gens]
     for pt in sorted(trans):
-        u = trans[pt]
-        for g in gens:
-            sg = trans[g.images[pt - 1]].inverse() * g * u
-            if not sg.is_identity():
-                yield sg
+        u = trans[pt].images
+        for g in gen_images:
+            q = g[pt - 1]
+            gu = tuple([g[x - 1] for x in u])
+            if gu != trans[q].images:
+                inv = inverses[q]
+                yield Permutation._of(tuple([inv[x - 1] for x in gu]))
 
 
 class _Chain:
@@ -242,21 +265,31 @@ class _Chain:
     Level i has base point i+1 and holds the strong generators whose least
     moved point is i+1; each level stores the basic orbit of its base point
     under the generators of that and all deeper-numbered levels, together
-    with a transversal.
+    with a transversal and a memo of the transversal's inverse image tuples,
+    which starts empty whenever the level is rebuilt.
     """
 
-    __slots__ = ("degree", "level_gens", "orbits")
+    __slots__ = ("degree", "level_gens", "orbits", "inverses")
 
     def __init__(self, degree: int, generators):
         self.degree = degree
         self.level_gens: list[list[Permutation]] = [[] for _ in range(degree)]
         self.orbits: list[dict[int, Permutation] | None] = [None] * degree
+        self.inverses: list[_InverseImages | None] = [None] * degree
         for g in generators:
             self._place(g)
         i = degree - 1
         while i >= 0:
-            self.orbits[i] = _orbit_transversal(degree, i + 1, self._gens_from(i))
-            added_at = self._verify_level(i)
+            added_at = None
+            if self.level_gens[i]:
+                gens = self._gens_from(i)
+                trans = self.orbits[i] = _orbit_transversal(degree, i + 1, gens)
+                self.inverses[i] = _InverseImages(trans)
+                added_at = self._verify_level(i, gens)
+            else:
+                # Without generators of its own a level has orbit {i+1}, and
+                # its Schreier generators are the deeper strong generators.
+                self.orbits[i] = {i + 1: Permutation.identity(degree)}
             i = i - 1 if added_at is None else added_at
 
     def _place(self, g: Permutation) -> None:
@@ -267,13 +300,17 @@ class _Chain:
     def _gens_from(self, i: int) -> list[Permutation]:
         return [g for lvl in self.level_gens[i:] for g in lvl]
 
-    def _verify_level(self, i: int) -> int | None:
+    def _verify_level(self, i: int, gens: list[Permutation]) -> int | None:
         """Sift all Schreier generators of level i through the chain below.
 
         Returns the level index a new strong generator was added at, or None
-        when the level verifies cleanly.
+        when the level verifies cleanly.  A deeper strong generator lies in
+        the verified chain below and is not sifted.
         """
-        for sg in _schreier_generators(self.orbits[i], self._gens_from(i)):
+        deeper = {g.images for g in gens[len(self.level_gens[i]):]}
+        for sg in _schreier_generators(self.orbits[i], gens, self.inverses[i]):
+            if sg.images in deeper:
+                continue
             residue = self._sift_from(i + 1, sg)
             if residue is not None:
                 j = residue.min_moved() - 1
@@ -283,18 +320,19 @@ class _Chain:
 
     def _sift_from(self, start: int, g: Permutation) -> Permutation | None:
         """Divide g by transversal elements; None means membership."""
-        h = g
+        h = g.images
+        identity = _IDENTITY[self.degree]
         for lvl in range(start, self.degree):
-            if h.is_identity():
+            if h == identity:
                 return None
-            t = h.images[lvl]
+            t = h[lvl]
             if t == lvl + 1:
                 continue
-            trans = self.orbits[lvl]
-            if trans is None or t not in trans:
-                return h
-            h = trans[t].inverse() * h
-        return None if h.is_identity() else h
+            if t not in self.orbits[lvl]:  # levels from start on are built
+                return Permutation._of(h)
+            inv = self.inverses[lvl][t]
+            h = tuple([inv[x - 1] for x in h])
+        return None if h == identity else Permutation._of(h)
 
     def contains(self, g: Permutation) -> bool:
         return self._sift_from(0, g) is None

@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treescale.cli import main
+
+# A directory and a group file that is not UTF-8: neither can be read as a
+# group file.
+DATA = Path(__file__).parent / "data"
+UNREADABLE_GROUPS = [f"file:{DATA}", f"file:{DATA / 'latin1.group'}"]
 
 
 def run(capsys, *argv):
@@ -132,6 +138,12 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and err.startswith("parse-error:")
 
 
+@pytest.mark.parametrize("spec", UNREADABLE_GROUPS)
+def test_unreadable_group_file_is_a_parse_error(capsys, spec):
+    code, out, err = run(capsys, "scale", "--group", spec, "--axis", "twist=id; word=1,2")
+    assert code == 2 and out == "" and err.startswith("parse-error: cannot read group file")
+
+
 def test_precondition_error_exit_code(capsys):
     code, _, err = run(capsys, "scale", "--group", "sym:4",
                        "--axis", "twist=id; word=1,1")
@@ -199,7 +211,8 @@ _GROUP = _junk_or(
                                "sylow:2:sym", "sylow:4:sym", "gens", "nope"]),
               _COUNT),
     st.sampled_from(["gens:5:(1 2 3);(4 5)", "gens:3:(1 4)", "gens:4:", "gens:4:(1 2",
-                     "sylow:3:", "sylow:3:gens:40:", "file:/no/such/path", ""]))
+                     "sylow:3:", "sylow:3:gens:40:", "file:/no/such/path", "",
+                     *UNREADABLE_GROUPS]))
 _AXIS = _junk_or(st.sampled_from([
     "twist=id; word=1,2", "twist=(1 2 3); word=1,4,2", "twist=(1 2); word=3",
     "twist=id; word=1,1", "twist=id; word=", "word=1,2", "twist=id; word=1,2,,3",

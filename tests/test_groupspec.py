@@ -40,6 +40,13 @@ class TestBuiltins:
         with pytest.raises(ParseError):
             parse_group_spec("file:/no/such/path")
 
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("degree 3\n# café\n(1 2)\n".encode("latin-1"))
+        for bad in (f"file:{tmp_path}", f"file:{path}"):
+            with pytest.raises(ParseError, match="cannot read group file"):
+                parse_group_spec(bad)
+
     def test_degree_bound(self, tmp_path):
         assert DEGREE_BOUND == 32
         assert parse_group_spec(f"sym:{DEGREE_BOUND}").group.degree == DEGREE_BOUND

@@ -7,13 +7,15 @@ which never touches the stabiliser chain.
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
+from treescale.groupspec import parse_group_spec
 from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation,
-                            derived_subgroup, generated, intersect,
-                            is_subgroup, lower_central_series, normal_closure)
-from treescale.sylow import sylow_of_symmetric
+                            _orbit_transversal, derived_subgroup, generated,
+                            intersect, is_subgroup, lower_central_series,
+                            normal_closure)
+from treescale.sylow import corpus, sylow_of_symmetric
 
 
 def brute_force_elements(degree, gens):
@@ -265,6 +267,46 @@ class TestOrbits:
                     ga = g.point_stabiliser(a)
                     gb = g.point_stabiliser(b)
                     assert g.suborbit_size(a, b) * intersect(ga, gb).order() == ga.order()
+
+
+def reference_schreier_generators(trans, gens):
+    """The Schreier-generator loop in its plain three-product form, every
+    pair multiplied out; ``point_stabiliser`` must give the same
+    generators."""
+    for pt in sorted(trans):
+        u = trans[pt]
+        for g in gens:
+            sg = trans[g.images[pt - 1]].inverse() * g * u
+            if not sg.is_identity():
+                yield sg
+
+
+def assert_stabilisers_pinned(g):
+    for point in range(1, g.degree + 1):
+        trans = _orbit_transversal(g.degree, point, g.generators)
+        reference = PermGroup(g.degree, reference_schreier_generators(trans, g.generators))
+        assert ([x.images for x in g.point_stabiliser(point).generators]
+                == [x.images for x in reference.generators]), point
+
+
+@st.composite
+def gens_groups(draw):
+    """A ``gens:`` group of degree at most 8 with up to three generators."""
+    degree = draw(st.integers(1, 8))
+    images = draw(st.lists(st.permutations(list(range(1, degree + 1))), max_size=3))
+    cycles = ";".join(Permutation(im).cycle_string() for im in images)
+    return parse_group_spec(f"gens:{degree}:{cycles}").group
+
+
+class TestStabiliserPinnedToThreeProductLoop:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_corpus(self, name):
+        assert_stabilisers_pinned(dict(corpus())[name])
+
+    @settings(max_examples=80, deadline=None)
+    @given(gens_groups())
+    def test_random_groups(self, g):
+        assert_stabilisers_pinned(g)
 
 
 class TestOrbitals:

@@ -2,14 +2,15 @@
 implementation that shares no code with it: permutation products, inverses,
 orders, cycles and conjugates; group orders, orbits, point stabilisers,
 solubility, nilpotency, Sylow orders, derived-series lengths, and the
-normality of p-cores and the Fitting subgroup.  Skipped when sympy is
+normality of p-cores and the Fitting subgroup; stabiliser-chain orders,
+bases and membership on structured generator sets.  Skipped when sympy is
 absent."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treescale.groupspec import parse_group_spec
-from treescale.perm import Permutation, derived_subgroup, is_subgroup
+from treescale.perm import PermGroup, Permutation, derived_subgroup, is_subgroup
 from treescale.supernat import prime_factors
 from treescale.sylow import fitting, p_core, sylow_subgroup
 
@@ -71,6 +72,66 @@ def test_engine_agrees_with_sympy(case):
         assert ours.point_stabiliser(point).order() == theirs.stabilizer(point - 1).order()
     assert ours.is_soluble() == theirs.is_solvable
     assert ours.is_nilpotent() == theirs.is_nilpotent
+
+
+@st.composite
+def structured_generators(draw):
+    """Generator sets that random shuffles rarely give, each of degree at
+    most 8: [a, a*b] with b(1) = 1, two generators of the top level with the
+    same image of 1; generators fixing 1..m, so the top m levels are
+    trivial; one generator moving only the last few points, alone on its
+    level, next to up to two random ones."""
+    degree = draw(st.integers(2, 8))
+    points = list(range(1, degree + 1))
+
+    def moving(moved):
+        """A random permutation of the points ``moved`` fixing the rest."""
+        images = list(points)
+        for x, y in zip(moved, draw(st.permutations(moved))):
+            images[x - 1] = y
+        return Permutation(images)
+
+    family = draw(st.sampled_from(["pair", "fixing", "deep"]))
+    if family == "pair":
+        a = moving(points)
+        gens = [a, a * moving(points[1:])]
+    elif family == "fixing":
+        m = draw(st.integers(1, degree - 1))
+        gens = [moving(points[m:]) for _ in range(draw(st.integers(1, 3)))]
+    else:
+        deep = moving(points[-draw(st.integers(2, degree)):])
+        gens = [deep] + [moving(points) for _ in range(draw(st.integers(0, 2)))]
+    return degree, gens
+
+
+def sympy_base(group, degree):
+    """The points i whose orbit under the pointwise stabiliser of 1..i-1 is
+    longer than one, the base our chains report."""
+    base = []
+    for i in range(degree):
+        stabiliser = group.pointwise_stabilizer(list(range(i))) if i else group
+        if len(stabiliser.orbit(i)) > 1:
+            base.append(i + 1)
+    return base
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_generators(), st.randoms(use_true_random=False))
+def test_chain_agrees_with_sympy_on_structured_generators(case, rng):
+    degree, gens = case
+    ours = PermGroup(degree, gens)
+    theirs = sympy_group(degree, [g.images for g in gens])
+    assert ours.order() == theirs.order()
+    assert ours.base() == sympy_base(theirs, degree)
+    for _ in range(10):
+        member = Permutation.identity(degree)
+        for _ in range(rng.randint(1, 8)):
+            member = rng.choice(gens) * member
+        assert member in ours and theirs.contains(sympy_permutation(member))
+        images = list(range(1, degree + 1))
+        rng.shuffle(images)
+        other = Permutation(images)
+        assert (other in ours) == theirs.contains(sympy_permutation(other))
 
 
 def derived_length(group):
