@@ -55,24 +55,6 @@ def orbit_count(a: AxisData, power: int = 1, depth_cap: int = DEPTH_CAP) -> int:
     return sum(counts.values())
 
 
-def reachable_sequences(a: AxisData, power: int = 1,
-                        depth_cap: int = DEPTH_CAP) -> set[tuple[int, ...]]:
-    """The full set of image colour sequences behind orbit_count (small use)."""
-    require_valid(a)
-    word = extended_word(a, power)
-    if len(word) > depth_cap:
-        raise PreconditionError(
-            f"walk depth {len(word)} exceeds the cap {depth_cap}")
-    f = a.group
-    c0 = a.seam_colour
-    seqs = {(b,) for b in f.transporter_images(c0, c0, word[0])}
-    for i in range(1, len(word)):
-        seqs = {seq + (b2,)
-                for seq in seqs
-                for b2 in f.transporter_images(word[i - 1], seq[-1], word[i])}
-    return seqs
-
-
 def _check_exhaustive_domain(a: AxisData) -> None:
     if a.group.order() > GROUP_CAP:
         raise PreconditionError(

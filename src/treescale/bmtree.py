@@ -334,15 +334,6 @@ class SymmetricScalePrediction:
             return "N0"
         return f"{self.ambient_step}N0"
 
-    def local_contains(self, e: int) -> bool:
-        if self.local_exponents == "zero-only":
-            return e == 0
-        if self.local_exponents == "even-naturals":
-            return e % 2 == 0
-        if self.local_exponents == "naturals-minus-one":
-            return e != 1
-        return True
-
 
 def symscale_case(k: int, p: int) -> SymmetricScalePrediction:
     """Classify the exponent sets for the Sylow-restricted and full symmetric

@@ -14,7 +14,7 @@ import sys
 
 from . import acceptance, balloracle, bmtree, sylow
 from .errors import ParseError, PreconditionError
-from .groupspec import parse_axis, parse_group_spec, render_axis
+from .groupspec import parse_axis, parse_group_spec
 from .perm import PermGroup
 from .supernat import prime_factors
 from .sylow import subgroup_index
@@ -36,7 +36,7 @@ def cmd_scale(args) -> int:
     spec, a = _axis(args)
     value = bmtree.scale(a)
     _emit(args, {"command": "scale", "group": spec.canonical,
-                 "axis": render_axis(a), "value": value,
+                 "axis": a.describe(), "value": value,
                  "law": "scale is the product of suborbit sizes along the word"},
           str(value))
     return 0
@@ -46,9 +46,9 @@ def cmd_inverse(args) -> int:
     spec, a = _axis(args)
     inv = bmtree.inverse_axis(a)
     _emit(args, {"command": "inverse", "group": spec.canonical,
-                 "axis": render_axis(a), "inverse": render_axis(inv),
+                 "axis": a.describe(), "inverse": inv.describe(),
                  "law": "the inverse element reverses and twists the word"},
-          render_axis(inv))
+          inv.describe())
     return 0
 
 
@@ -56,7 +56,7 @@ def cmd_modular(args) -> int:
     spec, a = _axis(args)
     delta = bmtree.modular(a)
     _emit(args, {"command": "modular", "group": spec.canonical,
-                 "axis": render_axis(a), "value": str(delta),
+                 "axis": a.describe(), "value": str(delta),
                  "law": "the modular value is scale(x) / scale(x^-1)"},
           str(delta))
     return 0
@@ -66,7 +66,7 @@ def cmd_localscale(args) -> int:
     spec, a = _axis(args)
     value = bmtree.localized_scale(a, args.prime)
     _emit(args, {"command": "localscale", "group": spec.canonical,
-                 "prime": args.prime, "axis": render_axis(a), "value": value,
+                 "prime": args.prime, "axis": a.describe(), "value": value,
                  "law": "local scale is the scale of the word over the Sylow restriction"},
           str(value))
     return 0
@@ -76,7 +76,7 @@ def cmd_aggregate(args) -> int:
     spec, a = _axis(args)
     value = bmtree.aggregate_scale(a)
     _emit(args, {"command": "aggregate", "group": spec.canonical,
-                 "axis": render_axis(a), "value": value,
+                 "axis": a.describe(), "value": value,
                  "law": "aggregate scale is the product of the local scales"},
           str(value))
     return 0
@@ -140,7 +140,7 @@ def cmd_oracle(args) -> int:
     formula = bmtree.scale(a) ** m
     walk = balloracle.orbit_count(a, m)
     payload = {"command": "oracle", "group": spec.canonical,
-               "axis": render_axis(a), "power": m,
+               "axis": a.describe(), "power": m,
                "formula": formula, "walk": walk,
                "law": "the orbit count equals the m-th power of the scale"}
     lines = [f"formula:  {formula}", f"walk:     {walk}"]

@@ -32,16 +32,13 @@ DEGREE_BOUND = 32
 
 
 class GroupSpec:
-    """A parsed group specification; rendering returns the canonical text."""
+    """A parsed group specification and its canonical text."""
 
     __slots__ = ("canonical", "group")
 
     def __init__(self, canonical: str, group: PermGroup):
         self.canonical = canonical
         self.group = group
-
-    def render(self) -> str:
-        return self.canonical
 
 
 def _parse_count(token: str, what: str) -> int:
@@ -170,9 +167,5 @@ def parse_axis(group: PermGroup, text: str) -> AxisData:
     return AxisData(group, twist, word)
 
 
-def render_axis(a: AxisData) -> str:
-    return a.describe()
-
-
 __all__ = ["DEGREE_BOUND", "GroupSpec", "parse_group_spec", "parse_group_file",
-           "parse_axis", "render_axis"]
+           "parse_axis"]

@@ -554,24 +554,8 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(1)) == self.degree
 
-    def is_2transitive(self) -> bool:
-        if self.degree < 2 or not self.is_transitive():
-            return False
-        return self.suborbit_size(1, 2) == self.degree - 1
-
-    def _series_cap(self) -> int:
-        return int(self.degree * math.log2(math.factorial(self.degree))) + 2
-
     def is_soluble(self) -> bool:
-        h = self
-        for _ in range(self._series_cap()):
-            if h.order() == 1:
-                return True
-            d = derived_subgroup(h)
-            if d.order() == h.order():
-                return False
-            h = d
-        return False
+        return _series(self, lambda h: commutator_subgroup(h, h))[-1].order() == 1
 
     def is_nilpotent(self) -> bool:
         return nilpotent_residual(self).order() == 1
@@ -628,15 +612,6 @@ def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
     return h.degree == g.degree and all(x in g for x in h.generators)
 
 
-def intersect(h: PermGroup, k: PermGroup, bound: int = ENUMERATION_BOUND) -> PermGroup:
-    """H intersect K by enumerating the smaller factor."""
-    if h.degree != k.degree:
-        raise PreconditionError("degree mismatch")
-    small, big = (h, k) if h.order() <= k.order() else (k, h)
-    common = [x for x in small.elements(bound) if x in big]
-    return PermGroup(h.degree, spanning_generators(h.degree, common))
-
-
 def generated(groups) -> PermGroup:
     groups = list(groups)
     if not groups:
@@ -665,27 +640,27 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
     return closure
 
 
-def derived_subgroup(g: PermGroup) -> PermGroup:
-    comms = [commutator(a, b) for a in g.generators for b in g.generators]
-    return normal_closure(g, comms)
-
-
 def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
     """[G, H] for H <= G, as a normal closure in G."""
     comms = [commutator(a, b) for a in g.generators for b in h.generators]
     return normal_closure(g, comms)
 
 
-def lower_central_series(g: PermGroup) -> list[PermGroup]:
+def _series(g: PermGroup, step) -> list[PermGroup]:
+    """g, step(g), step(step(g)), ... up to the trivial group, or up to the
+    last term before the first one whose order equals the one before.  Each
+    step gives a subgroup of its argument, so the orders fall until then."""
     series = [g]
-    for _ in range(g._series_cap()):
-        nxt = commutator_subgroup(g, series[-1])
+    while series[-1].order() > 1:
+        nxt = step(series[-1])
         if nxt.order() == series[-1].order():
             break
         series.append(nxt)
-        if nxt.order() == 1:
-            break
     return series
+
+
+def lower_central_series(g: PermGroup) -> list[PermGroup]:
+    return _series(g, lambda h: commutator_subgroup(g, h))
 
 
 def nilpotent_residual(g: PermGroup) -> PermGroup:

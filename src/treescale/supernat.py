@@ -129,14 +129,6 @@ class Supernatural:
     def is_finite(self) -> bool:
         return not any(_is_inf(e) for e in self._exps.values())
 
-    def to_int(self) -> int:
-        if not self.is_finite():
-            raise PreconditionError(f"{self} is not a natural number")
-        n = 1
-        for p, e in self._exps.items():
-            n *= p ** e
-        return n
-
     def __mul__(self, other: "Supernatural") -> "Supernatural":
         exps = dict(self._exps)
         for p, e in other._exps.items():

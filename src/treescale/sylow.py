@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .perm import (ENUMERATION_BOUND, PermGroup, Permutation,
-                   commutator_subgroup, generated, intersect, is_subgroup,
-                   normal_closure, spanning_generators)
+from .perm import (ENUMERATION_BOUND, PermGroup, Permutation, generated,
+                   is_subgroup, nilpotent_residual, normal_closure,
+                   spanning_generators)
 from .supernat import Supernatural, is_prime, prime_factors, valuation
 
 
@@ -126,7 +126,6 @@ def pi_core(g: PermGroup, pi, bound: int = ENUMERATION_BOUND) -> PermGroup:
     pi = frozenset(pi)
     for p in pi:
         _require_prime(p)
-    members: list[Permutation] = []
     core = PermGroup.trivial(g.degree)
     failed: set[Permutation] = set()
     for x in g.elements(bound):
@@ -135,8 +134,7 @@ def pi_core(g: PermGroup, pi, bound: int = ENUMERATION_BOUND) -> PermGroup:
             continue
         closure = normal_closure(g, [x])
         if set(prime_factors(closure.order())) <= pi:
-            members.append(x)
-            core = PermGroup(g.degree, spanning_generators(g.degree, members))
+            core = PermGroup(g.degree, core.generators + (x,))
         else:
             failed |= _conjugacy_class(g, x)
     return core
@@ -196,11 +194,16 @@ class SylowBasis:
         return out
 
 
+def _meet_order(h: PermGroup, k: PermGroup, bound: int) -> int:
+    """|H meet K|: the elements of the smaller factor that lie in the larger."""
+    small, big = (h, k) if h.order() <= k.order() else (k, h)
+    return sum(1 for x in small.elements(bound) if x in big)
+
+
 def are_permutable(a: PermGroup, b: PermGroup, bound: int = ENUMERATION_BOUND) -> bool:
     """True iff AB = BA, tested via |<A,B>| = |A||B| / |A meet B|."""
     joined = generated([a, b])
-    meet = intersect(a, b, bound)
-    return joined.order() * meet.order() == a.order() * b.order()
+    return joined.order() * _meet_order(a, b, bound) == a.order() * b.order()
 
 
 def _sylow_conjugates(g: PermGroup, p: int, bound: int) -> list[PermGroup]:
@@ -259,22 +262,7 @@ def basis_normaliser(g: PermGroup, basis: SylowBasis,
 
 def is_normal_in(v: PermGroup, u: PermGroup) -> bool:
     return (is_subgroup(v, u)
-            and all(v.conjugate(x).same_subgroup(v) for x in u.generators))
-
-
-def quotient_is_nilpotent(u: PermGroup, k: PermGroup,
-                          bound: int = ENUMERATION_BOUND) -> bool:
-    """Whether U/K is nilpotent, via the lower central series modulo K."""
-    term = u
-    for _ in range(u._series_cap()):
-        step = commutator_subgroup(u, term)
-        nxt = generated([step, k])
-        if nxt.order() == k.order():
-            return True
-        if nxt.order() == term.order():
-            return False
-        term = nxt
-    return False
+            and all(y.conjugate(x) in v for x in u.generators for y in v.generators))
 
 
 def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup,
@@ -283,12 +271,14 @@ def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup,
 
     Preconditions (violations raise, they are not a False verdict):
     K normal in U, U soluble, U/K nilpotent, and the basis belongs to U.
+    U/K is nilpotent iff K contains the last term of the lower central
+    series of U, since the terms for U/K are those of U times K, over K.
     """
     if not u.is_soluble():
         raise PreconditionError("hall covering requires a soluble group")
     if not is_normal_in(k, u):
         raise PreconditionError("hall covering requires K normal in U")
-    if not quotient_is_nilpotent(u, k, bound):
+    if not is_subgroup(nilpotent_residual(u), k):
         raise PreconditionError("hall covering requires U/K nilpotent")
     for p, member in basis.members.items():
         if not is_subgroup(member, u) or member.order() != p_part_of_order(u, p):
@@ -296,8 +286,7 @@ def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup,
     if sorted(basis.members) != sorted(prime_factors(u.order())):
         raise PreconditionError("hall covering requires one basis member per prime")
     n = basis_normaliser(u, basis, bound)
-    meet = intersect(n, k, bound)
-    product_size = n.order() * k.order() // meet.order()
+    product_size = n.order() * k.order() // _meet_order(n, k, bound)
     return product_size == u.order()
 
 
@@ -314,7 +303,7 @@ def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets,
         raise PreconditionError("core commensurability requires V normal in U")
     o_u = generated([pi_core(u, s, bound) for s in sets])
     o_v = generated([pi_core(v, s, bound) for s in sets])
-    return intersect(o_u, v, bound).same_subgroup(o_v)
+    return (o_u.element_set(bound) & v.element_set(bound)) == o_v.element_set(bound)
 
 
 def subgroup_index(g: PermGroup, h: PermGroup) -> Supernatural:

@@ -3,9 +3,8 @@
 import pytest
 
 from treescale.balloracle import (DEPTH_CAP, GROUP_CAP, exhaustive_orbit_count,
-                                  explicit_sequences, extended_word,
-                                  orbit_count, reachable_sequences)
-from treescale.bmtree import AxisData
+                                  explicit_sequences, extended_word, orbit_count)
+from treescale.bmtree import AxisData, require_valid
 from treescale.errors import PreconditionError
 from treescale.perm import PermGroup, Permutation
 
@@ -18,6 +17,21 @@ def axis(group, twist, word):
     tau = Permutation.identity(group.degree) if twist == "id" \
         else Permutation.parse(twist, group.degree)
     return AxisData(group, tau, tuple(word))
+
+
+def reachable_sequences(a, power=1):
+    """The full set of image colour sequences behind orbit_count: the same
+    transporter walk, keeping whole sequences instead of counts."""
+    require_valid(a)
+    word = extended_word(a, power)
+    f = a.group
+    c0 = a.seam_colour
+    seqs = {(b,) for b in f.transporter_images(c0, c0, word[0])}
+    for i in range(1, len(word)):
+        seqs = {seq + (b2,)
+                for seq in seqs
+                for b2 in f.transporter_images(word[i - 1], seq[-1], word[i])}
+    return seqs
 
 
 def test_extended_word_applies_inverse_twist():

@@ -4,7 +4,7 @@ import pytest
 
 from treescale.errors import ParseError, PreconditionError
 from treescale.groupspec import (DEGREE_BOUND, parse_axis, parse_group_file,
-                                 parse_group_spec, render_axis)
+                                 parse_group_spec)
 from treescale.perm import PermGroup
 
 
@@ -23,8 +23,8 @@ class TestBuiltins:
     ])
     def test_round_trip(self, spec):
         parsed = parse_group_spec(spec)
-        assert parsed.render() == spec
-        assert parse_group_spec(parsed.render()).render() == spec
+        assert parsed.canonical == spec
+        assert parse_group_spec(parsed.canonical).canonical == spec
 
     def test_inline_gens(self):
         g = parse_group_spec("gens:5:(1 2 3);(4 5)").group
@@ -105,8 +105,8 @@ class TestAxisLiterals:
         g = PermGroup.symmetric(4)
         for literal in ("twist=id; word=1,2", "twist=(1 2 3); word=2,4"):
             a = parse_axis(g, literal)
-            assert render_axis(a) == literal
-            assert parse_axis(g, render_axis(a)) == a
+            assert a.describe() == literal
+            assert parse_axis(g, a.describe()) == a
 
     def test_errors(self):
         g = PermGroup.symmetric(4)

@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treescale.acceptance import all_subgroups, find_conjugator
+from treescale.acceptance import all_subgroups, find_conjugator, normal_subgroups
 from treescale.errors import PreconditionError
-from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation, intersect,
+from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation,
+                            commutator_subgroup, generated, is_subgroup,
+                            lower_central_series, nilpotent_residual,
                             normal_closure, spanning_generators)
 from treescale.supernat import prime_factors, valuation
 from treescale.sylow import (SylowBasis, _sylow_conjugates, are_permutable,
@@ -81,6 +83,15 @@ def reference_sylow(g, p, start=None):
                      and x ** p in cur_set)
         current = PermGroup(g.degree, list(current.generators) + [grown])
     return current
+
+
+def intersect(h, k, bound=ENUMERATION_BOUND):
+    """H meet K as a group, by enumerating the smaller factor."""
+    if h.degree != k.degree:
+        raise PreconditionError("degree mismatch")
+    small, big = (h, k) if h.order() <= k.order() else (k, h)
+    common = [x for x in small.elements(bound) if x in big]
+    return PermGroup(h.degree, spanning_generators(h.degree, common))
 
 
 def reference_p_core(g, p):
@@ -368,3 +379,146 @@ def test_corpus_orders_and_solubility():
     q8 = groups["q8"]
     assert q8.is_nilpotent()
     assert sum(1 for x in q8.elements() if x.order() == 2) == 1
+
+
+# The Hall-layer predicates as they were when they built every meet,
+# conjugate and quotient term as a group; the engine must give the same
+# verdicts without building them.
+
+def reference_are_permutable(a, b):
+    joined = generated([a, b])
+    meet = intersect(a, b)
+    return joined.order() * meet.order() == a.order() * b.order()
+
+
+def reference_is_normal_in(v, u):
+    return (is_subgroup(v, u)
+            and all(v.conjugate(x).same_subgroup(v) for x in u.generators))
+
+
+def reference_quotient_is_nilpotent(u, k):
+    """Whether U/K is nilpotent, via the lower central series modulo K."""
+    term = u
+    for _ in range(int(u.degree * math.log2(math.factorial(u.degree))) + 2):
+        step = commutator_subgroup(u, term)
+        nxt = generated([step, k])
+        if nxt.order() == k.order():
+            return True
+        if nxt.order() == term.order():
+            return False
+        term = nxt
+    return False
+
+
+def reference_hall_covering(u, basis, k):
+    """``verify_hall_covering`` on the group-building predicates: its
+    verdict, or "precondition" where it refuses."""
+    if (not u.is_soluble() or not reference_is_normal_in(k, u)
+            or not reference_quotient_is_nilpotent(u, k)):
+        return "precondition"
+    n = basis_normaliser(u, basis)
+    return n.order() * k.order() // intersect(n, k).order() == u.order()
+
+
+def reference_core_commensurability_check(u, v, prime_sets):
+    sets = [frozenset(s) for s in prime_sets]
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            if a & b:
+                raise PreconditionError("prime sets must be pairwise disjoint")
+    if not reference_is_normal_in(v, u):
+        raise PreconditionError("core commensurability requires V normal in U")
+    o_u = generated([pi_core(u, s) for s in sets])
+    o_v = generated([pi_core(v, s) for s in sets])
+    return intersect(o_u, v).same_subgroup(o_v)
+
+
+def set_products_agree(a, b):
+    """AB = BA from image tuples of all the elements of A and B."""
+    a = [x.images for x in a.elements()]
+    b = [y.images for y in b.elements()]
+    ab = {tuple([x[i - 1] for i in y]) for x in a for y in b}
+    ba = {tuple([y[i - 1] for i in x]) for x in a for y in b}
+    return ab == ba
+
+
+def hall_outcome(u, basis, k):
+    try:
+        return verify_hall_covering(u, basis, k)
+    except PreconditionError:
+        return "precondition"
+
+
+def core_outcome(check, u, v, prime_sets):
+    try:
+        return check(u, v, prime_sets)
+    except PreconditionError:
+        return "precondition"
+
+
+CORE_PRIME_SETS = ([{2}], [{3}], [{2}, {3}], [{2, 3}], [{2}, {5}])
+
+
+def assert_pair_pinned(a, b):
+    verdict = are_permutable(a, b)
+    assert verdict == reference_are_permutable(a, b) == set_products_agree(a, b)
+    assert is_normal_in(a, b) == reference_is_normal_in(a, b)
+
+
+def assert_kernel_pinned(g, basis, k):
+    """The residual test, the covering verdict and the core check on one
+    normal subgroup K of g; basis is None for an insoluble g."""
+    assert is_subgroup(nilpotent_residual(g), k) == reference_quotient_is_nilpotent(g, k)
+    if basis is not None:
+        assert hall_outcome(g, basis, k) == reference_hall_covering(g, basis, k)
+    for sets in CORE_PRIME_SETS:
+        assert (core_outcome(core_commensurability_check, g, k, sets)
+                == core_outcome(reference_core_commensurability_check, g, k, sets))
+
+
+def subgroup_list(g):
+    return [PermGroup(g.degree, spanning_generators(g.degree, sorted(sub)))
+            for sub in sorted(all_subgroups(g), key=sorted)]
+
+
+class TestHallPredicatesPinnedToGroupBuilding:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_subgroup_pairs(self, name):
+        subs = subgroup_list(GROUPS[name])
+        for a in subs:
+            for b in subs:
+                assert_pair_pinned(a, b)
+
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_normal_subgroups(self, name):
+        g = GROUPS[name]
+        basis = sylow_basis(g)
+        for sub in normal_subgroups(g):
+            assert_kernel_pinned(g, basis, PermGroup(g.degree, sorted(sub)))
+
+    def test_sylow_two_and_five_of_sym5_do_not_permute(self):
+        # S5 has no subgroup of order 40, so P2 P5 is never a subgroup
+        g = PermGroup.symmetric(5)
+        p2, p5 = sylow_subgroup(g, 2), sylow_subgroup(g, 5)
+        assert not are_permutable(p2, p5)
+        assert not reference_are_permutable(p2, p5)
+        assert not set_products_agree(p2, p5)
+        for x in g.elements()[::7]:
+            assert not are_permutable(p2, p5.conjugate(x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups, st.lists(st.integers(0, 719), min_size=3, max_size=3))
+    def test_random_groups(self, g, picks):
+        elements = g.elements()
+        x, y, z = (elements[i % len(elements)] for i in picks)
+        a = PermGroup(g.degree, [x])
+        b = PermGroup(g.degree, [y, z])
+        assert_pair_pinned(a, b)
+        assert_pair_pinned(b, a)
+        assert_pair_pinned(a, g)
+        assert_pair_pinned(b, g)
+        basis = sylow_basis(g) if g.is_soluble() else None
+        kernels = lower_central_series(g) + [normal_closure(g, [x]),
+                                             PermGroup.trivial(g.degree)]
+        for k in kernels:
+            assert_kernel_pinned(g, basis, k)

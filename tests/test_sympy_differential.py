@@ -1,16 +1,17 @@
 """Differential checks of the group engine against sympy.combinatorics, an
 implementation that shares no code with it: permutation products, inverses,
 orders, cycles and conjugates; group orders, orbits, point stabilisers,
-solubility, nilpotency, Sylow orders, derived-series lengths, and the
-normality of p-cores and the Fitting subgroup; stabiliser-chain orders,
-bases and membership on structured generator sets.  Skipped when sympy is
-absent."""
+solubility, nilpotency, Sylow orders, derived-series lengths,
+lower-central-series orders, and the normality of p-cores and the Fitting
+subgroup; stabiliser-chain orders, bases and membership on structured
+generator sets.  Skipped when sympy is absent."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treescale.groupspec import parse_group_spec
-from treescale.perm import PermGroup, Permutation, derived_subgroup, is_subgroup
+from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subgroup,
+                            lower_central_series)
 from treescale.supernat import prime_factors
 from treescale.sylow import fitting, p_core, sylow_subgroup
 
@@ -140,7 +141,7 @@ def derived_length(group):
     ``derived_series``."""
     terms = [group]
     while True:
-        nxt = derived_subgroup(terms[-1])
+        nxt = commutator_subgroup(terms[-1], terms[-1])
         if nxt.order() == terms[-1].order():
             return len(terms)
         terms.append(nxt)
@@ -157,6 +158,18 @@ def test_sylow_and_derived_series_agree_with_sympy(case):
         assert is_subgroup(sylow, ours)
         assert sylow.order() == theirs.sylow_subgroup(p).order()
     assert derived_length(ours) == len(theirs.derived_series())
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens_specs())
+def test_commutator_series_agree_with_sympy(case):
+    # sympy's lower_central_series also stops before the first repeated term
+    spec, degree, images = case
+    ours = parse_group_spec(spec).group
+    theirs = sympy_group(degree, images)
+    assert ([term.order() for term in lower_central_series(ours)]
+            == [term.order() for term in theirs.lower_central_series()])
+    assert ours.is_soluble() == theirs.is_solvable
 
 
 def sympy_subgroup(group):
