@@ -105,15 +105,11 @@ def modular(a: AxisData) -> Fraction:
 
 def designated_sylow(f: PermGroup, p: int) -> PermGroup:
     """F(p): the block constructor on full symmetric groups, the generic
-    algorithm otherwise.  Cached on f, write-once per prime."""
-    cached = f._sylows.get(p)
-    if cached is None:
-        if f.order() == math.factorial(f.degree):
-            cached = sylow_of_symmetric(f.degree, p)
-        else:
-            cached = sylow_subgroup(f, p)
-        f._sylows[p] = cached
-    return cached
+    algorithm otherwise, so that F(p) is then ``sylow_subgroup(f, p)``.
+    Cached on f, write-once per prime."""
+    return f._memo(("designated_sylow", p), lambda: (
+        sylow_of_symmetric(f.degree, p) if f.order() == math.factorial(f.degree)
+        else sylow_subgroup(f, p)))
 
 
 def localized_scale(a: AxisData, p: int) -> int:
@@ -141,9 +137,10 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     on f, write-once per prime.  Growing Q_r scans the elements of F_r, so
     it is refused above the enumeration bound.
     """
-    cached = f._local_sylows.get(p)
-    if cached is not None:
-        return cached
+    return f._memo(("local_sylow_family", p), lambda: _grow_local_sylow_family(f, p))
+
+
+def _grow_local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     root = designated_sylow(f, p)
     family: dict[int, PermGroup] = {}
     for r in range(1, f.degree + 1):
@@ -152,7 +149,6 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
         q = sylow_subgroup(f.point_stabiliser(r), p, start=root.point_stabiliser(r))
         for c, t in root._transversal(r).items():
             family[c] = q.conjugate(t)
-    f._local_sylows[p] = family
     return family
 
 

@@ -375,14 +375,18 @@ class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Values are immutable; the stabiliser chain, order, element list,
-    per-point stabilisers, the orbital table, and the designated Sylow
-    subgroups F(p) and local Sylow families of ``bmtree`` (one per prime)
-    are write-once caches.
+    per-point stabilisers and the orbital table are write-once caches.  So
+    are, through ``_memo``, the values derived from the group as a whole:
+    ``is_soluble()``, ``nilpotent_residual``, and per prime p
+    ``sylow.sylow_subgroup`` (without ``start``), ``sylow.p_core`` and the
+    designated Sylow subgroup F(p) and local Sylow family of ``bmtree``.
+    A cached value is returned whatever ``bound`` a later call passes, as
+    ``elements()`` does.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
                  "_element_set", "_stabilisers", "_transversals", "_orbitals",
-                 "_sylows", "_local_sylows")
+                 "_derived")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -405,8 +409,7 @@ class PermGroup:
         self._stabilisers = {}
         self._transversals = {}
         self._orbitals = None
-        self._sylows = {}
-        self._local_sylows = {}
+        self._derived = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -443,6 +446,15 @@ class PermGroup:
         rot = Permutation.from_cycles(k, [list(range(1, k + 1))])
         refl = Permutation([1] + [k + 2 - i for i in range(2, k + 1)])
         return cls(k, [rot, refl])
+
+    def _memo(self, key, make):
+        """The value derived under key, made by make() on first use and kept;
+        nothing is kept when make() raises."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = make()
+            return value
 
     # -- chain-backed primitives -------------------------------------------
 
@@ -551,11 +563,9 @@ class PermGroup:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_transitive(self) -> bool:
-        return len(self.orbit(1)) == self.degree
-
     def is_soluble(self) -> bool:
-        return _series(self, lambda h: commutator_subgroup(h, h))[-1].order() == 1
+        return self._memo("soluble", lambda: _series(
+            self, lambda h: commutator_subgroup(h, h))[-1].order() == 1)
 
     def is_nilpotent(self) -> bool:
         return nilpotent_residual(self).order() == 1
@@ -565,11 +575,6 @@ class PermGroup:
     def conjugate(self, g: Permutation) -> "PermGroup":
         """The conjugate g G g^-1."""
         return PermGroup(self.degree, [h.conjugate(g) for h in self.generators])
-
-    def same_subgroup(self, other: "PermGroup") -> bool:
-        return (self.degree == other.degree
-                and self.order() == other.order()
-                and all(g in other for g in self.generators))
 
     def normaliser(self, h: "PermGroup", bound: int = ENUMERATION_BOUND) -> "PermGroup":
         """{g in G : g h g^-1 = h}, by scanning the full element list."""
@@ -664,5 +669,6 @@ def lower_central_series(g: PermGroup) -> list[PermGroup]:
 
 
 def nilpotent_residual(g: PermGroup) -> PermGroup:
-    """Last term of the lower central series; G/residual is nilpotent."""
-    return lower_central_series(g)[-1]
+    """Last term of the lower central series; G/residual is nilpotent.
+    Cached on g."""
+    return g._memo("nilpotent_residual", lambda: lower_central_series(g)[-1])

@@ -126,9 +126,6 @@ class Supernatural:
     def exponent(self, p: int) -> int | float:
         return self._exps.get(p, 0)
 
-    def is_finite(self) -> bool:
-        return not any(_is_inf(e) for e in self._exps.values())
-
     def __mul__(self, other: "Supernatural") -> "Supernatural":
         exps = dict(self._exps)
         for p, e in other._exps.items():

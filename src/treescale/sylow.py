@@ -29,7 +29,8 @@ def p_part_of_order(g: PermGroup, p: int) -> int:
 def sylow_subgroup(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND,
                    start: PermGroup | None = None) -> PermGroup:
     """A Sylow p-subgroup of g containing the p-subgroup ``start`` (trivial
-    by default), grown one p-step at a time.
+    by default), grown one p-step at a time.  Without ``start`` it is
+    cached on g, write-once per prime.
 
     At each step the elements of g normalising the current p-subgroup are
     scanned in canonical element order, without building the normaliser,
@@ -39,13 +40,16 @@ def sylow_subgroup(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND,
     it is then a proper normal subgroup of a p-subgroup of its normaliser.
     """
     _require_prime(p)
-    target = p_part_of_order(g, p)
     if start is None:
-        current = PermGroup.trivial(g.degree)
-    elif not is_subgroup(start, g) or start.order() != p ** valuation(start.order(), p):
+        return g._memo(("sylow", p), lambda: _grow_sylow(
+            g, p, bound, PermGroup.trivial(g.degree)))
+    if not is_subgroup(start, g) or start.order() != p ** valuation(start.order(), p):
         raise PreconditionError(f"start must be a {p}-subgroup of the group")
-    else:
-        current = start
+    return _grow_sylow(g, p, bound, start)
+
+
+def _grow_sylow(g: PermGroup, p: int, bound: int, current: PermGroup) -> PermGroup:
+    target = p_part_of_order(g, p)
     while current.order() < target:
         cur_set = current.element_set(bound)
         # pow(p, o, o) == 0 exactly when the order o is a power of p
@@ -100,8 +104,13 @@ def _wreath_generators(degree: int, start: int, p: int, j: int) -> list[Permutat
 
 def p_core(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND) -> PermGroup:
     """O_p(g): intersect the element set of one Sylow p-subgroup with its
-    conjugates by the generators of g until stable, then build one group."""
+    conjugates by the generators of g until stable, then build one group.
+    Cached on g, write-once per prime."""
     _require_prime(p)
+    return g._memo(("p_core", p), lambda: _p_core(g, p, bound))
+
+
+def _p_core(g: PermGroup, p: int, bound: int) -> PermGroup:
     sylow = sylow_subgroup(g, p, bound)
     members = sylow.element_set(bound)
     while True:
@@ -207,18 +216,29 @@ def are_permutable(a: PermGroup, b: PermGroup, bound: int = ENUMERATION_BOUND) -
 
 
 def _sylow_conjugates(g: PermGroup, p: int, bound: int) -> list[PermGroup]:
-    """All conjugates of the canonical Sylow p-subgroup, discovery order,
-    each told apart by its conjugated element set."""
+    """All conjugates of the canonical Sylow p-subgroup P, discovery order.
+
+    As |xPx^-1| = |P|, x gives a conjugate already found exactly when it
+    maps P's generators into that conjugate's element set.  Only the
+    conjugates holding the image of the first generator are tried, and an
+    element set is built only for a new conjugate."""
     base = sylow_subgroup(g, p, bound)
     members = base.element_set(bound)
     if all(y.conjugate(x) in members for x in g.generators for y in base.generators):
         return [base]
-    seen = {members}
+    first, *rest = base.generators
+    holders: dict[Permutation, list[frozenset[Permutation]]] = {}
+
+    def found(elements: frozenset[Permutation]) -> None:
+        for y in elements:
+            holders.setdefault(y, []).append(elements)
+
+    found(members)
     out = [base]
     for x in g.elements(bound):
-        key = frozenset(y.conjugate(x) for y in members)
-        if key not in seen:
-            seen.add(key)
+        if not any(all(y.conjugate(x) in seen for y in rest)
+                   for seen in holders.get(first.conjugate(x), ())):
+            found(frozenset(y.conjugate(x) for y in members))
             out.append(base.conjugate(x))
     return out
 

@@ -29,6 +29,12 @@ S5 = PermGroup.symmetric(5)
 C3_ON_5 = PermGroup(5, ["(1 2 3)"])
 
 
+def same_subgroup(h, k):
+    """H = K: equal degrees and orders, and H's generators lie in K."""
+    return (h.degree == k.degree and h.order() == k.order()
+            and all(x in k for x in h.generators))
+
+
 @st.composite
 def small_groups(draw):
     """A random group of degree at most 6.  Its generators preserve the
@@ -229,7 +235,7 @@ class TestLocalisationScale:
                 assert q.order() == p ** valuation(fc.order(), p)
                 assert all(x in q for x in root.point_stabiliser(c).generators)
                 for pi in root.generators:
-                    assert q.conjugate(pi).same_subgroup(family[pi(c)])
+                    assert same_subgroup(q.conjugate(pi), family[pi(c)])
 
     def test_p_powers_bounded_below_by_ambient_p_parts(self):
         for f in (S4, S5, PermGroup.alternating(5)):

@@ -13,7 +13,8 @@ from treescale.errors import EnumerationBoundError, ParseError, PreconditionErro
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation,
                             _orbit_transversal, commutator_subgroup, generated,
-                            is_subgroup, lower_central_series, normal_closure)
+                            is_subgroup, lower_central_series,
+                            nilpotent_residual, normal_closure)
 from treescale.sylow import corpus, sylow_of_symmetric
 
 
@@ -378,17 +379,27 @@ class TestTransporters:
                     assert g.transporter_images(a, b, c) == direct
 
 
+def same_subgroup(h, k):
+    """H = K: equal degrees and orders, and H's generators lie in K."""
+    return (h.degree == k.degree and h.order() == k.order()
+            and all(x in k for x in h.generators))
+
+
+def is_transitive(g):
+    return len(g.orbit(1)) == g.degree
+
+
 class TestNormaliser:
     def test_self_normalising_sylow(self):
         s4 = PermGroup.symmetric(4)
         d8 = PermGroup(4, ["(1 2 3 4)", "(1 3)"])
         n = s4.normaliser(d8)
         assert n.order() == 8
-        assert n.same_subgroup(d8)
+        assert same_subgroup(n, d8)
 
     def test_normaliser_of_self(self):
         g = PermGroup.alternating(4)
-        assert g.normaliser(g).same_subgroup(g)
+        assert same_subgroup(g.normaliser(g), g)
 
     def test_three_cycle(self):
         s4 = PermGroup.symmetric(4)
@@ -406,8 +417,8 @@ class TestNormaliser:
 
 class TestPredicates:
     def test_transitivity(self):
-        assert PermGroup.symmetric(4).is_transitive()
-        assert not PermGroup(5, ["(1 2 3)"]).is_transitive()
+        assert is_transitive(PermGroup.symmetric(4))
+        assert not is_transitive(PermGroup(5, ["(1 2 3)"]))
 
     def test_solubility(self):
         assert PermGroup.symmetric(4).is_soluble()
@@ -433,6 +444,35 @@ class TestPredicates:
     def test_lower_central_stalls_for_sym3(self):
         series = lower_central_series(PermGroup.symmetric(3))
         assert [g.order() for g in series] == [6, 3]
+
+    def test_solubility_and_residual_are_derived_once(self):
+        for g, soluble, residual_order in ((PermGroup.symmetric(4), True, 12),
+                                           (PermGroup.alternating(5), False, 60)):
+            residual = nilpotent_residual(g)
+            assert residual.order() == residual_order
+            assert nilpotent_residual(g) is residual
+            assert g.is_soluble() is soluble and g.is_soluble() is soluble
+            assert g._derived == {"nilpotent_residual": residual, "soluble": soluble}
+
+
+class TestMemo:
+    def test_make_runs_once(self):
+        g = PermGroup.symmetric(3)
+        made = []
+        for _ in range(3):
+            assert g._memo("key", lambda: made.append(1) or len(made)) == 1
+        assert made == [1]
+
+    def test_nothing_is_kept_when_make_raises(self):
+        g = PermGroup.symmetric(3)
+
+        def refuse():
+            raise EnumerationBoundError("refused")
+
+        with pytest.raises(EnumerationBoundError):
+            g._memo("key", refuse)
+        assert g._derived == {}
+        assert g._memo("key", lambda: 7) == 7
 
 
 class TestSubgroupAlgebra:

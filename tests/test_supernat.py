@@ -13,6 +13,11 @@ from treescale.supernat import (INF, ONE, Supernatural, is_prime, prime_factors,
 naturals = st.integers(min_value=1, max_value=31_622)  # product stays <= 1e9
 
 
+def is_finite(s):
+    """No prime of s has an infinite exponent."""
+    return all(s.exponent(p) != INF for p in s.primes())
+
+
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
@@ -35,7 +40,8 @@ def test_infinity_absorbs():
     assert Supernatural.from_int(32).divides(two_inf)
     assert not two_inf.divides(Supernatural.from_int(32))
     assert two_inf.divides(two_inf)
-    assert not two_inf.is_finite()
+    assert not is_finite(two_inf)
+    assert is_finite(Supernatural({2: 5}))
 
 
 def test_from_int_rejects_zero():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treescale.acceptance import all_subgroups, find_conjugator, normal_subgroups
-from treescale.errors import PreconditionError
+from treescale.bmtree import designated_sylow
+from treescale.errors import EnumerationBoundError, PreconditionError
 from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation,
                             commutator_subgroup, generated, is_subgroup,
                             lower_central_series, nilpotent_residual,
@@ -22,6 +23,12 @@ from treescale.sylow import (SylowBasis, _sylow_conjugates, are_permutable,
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
               sylow2sym8=sylow_of_symmetric(8, 2))
+
+
+def same_subgroup(h, k):
+    """H = K: equal degrees and orders, and H's generators lie in K."""
+    return (h.degree == k.degree and h.order() == k.order()
+            and all(x in k for x in h.generators))
 
 
 class TestSylowSubgroup:
@@ -67,7 +74,6 @@ class TestSylowSubgroup:
             sylow_subgroup(PermGroup.alternating(4), 2, start=PermGroup(4, ["(1 2)"]))
 
     def test_generic_algorithm_refuses_huge_groups(self):
-        from treescale.errors import EnumerationBoundError
         with pytest.raises(EnumerationBoundError):
             sylow_subgroup(PermGroup.symmetric(15), 2)
 
@@ -192,7 +198,7 @@ class TestSylowOfSymmetric:
     def test_wreath_on_nine(self):
         f = sylow_of_symmetric(9, 3)
         assert f.order() == 81
-        assert f.is_transitive()
+        assert len(f.orbit(1)) == f.degree
 
     @pytest.mark.parametrize("k", range(1, 16))
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -216,7 +222,7 @@ class TestCores:
 
     def test_p_core_of_p_group(self):
         d8 = PermGroup.dihedral(4)
-        assert p_core(d8, 2).same_subgroup(d8)
+        assert same_subgroup(p_core(d8, 2), d8)
 
     def test_p_core_contains_all_normal_p_subgroups(self):
         for _, g in corpus():
@@ -231,14 +237,14 @@ class TestCores:
 
     def test_pi_core_full(self):
         s4 = PermGroup.symmetric(4)
-        assert pi_core(s4, {2, 3}).same_subgroup(s4)
+        assert same_subgroup(pi_core(s4, {2, 3}), s4)
 
     def test_fitting_sym4(self):
         assert fitting(PermGroup.symmetric(4)).element_set() == V4.element_set()
 
     def test_fitting_of_nilpotent(self):
         for g in (PermGroup.dihedral(4), PermGroup.cyclic(6)):
-            assert fitting(g).same_subgroup(g)
+            assert same_subgroup(fitting(g), g)
 
     def test_p_normality(self):
         assert is_p_normal(PermGroup.alternating(4), 2)
@@ -269,6 +275,89 @@ class TestSylowTheory:
         g = GROUPS[name]
         for p in prime_factors(g.order()):
             assert len(_sylow_conjugates(g, p, ENUMERATION_BOUND)) == 1
+
+
+def reference_sylow_conjugates(g, p):
+    """The conjugate list with each conjugate told apart by its whole
+    conjugated element set; ``_sylow_conjugates`` must give the same list."""
+    base = sylow_subgroup(g, p)
+    members = base.element_set()
+    if all(y.conjugate(x) in members for x in g.generators for y in base.generators):
+        return [base]
+    seen = {members}
+    out = [base]
+    for x in g.elements():
+        key = frozenset(y.conjugate(x) for y in members)
+        if key not in seen:
+            seen.add(key)
+            out.append(base.conjugate(x))
+    return out
+
+
+def assert_conjugates_pinned(g):
+    for p in prime_factors(g.order()):
+        assert ([c.generators for c in _sylow_conjugates(g, p, ENUMERATION_BOUND)]
+                == [c.generators for c in reference_sylow_conjugates(g, p)])
+
+
+class TestSylowConjugatesPinnedToElementSetKeys:
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_named_groups(self, name):
+        assert_conjugates_pinned(GROUPS[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups)
+    def test_random_groups(self, g):
+        assert_conjugates_pinned(g)
+
+
+class TestDerivedOncePerGroup:
+    def test_repeated_calls_return_the_same_object(self):
+        for _, g in corpus():
+            for p in prime_factors(g.order()):
+                for call in (sylow_subgroup, p_core):
+                    cached = call(g, p)
+                    assert call(g, p) is cached
+                    assert call(g, p, bound=1) is cached  # whatever the bound
+            assert nilpotent_residual(g) is nilpotent_residual(g)
+
+    def test_designated_sylow_is_the_cached_sylow_subgroup(self):
+        for f in (PermGroup.alternating(4), PermGroup.dihedral(6), GROUPS["sym3xc3"],
+                  PermGroup(5, ["(1 2 3)", "(3 4 5)"])):
+            for p in prime_factors(f.order()):
+                assert designated_sylow(f, p) is sylow_subgroup(f, p)
+
+    def test_refused_call_keeps_nothing(self):
+        for p in (2, 3):
+            g = PermGroup.symmetric(5)
+            with pytest.raises(EnumerationBoundError):
+                sylow_subgroup(g, p, bound=50)
+            with pytest.raises(EnumerationBoundError):
+                p_core(g, p, bound=50)
+            assert g._derived == {}
+            fresh = PermGroup.symmetric(5)
+            assert sylow_subgroup(g, p).generators == reference_sylow(fresh, p).generators
+            assert p_core(g, p).generators == reference_p_core(fresh, p).generators
+
+    def test_prime_is_checked_before_the_cache(self):
+        g = PermGroup.symmetric(4)
+        sylow_subgroup(g, 2)
+        p_core(g, 2)
+        for call in (sylow_subgroup, p_core):
+            with pytest.raises(PreconditionError):
+                call(g, 4)
+
+    def test_start_calls_are_not_cached(self):
+        g = PermGroup.symmetric(5)
+        cached = sylow_subgroup(g, 2)
+        with pytest.raises(PreconditionError):
+            sylow_subgroup(g, 2, start=PermGroup(5, ["(1 2 3)"]))
+        start = PermGroup(5, ["(4 5)"])
+        grown = sylow_subgroup(g, 2, start=start)
+        assert grown is not cached
+        assert all(x in grown for x in start.generators)
+        assert grown.generators == reference_sylow(g, 2, start).generators
+        assert sylow_subgroup(g, 2) is cached
 
 
 class TestBasis:
@@ -309,7 +398,7 @@ class TestBasisNormaliser:
 
     def test_nilpotent_gives_whole_group(self):
         g = PermGroup.dihedral(4)
-        assert basis_normaliser(g, sylow_basis(g)).same_subgroup(g)
+        assert same_subgroup(basis_normaliser(g, sylow_basis(g)), g)
 
     def test_sym3_explicit_basis(self):
         s3 = PermGroup.symmetric(3)
@@ -393,7 +482,7 @@ def reference_are_permutable(a, b):
 
 def reference_is_normal_in(v, u):
     return (is_subgroup(v, u)
-            and all(v.conjugate(x).same_subgroup(v) for x in u.generators))
+            and all(same_subgroup(v.conjugate(x), v) for x in u.generators))
 
 
 def reference_quotient_is_nilpotent(u, k):
@@ -430,7 +519,7 @@ def reference_core_commensurability_check(u, v, prime_sets):
         raise PreconditionError("core commensurability requires V normal in U")
     o_u = generated([pi_core(u, s) for s in sets])
     o_v = generated([pi_core(v, s) for s in sets])
-    return intersect(o_u, v).same_subgroup(o_v)
+    return same_subgroup(intersect(o_u, v), o_v)
 
 
 def set_products_agree(a, b):
