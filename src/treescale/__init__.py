@@ -9,9 +9,8 @@ from .bmtree import (AxisData, ScaleSpectrum, aggregate_scale, build_alternating
 from .perm import ENUMERATION_BOUND, PermGroup, Permutation
 from .supernat import Supernatural
 from .sylow import (SylowBasis, basis_normaliser, core_commensurability_check,
-                    fitting, is_p_normal, p_core, pi_core, subgroup_index,
-                    sylow_basis, sylow_of_symmetric, sylow_subgroup,
-                    verify_hall_covering)
+                    fitting, p_core, pi_core, subgroup_index, sylow_basis,
+                    sylow_of_symmetric, sylow_subgroup, verify_hall_covering)
 
 __version__ = "0.1.0"
 
@@ -19,9 +18,8 @@ __all__ = [
     "AxisData", "ScaleSpectrum", "PermGroup", "Permutation", "Supernatural",
     "SylowBasis", "ENUMERATION_BOUND", "aggregate_scale", "basis_normaliser",
     "build_alternating", "build_tau_cycle", "core_commensurability_check",
-    "designated_sylow", "fitting", "inverse_axis", "is_p_normal",
-    "localisation_scale", "localized_scale", "modular", "p_core", "pi_core",
-    "scale", "scale_spectrum", "subgroup_index", "sylow_basis",
-    "sylow_of_symmetric", "sylow_subgroup", "symscale_case", "validate_axis",
-    "verify_hall_covering",
+    "designated_sylow", "fitting", "inverse_axis", "localisation_scale",
+    "localized_scale", "modular", "p_core", "pi_core", "scale",
+    "scale_spectrum", "subgroup_index", "sylow_basis", "sylow_of_symmetric",
+    "sylow_subgroup", "symscale_case", "validate_axis", "verify_hall_covering",
 ]

@@ -29,20 +29,21 @@ def extended_word(a: AxisData, power: int) -> list[int]:
     return out
 
 
-def orbit_count(a: AxisData, power: int = 1, depth_cap: int = DEPTH_CAP) -> int:
+def orbit_count(a: AxisData, power: int = 1) -> int:
     """|U . x^-power v| by transporter-set dynamic programming.
 
     The walk state is only (position, current image colour); the number of
     continuations from a state does not depend on how it was reached, which
-    the exhaustive oracle verifies on small instances.
+    the exhaustive oracle verifies on small instances.  The walk depth
+    len(word) * power is checked before the extended word is built.
     """
     require_valid(a)
     if power < 1:
         raise PreconditionError("power must be at least 1")
+    depth = len(a.word) * power
+    if depth > DEPTH_CAP:
+        raise PreconditionError(f"walk depth {depth} exceeds the cap {DEPTH_CAP}")
     word = extended_word(a, power)
-    if len(word) > depth_cap:
-        raise PreconditionError(
-            f"walk depth {len(word)} exceeds the cap {depth_cap}")
     f = a.group
     c0 = a.seam_colour
     counts: dict[int, int] = {b: 1 for b in f.transporter_images(c0, c0, word[0])}

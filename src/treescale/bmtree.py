@@ -226,6 +226,12 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     carry the same accumulations and the quotient is exact.  In exponent
     mode a state's exponents are the set bits of an int, so a step is a
     shift.  Values over the cap are dropped and flagged.
+
+    A step depends on the frontier alone, so once the frontier repeats,
+    every later length repeats an earlier one and the loop stops.  It keeps
+    only the frontier of the last power-of-two length to compare with
+    (Brent's cycle detection), which meets a repeat within about three
+    times the start or the period of the cycle.
     """
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
@@ -278,6 +284,7 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     found = start
     truncated = False
     frontier = {o: start for o in set(diagonal)}
+    earlier = None
     for length in range(1, max_len + 1):
         if length > 1:
             new = {}
@@ -289,8 +296,10 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
                         if kept:
                             new[t] = new[t] | kept if t in new else kept
             frontier = new
-            if not frontier:
+            if not frontier or frontier == earlier:
                 break
+        if length & (length - 1) == 0:
+            earlier = frontier
         for o, accs in frontier.items():
             for w in seams[o]:
                 kept, over = advance(accs, w)

@@ -137,8 +137,8 @@ def cmd_basis(args) -> int:
 def cmd_oracle(args) -> int:
     spec, a = _axis(args)
     m = args.power
+    walk = balloracle.orbit_count(a, m)  # refuses a deep walk before scale ** m
     formula = bmtree.scale(a) ** m
-    walk = balloracle.orbit_count(a, m)
     payload = {"command": "oracle", "group": spec.canonical,
                "axis": a.describe(), "power": m,
                "formula": formula, "walk": walk,

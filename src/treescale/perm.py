@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from .errors import EnumerationBoundError, ParseError, PreconditionError
 
-# Operations that require a full element list refuse above this bound.
+# PermGroup.elements(), and so every operation that lists elements, refuses
+# above this order.
 ENUMERATION_BOUND = 200_000
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -343,9 +344,6 @@ class _Chain:
             n *= len(trans)
         return n
 
-    def base(self) -> list[int]:
-        return [i + 1 for i, trans in enumerate(self.orbits) if len(trans) > 1]
-
     def elements(self) -> list[Permutation]:
         result = [Permutation.identity(self.degree)]
         for i in range(self.degree - 1, -1, -1):
@@ -380,8 +378,6 @@ class PermGroup:
     ``is_soluble()``, ``nilpotent_residual``, and per prime p
     ``sylow.sylow_subgroup`` (without ``start``), ``sylow.p_core`` and the
     designated Sylow subgroup F(p) and local Sylow family of ``bmtree``.
-    A cached value is returned whatever ``bound`` a later call passes, as
-    ``elements()`` does.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
@@ -468,23 +464,22 @@ class PermGroup:
             self._order = self.chain().order()
         return self._order
 
-    def base(self) -> list[int]:
-        return self.chain().base()
-
     def __contains__(self, g: Permutation) -> bool:
         return g.degree == self.degree and self.chain().contains(g)
 
-    def elements(self, bound: int = ENUMERATION_BOUND) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[Permutation, ...]:
+        """All elements in canonical order; the one place the enumeration
+        bound is checked."""
         if self._elements is None:
-            if self.order() > bound:
-                raise EnumerationBoundError(
-                    f"group order {self.order()} exceeds enumeration bound {bound}")
+            if self.order() > ENUMERATION_BOUND:
+                raise EnumerationBoundError(f"group order {self.order()} exceeds "
+                                            f"enumeration bound {ENUMERATION_BOUND}")
             self._elements = tuple(sorted(self.chain().elements()))
         return self._elements
 
-    def element_set(self, bound: int = ENUMERATION_BOUND) -> frozenset[Permutation]:
+    def element_set(self) -> frozenset[Permutation]:
         if self._element_set is None:
-            self._element_set = frozenset(self.elements(bound))
+            self._element_set = frozenset(self.elements())
         return self._element_set
 
     def is_trivial(self) -> bool:
@@ -576,28 +571,14 @@ class PermGroup:
         """The conjugate g G g^-1."""
         return PermGroup(self.degree, [h.conjugate(g) for h in self.generators])
 
-    def normaliser(self, h: "PermGroup", bound: int = ENUMERATION_BOUND) -> "PermGroup":
-        """{g in G : g h g^-1 = h}, by scanning the full element list."""
-        if h.degree != self.degree:
-            raise PreconditionError("degree mismatch")
-        if not is_subgroup(h, self):
-            raise PreconditionError("normaliser requires H <= G")
-        if self.order() > bound:
-            raise EnumerationBoundError(
-                f"group order {self.order()} exceeds enumeration bound {bound}")
-        if h.is_trivial():
-            return self
-        return PermGroup(self.degree, spanning_generators(
-            self.degree, self.conjugators([(h, h)], bound)))
-
-    def conjugators(self, pairs, bound: int = ENUMERATION_BOUND):
+    def conjugators(self, pairs):
         """Each x in G, in canonical element order, with x H x^-1 = K for
         every pair (H, K); none when some pair has unequal orders."""
         pairs = list(pairs)
         if any(h.order() != k.order() for h, k in pairs):
             return
-        checks = [(h.generators, k.element_set(bound)) for h, k in pairs]
-        for x in self.elements(bound):
+        checks = [(h.generators, k.element_set()) for h, k in pairs]
+        for x in self.elements():
             if all(y.conjugate(x) in kset for gens, kset in checks for y in gens):
                 yield x
 

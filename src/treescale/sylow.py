@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .perm import (ENUMERATION_BOUND, PermGroup, Permutation, generated,
-                   is_subgroup, nilpotent_residual, normal_closure,
-                   spanning_generators)
+from .perm import (PermGroup, Permutation, generated, is_subgroup,
+                   nilpotent_residual, normal_closure, spanning_generators)
 from .supernat import Supernatural, is_prime, prime_factors, valuation
 
 
@@ -26,8 +25,7 @@ def p_part_of_order(g: PermGroup, p: int) -> int:
     return p ** valuation(g.order(), p)
 
 
-def sylow_subgroup(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND,
-                   start: PermGroup | None = None) -> PermGroup:
+def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> PermGroup:
     """A Sylow p-subgroup of g containing the p-subgroup ``start`` (trivial
     by default), grown one p-step at a time.  Without ``start`` it is
     cached on g, write-once per prime.
@@ -41,19 +39,18 @@ def sylow_subgroup(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND,
     """
     _require_prime(p)
     if start is None:
-        return g._memo(("sylow", p), lambda: _grow_sylow(
-            g, p, bound, PermGroup.trivial(g.degree)))
+        return g._memo(("sylow", p), lambda: _grow_sylow(g, p, PermGroup.trivial(g.degree)))
     if not is_subgroup(start, g) or start.order() != p ** valuation(start.order(), p):
         raise PreconditionError(f"start must be a {p}-subgroup of the group")
-    return _grow_sylow(g, p, bound, start)
+    return _grow_sylow(g, p, start)
 
 
-def _grow_sylow(g: PermGroup, p: int, bound: int, current: PermGroup) -> PermGroup:
+def _grow_sylow(g: PermGroup, p: int, current: PermGroup) -> PermGroup:
     target = p_part_of_order(g, p)
     while current.order() < target:
-        cur_set = current.element_set(bound)
+        cur_set = current.element_set()
         # pow(p, o, o) == 0 exactly when the order o is a power of p
-        grown = next((x for x in g.conjugators([(current, current)], bound)
+        grown = next((x for x in g.conjugators([(current, current)])
                       if x not in cur_set and pow(p, o := x.order(), o) == 0
                       and x ** p in cur_set), None)
         if grown is None:
@@ -102,17 +99,17 @@ def _wreath_generators(degree: int, start: int, p: int, j: int) -> list[Permutat
     return gens
 
 
-def p_core(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND) -> PermGroup:
+def p_core(g: PermGroup, p: int) -> PermGroup:
     """O_p(g): intersect the element set of one Sylow p-subgroup with its
     conjugates by the generators of g until stable, then build one group.
     Cached on g, write-once per prime."""
     _require_prime(p)
-    return g._memo(("p_core", p), lambda: _p_core(g, p, bound))
+    return g._memo(("p_core", p), lambda: _p_core(g, p))
 
 
-def _p_core(g: PermGroup, p: int, bound: int) -> PermGroup:
-    sylow = sylow_subgroup(g, p, bound)
-    members = sylow.element_set(bound)
+def _p_core(g: PermGroup, p: int) -> PermGroup:
+    sylow = sylow_subgroup(g, p)
+    members = sylow.element_set()
     while True:
         before = len(members)
         for x in g.generators:
@@ -124,7 +121,7 @@ def _p_core(g: PermGroup, p: int, bound: int) -> PermGroup:
     return PermGroup(g.degree, spanning_generators(g.degree, sorted(members)))
 
 
-def pi_core(g: PermGroup, pi, bound: int = ENUMERATION_BOUND) -> PermGroup:
+def pi_core(g: PermGroup, pi) -> PermGroup:
     """O_pi(g): the largest normal subgroup whose order is a pi-number.
 
     An element belongs to it exactly when its normal closure is a pi-group,
@@ -137,7 +134,7 @@ def pi_core(g: PermGroup, pi, bound: int = ENUMERATION_BOUND) -> PermGroup:
         _require_prime(p)
     core = PermGroup.trivial(g.degree)
     failed: set[Permutation] = set()
-    for x in g.elements(bound):
+    for x in g.elements():
         if (x.is_identity() or x in failed or not set(prime_factors(x.order())) <= pi
                 or x in core):
             continue
@@ -163,17 +160,12 @@ def _conjugacy_class(g: PermGroup, x: Permutation) -> set[Permutation]:
     return found
 
 
-def fitting(g: PermGroup, bound: int = ENUMERATION_BOUND) -> PermGroup:
+def fitting(g: PermGroup) -> PermGroup:
     """The Fitting subgroup, generated by the p-cores over p dividing |g|."""
-    cores = [p_core(g, p, bound) for p in prime_factors(g.order())]
+    cores = [p_core(g, p) for p in prime_factors(g.order())]
     if not cores:
         return PermGroup.trivial(g.degree)
     return generated(cores)
-
-
-def is_p_normal(g: PermGroup, p: int, bound: int = ENUMERATION_BOUND) -> bool:
-    """True iff O_p(g) is already a full Sylow p-subgroup."""
-    return p_core(g, p, bound).order() == p_part_of_order(g, p)
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ class SylowBasis:
     def conjugate(self, g: Permutation) -> "SylowBasis":
         return SylowBasis(self.parent, {p: m.conjugate(g) for p, m in self.members.items()})
 
-    def violations(self, bound: int = ENUMERATION_BOUND) -> list[str]:
+    def violations(self) -> list[str]:
         out = []
         for p, m in self.members.items():
             if m.order() != p_part_of_order(self.parent, p):
@@ -198,32 +190,32 @@ class SylowBasis:
         primes = self.primes()
         for i, p in enumerate(primes):
             for q in primes[i + 1:]:
-                if not are_permutable(self.members[p], self.members[q], bound):
+                if not are_permutable(self.members[p], self.members[q]):
                     out.append(f"members at {p} and {q} do not permute")
         return out
 
 
-def _meet_order(h: PermGroup, k: PermGroup, bound: int) -> int:
+def _meet_order(h: PermGroup, k: PermGroup) -> int:
     """|H meet K|: the elements of the smaller factor that lie in the larger."""
     small, big = (h, k) if h.order() <= k.order() else (k, h)
-    return sum(1 for x in small.elements(bound) if x in big)
+    return sum(1 for x in small.elements() if x in big)
 
 
-def are_permutable(a: PermGroup, b: PermGroup, bound: int = ENUMERATION_BOUND) -> bool:
+def are_permutable(a: PermGroup, b: PermGroup) -> bool:
     """True iff AB = BA, tested via |<A,B>| = |A||B| / |A meet B|."""
     joined = generated([a, b])
-    return joined.order() * _meet_order(a, b, bound) == a.order() * b.order()
+    return joined.order() * _meet_order(a, b) == a.order() * b.order()
 
 
-def _sylow_conjugates(g: PermGroup, p: int, bound: int) -> list[PermGroup]:
+def _sylow_conjugates(g: PermGroup, p: int) -> list[PermGroup]:
     """All conjugates of the canonical Sylow p-subgroup P, discovery order.
 
     As |xPx^-1| = |P|, x gives a conjugate already found exactly when it
     maps P's generators into that conjugate's element set.  Only the
     conjugates holding the image of the first generator are tried, and an
     element set is built only for a new conjugate."""
-    base = sylow_subgroup(g, p, bound)
-    members = base.element_set(bound)
+    base = sylow_subgroup(g, p)
+    members = base.element_set()
     if all(y.conjugate(x) in members for x in g.generators for y in base.generators):
         return [base]
     first, *rest = base.generators
@@ -235,7 +227,7 @@ def _sylow_conjugates(g: PermGroup, p: int, bound: int) -> list[PermGroup]:
 
     found(members)
     out = [base]
-    for x in g.elements(bound):
+    for x in g.elements():
         if not any(all(y.conjugate(x) in seen for y in rest)
                    for seen in holders.get(first.conjugate(x), ())):
             found(frozenset(y.conjugate(x) for y in members))
@@ -243,7 +235,7 @@ def _sylow_conjugates(g: PermGroup, p: int, bound: int) -> list[PermGroup]:
     return out
 
 
-def sylow_basis(g: PermGroup, bound: int = ENUMERATION_BOUND) -> SylowBasis:
+def sylow_basis(g: PermGroup) -> SylowBasis:
     """A Sylow basis of a soluble group, by backtracking over conjugates.
 
     Primes are visited in increasing order; candidates for each prime are
@@ -253,7 +245,7 @@ def sylow_basis(g: PermGroup, bound: int = ENUMERATION_BOUND) -> SylowBasis:
     if not g.is_soluble():
         raise PreconditionError("sylow_basis requires a soluble group")
     primes = sorted(prime_factors(g.order()))
-    candidates = {p: _sylow_conjugates(g, p, bound) for p in primes}
+    candidates = {p: _sylow_conjugates(g, p) for p in primes}
 
     chosen: list[PermGroup] = []
 
@@ -261,7 +253,7 @@ def sylow_basis(g: PermGroup, bound: int = ENUMERATION_BOUND) -> SylowBasis:
         if i == len(primes):
             return True
         for cand in candidates[primes[i]]:
-            if all(are_permutable(cand, old, bound) for old in chosen):
+            if all(are_permutable(cand, old) for old in chosen):
                 chosen.append(cand)
                 if extend(i + 1):
                     return True
@@ -273,11 +265,10 @@ def sylow_basis(g: PermGroup, bound: int = ENUMERATION_BOUND) -> SylowBasis:
     return SylowBasis(g, dict(zip(primes, chosen)))
 
 
-def basis_normaliser(g: PermGroup, basis: SylowBasis,
-                     bound: int = ENUMERATION_BOUND) -> PermGroup:
+def basis_normaliser(g: PermGroup, basis: SylowBasis) -> PermGroup:
     """Intersection of the normalisers of the basis members."""
     pairs = [(m, m) for m in basis.members.values()]
-    return PermGroup(g.degree, spanning_generators(g.degree, g.conjugators(pairs, bound)))
+    return PermGroup(g.degree, spanning_generators(g.degree, g.conjugators(pairs)))
 
 
 def is_normal_in(v: PermGroup, u: PermGroup) -> bool:
@@ -285,8 +276,7 @@ def is_normal_in(v: PermGroup, u: PermGroup) -> bool:
             and all(y.conjugate(x) in v for x in u.generators for y in v.generators))
 
 
-def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup,
-                         bound: int = ENUMERATION_BOUND) -> bool:
+def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup) -> bool:
     """Check that the basis normaliser together with K covers all of U.
 
     Preconditions (violations raise, they are not a False verdict):
@@ -305,13 +295,12 @@ def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup,
             raise PreconditionError("hall covering requires a Sylow basis of U")
     if sorted(basis.members) != sorted(prime_factors(u.order())):
         raise PreconditionError("hall covering requires one basis member per prime")
-    n = basis_normaliser(u, basis, bound)
-    product_size = n.order() * k.order() // _meet_order(n, k, bound)
+    n = basis_normaliser(u, basis)
+    product_size = n.order() * k.order() // _meet_order(n, k)
     return product_size == u.order()
 
 
-def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets,
-                                bound: int = ENUMERATION_BOUND) -> bool:
+def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets) -> bool:
     """Check O_P(U) meet V = O_P(V) for V normal in U and P a set of
     pairwise disjoint prime sets."""
     sets = [frozenset(s) for s in prime_sets]
@@ -321,9 +310,9 @@ def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets,
                 raise PreconditionError("prime sets must be pairwise disjoint")
     if not is_normal_in(v, u):
         raise PreconditionError("core commensurability requires V normal in U")
-    o_u = generated([pi_core(u, s, bound) for s in sets])
-    o_v = generated([pi_core(v, s, bound) for s in sets])
-    return (o_u.element_set(bound) & v.element_set(bound)) == o_v.element_set(bound)
+    o_u = generated([pi_core(u, s) for s in sets])
+    o_v = generated([pi_core(v, s) for s in sets])
+    return (o_u.element_set() & v.element_set()) == o_v.element_set()
 
 
 def subgroup_index(g: PermGroup, h: PermGroup) -> Supernatural:

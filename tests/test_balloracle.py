@@ -2,6 +2,7 @@
 
 import pytest
 
+from treescale import balloracle
 from treescale.balloracle import (DEPTH_CAP, GROUP_CAP, exhaustive_orbit_count,
                                   explicit_sequences, extended_word, orbit_count)
 from treescale.bmtree import AxisData, require_valid
@@ -56,6 +57,16 @@ def test_power_two():
 def test_depth_cap():
     with pytest.raises(PreconditionError):
         orbit_count(axis(S4, "id", (1, 2, 3, 4)), 4)
+
+
+def test_depth_cap_is_checked_before_the_word_is_built(monkeypatch):
+    def refuse(a, power):
+        raise AssertionError("the extended word was built")
+
+    monkeypatch.setattr(balloracle, "extended_word", refuse)
+    with pytest.raises(PreconditionError,
+                       match=r"^walk depth 2000000000000 exceeds the cap 12$"):
+        orbit_count(axis(S4, "id", (1, 2)), 10 ** 12)
 
 
 def test_exhaustive_examples():

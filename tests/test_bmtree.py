@@ -20,6 +20,7 @@ from treescale.bmtree import (AxisData, _local_sylow_family, aggregate_scale,
                               scale, scale_spectrum, symscale_case,
                               validate_axis)
 from treescale.errors import InvalidAxisError, PreconditionError
+from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation
 from treescale.supernat import prime_factors, rational_p_part, valuation
 
@@ -344,6 +345,104 @@ class TestSpectrum:
         exponents = scale_spectrum(f, n, mode="exponents", prime=p, cap=10 ** 6)
         assert exponents.entries == tuple(sorted({0, *(valuation(v, p) for v in scales)}))
         assert not exponents.truncated
+
+
+def reference_spectrum(f, max_len, mode="values", prime=None, cap=None):
+    """(truncated, entries) from the spectrum DP run for every length up to
+    max_len, stopping only when the frontier empties; ``scale_spectrum``
+    stops at a repeated frontier and must give the same pair."""
+    table = f.orbitals()
+    index = table.index
+    if mode == "values":
+        cap = 10 ** 6 if cap is None else cap
+        weights = table.sizes
+        start = {1}
+
+        def advance(accs, w):
+            kept = {acc * w for acc in accs if acc * w <= cap}
+            return kept, len(kept) < len(accs)
+    else:
+        cap = 12 if cap is None else cap
+        weights = [valuation(size, prime) for size in table.sizes]
+        start = 1
+        full = (1 << (cap + 1)) - 1
+
+        def advance(mask, w):
+            moved = mask << w
+            return moved & full, moved > full
+
+    k = f.degree
+    diagonal = [index[c][c] for c in range(k)]
+    steps = [{(index[s - 1][c], weights[index[c][n - 1]])
+              for c in range(k) if c != n - 1}
+             for s, n in table.labels]
+    seams = [{weights[index[x][s - 1]] for x in range(k)
+              if x != s - 1 and diagonal[x] == diagonal[c - 1]}
+             for s, c in table.labels]
+    found = start
+    truncated = False
+    frontier = {o: start for o in set(diagonal)}
+    for length in range(1, max_len + 1):
+        if length > 1:
+            new = {}
+            for t, sources in enumerate(steps):
+                for o, w in sources:
+                    if o in frontier:
+                        kept, over = advance(frontier[o], w)
+                        truncated = truncated or over
+                        if kept:
+                            new[t] = new[t] | kept if t in new else kept
+            frontier = new
+            if not frontier:
+                break
+        for o, accs in frontier.items():
+            for w in seams[o]:
+                kept, over = advance(accs, w)
+                truncated = truncated or over
+                found = found | kept
+    if mode == "values":
+        return truncated, tuple(sorted(found))
+    return truncated, tuple(e for e in range(found.bit_length()) if found >> e & 1)
+
+
+SPECTRUM_SPECS = (["trivial:2", "sym:2", "alt:2", "cyclic:2"]
+                  + [f"{kind}:{k}" for k in range(3, 8)
+                     for kind in ("sym", "alt", "cyclic", "dihedral")]
+                  + [f"sylow:{p}:sym:{k}" for k, p in
+                     ((4, 2), (5, 3), (6, 2), (6, 3), (8, 2), (9, 3), (10, 5))])
+
+
+def spectrum_options():
+    yield {}
+    yield {"cap": 50}
+    for p in (2, 3):
+        yield {"mode": "exponents", "prime": p}
+        yield {"mode": "exponents", "prime": p, "cap": 3}
+
+
+class TestSpectrumStopsAtARepeatedFrontier:
+    @pytest.mark.parametrize("spec", SPECTRUM_SPECS)
+    def test_pinned_to_the_full_length_loop(self, spec):
+        f = parse_group_spec(spec).group
+        for kwargs in spectrum_options():
+            for n in (1, 2, 3, 5, 8, 13, 21, 30):
+                sp = scale_spectrum(f, n, **kwargs)
+                assert (sp.truncated, sp.entries) == reference_spectrum(f, n, **kwargs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups(), st.integers(1, 12))
+    def test_pinned_on_random_groups(self, f, n):
+        for kwargs in spectrum_options():
+            sp = scale_spectrum(f, n, **kwargs)
+            assert (sp.truncated, sp.entries) == reference_spectrum(f, n, **kwargs)
+
+    @pytest.mark.parametrize("spec", ["cyclic:5", "trivial:2", "dihedral:4", "sylow:3:sym:5"])
+    def test_huge_length_ends_with_the_length_40_result(self, spec):
+        f = parse_group_spec(spec).group
+        for kwargs in spectrum_options():
+            huge = scale_spectrum(f, 10 ** 9, **kwargs)
+            assert huge.max_len == 10 ** 9
+            assert (huge.truncated, huge.entries) == reference_spectrum(f, 40, **kwargs)
 
 
 def local_contains(pred, e):

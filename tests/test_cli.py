@@ -72,6 +72,14 @@ def test_spectrum_json(capsys):
     assert code == 0
 
 
+def test_spectrum_huge_max_len_ends(capsys):
+    code, out, _ = run(capsys, "spectrum", "--group", "cyclic:5", "--max-len", "1000000000",
+                       "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["max_len"] == 10 ** 9
+    assert payload["entries"] == [1] and payload["truncated"] is False
+
+
 def test_spectrum_exponent_mode(capsys):
     code, out, _ = run(capsys, "spectrum", "--group", "sylow:3:sym:6",
                        "--max-len", "8", "--mode", "exponents", "--prime", "3")
@@ -130,6 +138,13 @@ def test_oracle_power(capsys):
     code, out, _ = run(capsys, "oracle", "--group", "sym:4",
                        "--axis", "twist=id; word=1,2", "--power", "2")
     assert code == 0 and "formula:  81" in out and "walk:     81" in out
+
+
+def test_oracle_huge_power_is_refused_at_once(capsys):
+    code, out, err = run(capsys, "oracle", "--group", "sym:3",
+                         "--axis", "twist=(1 2 3); word=1,2", "--power", "1000000000")
+    assert code == 1 and out == ""
+    assert err == "precondition-error: walk depth 2000000000 exceeds the cap 12\n"
 
 
 def test_parse_error_exit_code(capsys):
@@ -225,7 +240,7 @@ _VALUES = {
     "--max-len": _junk_or(st.integers(-2, 6).map(str)),
     "--mode": _junk_or(st.sampled_from(["values", "exponents"])),
     "--cap": _junk_or(st.integers(-3, 10 ** 6).map(str)),
-    "--power": _junk_or(st.integers(-1, 3).map(str)),
+    "--power": _junk_or(st.integers(-1, 3).map(str), st.integers(4, 10 ** 12).map(str)),
     "--k": _junk_or(st.integers(-2, 40).map(str)),
     # never a real suite name: the battery is slow and tested elsewhere
     "--suite": st.sampled_from(["nope", "", "al", "inclusion2"]),

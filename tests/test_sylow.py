@@ -8,17 +8,19 @@ from hypothesis import given, settings, strategies as st
 from treescale.acceptance import all_subgroups, find_conjugator, normal_subgroups
 from treescale.bmtree import designated_sylow
 from treescale.errors import EnumerationBoundError, PreconditionError
-from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation,
-                            commutator_subgroup, generated, is_subgroup,
-                            lower_central_series, nilpotent_residual,
-                            normal_closure, spanning_generators)
+from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
+                            generated, is_subgroup, lower_central_series,
+                            nilpotent_residual, normal_closure,
+                            spanning_generators)
 from treescale.supernat import prime_factors, valuation
 from treescale.sylow import (SylowBasis, _sylow_conjugates, are_permutable,
                              basis_normaliser, core_commensurability_check,
-                             corpus, fitting, is_normal_in, is_p_normal,
-                             p_core, p_part_of_order, pi_core, subgroup_index,
+                             corpus, fitting, is_normal_in, p_core,
+                             p_part_of_order, pi_core, subgroup_index,
                              sylow_basis, sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
+
+from test_perm import normaliser
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
@@ -84,19 +86,19 @@ def reference_sylow(g, p, start=None):
     current = PermGroup.trivial(g.degree) if start is None else start
     while current.order() < p_part_of_order(g, p):
         cur_set = current.element_set()
-        grown = next(x for x in g.normaliser(current).elements()
+        grown = next(x for x in normaliser(g, current).elements()
                      if x not in cur_set and x.order() == p ** valuation(x.order(), p)
                      and x ** p in cur_set)
         current = PermGroup(g.degree, list(current.generators) + [grown])
     return current
 
 
-def intersect(h, k, bound=ENUMERATION_BOUND):
+def intersect(h, k):
     """H meet K as a group, by enumerating the smaller factor."""
     if h.degree != k.degree:
         raise PreconditionError("degree mismatch")
     small, big = (h, k) if h.order() <= k.order() else (k, h)
-    common = [x for x in small.elements(bound) if x in big]
+    common = [x for x in small.elements() if x in big]
     return PermGroup(h.degree, spanning_generators(h.degree, common))
 
 
@@ -247,9 +249,10 @@ class TestCores:
             assert same_subgroup(fitting(g), g)
 
     def test_p_normality(self):
-        assert is_p_normal(PermGroup.alternating(4), 2)
-        assert not is_p_normal(PermGroup.symmetric(4), 2)
-        assert is_p_normal(PermGroup.dihedral(4), 2)
+        # O_2 is a full Sylow 2-subgroup of A4 and D8, but not of S4
+        for g, p_normal in ((PermGroup.alternating(4), True),
+                            (PermGroup.symmetric(4), False), (PermGroup.dihedral(4), True)):
+            assert (p_core(g, 2).order() == p_part_of_order(g, 2)) is p_normal
 
 
 class TestSylowTheory:
@@ -257,9 +260,9 @@ class TestSylowTheory:
     def test_conjugate_count(self, name):
         g = GROUPS[name]
         for p in prime_factors(g.order()):
-            conjugates = _sylow_conjugates(g, p, ENUMERATION_BOUND)
+            conjugates = _sylow_conjugates(g, p)
             assert len(conjugates) % p == 1
-            assert len(conjugates) == g.order() // g.normaliser(conjugates[0]).order()
+            assert len(conjugates) == g.order() // normaliser(g, conjugates[0]).order()
             assert len({c.element_set() for c in conjugates}) == len(conjugates)
 
     @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -267,14 +270,14 @@ class TestSylowTheory:
         g = GROUPS[name]
         for p in prime_factors(g.order()):
             meet = frozenset.intersection(
-                *(c.element_set() for c in _sylow_conjugates(g, p, ENUMERATION_BOUND)))
+                *(c.element_set() for c in _sylow_conjugates(g, p)))
             assert p_core(g, p).element_set() == meet
 
     @pytest.mark.parametrize("name", ["q8", "d8", "sylow2sym8"])
     def test_nilpotent_groups_have_one_conjugate_per_prime(self, name):
         g = GROUPS[name]
         for p in prime_factors(g.order()):
-            assert len(_sylow_conjugates(g, p, ENUMERATION_BOUND)) == 1
+            assert len(_sylow_conjugates(g, p)) == 1
 
 
 def reference_sylow_conjugates(g, p):
@@ -296,7 +299,7 @@ def reference_sylow_conjugates(g, p):
 
 def assert_conjugates_pinned(g):
     for p in prime_factors(g.order()):
-        assert ([c.generators for c in _sylow_conjugates(g, p, ENUMERATION_BOUND)]
+        assert ([c.generators for c in _sylow_conjugates(g, p)]
                 == [c.generators for c in reference_sylow_conjugates(g, p)])
 
 
@@ -318,7 +321,6 @@ class TestDerivedOncePerGroup:
                 for call in (sylow_subgroup, p_core):
                     cached = call(g, p)
                     assert call(g, p) is cached
-                    assert call(g, p, bound=1) is cached  # whatever the bound
             assert nilpotent_residual(g) is nilpotent_residual(g)
 
     def test_designated_sylow_is_the_cached_sylow_subgroup(self):
@@ -329,15 +331,12 @@ class TestDerivedOncePerGroup:
 
     def test_refused_call_keeps_nothing(self):
         for p in (2, 3):
-            g = PermGroup.symmetric(5)
+            g = PermGroup.symmetric(15)
             with pytest.raises(EnumerationBoundError):
-                sylow_subgroup(g, p, bound=50)
+                sylow_subgroup(g, p)
             with pytest.raises(EnumerationBoundError):
-                p_core(g, p, bound=50)
+                p_core(g, p)
             assert g._derived == {}
-            fresh = PermGroup.symmetric(5)
-            assert sylow_subgroup(g, p).generators == reference_sylow(fresh, p).generators
-            assert p_core(g, p).generators == reference_p_core(fresh, p).generators
 
     def test_prime_is_checked_before_the_cache(self):
         g = PermGroup.symmetric(4)
