@@ -106,6 +106,21 @@ def test_sylow_command(capsys):
     assert payload["generators"] == ["(1 2 3)", "(4 5 6)"]
 
 
+# The index renders as prime powers in ascending order: p for exponent 1,
+# p^e otherwise, and 1 for the empty product.
+@pytest.mark.parametrize("group, prime, index", [
+    ("sylow:2:sym:4", "2", "1"),
+    ("alt:5", "2", "3*5"),
+    ("sym:4", "5", "2^3*3"),
+    ("sym:8", "2", "3^2*5*7"),
+])
+def test_sylow_index_text(capsys, group, prime, index):
+    code, out, _ = run(capsys, "sylow", "--group", group, "--prime", prime)
+    assert code == 0 and f", index {index}, generators " in out
+    code, out, _ = run(capsys, "sylow", "--group", group, "--prime", prime, "--json")
+    assert code == 0 and json.loads(out)["index"] == index
+
+
 def test_basis_command(capsys):
     code, out, _ = run(capsys, "basis", "--group", "sym:4", "--json")
     payload = json.loads(out)
