@@ -361,25 +361,3 @@ def symscale_case(k: int, p: int) -> SymmetricScalePrediction:
     else:
         kind = "all-naturals"
     return SymmetricScalePrediction(k, p, kind, valuation(k - 1, p))
-
-
-def build_alternating(f: PermGroup, i: int, j: int) -> AxisData:
-    """Colour-preserving element along a line alternately coloured i and j;
-    its scale is |F_i . j| * |F_j . i|."""
-    if i == j:
-        raise PreconditionError("alternating axis needs two distinct colours")
-    a = AxisData(f, Permutation.identity(f.degree), (j, i))
-    require_valid(a)
-    return a
-
-
-def build_tau_cycle(f: PermGroup, tau: Permutation, j: int) -> AxisData:
-    """Translation of distance one along a line whose colours cycle through
-    the tau-orbit of j; its scale is |F_{tau(j)} . j|."""
-    if tau not in f:
-        raise PreconditionError("twist must belong to the local action group")
-    if tau(j) == j:
-        raise PreconditionError("twist must move the chosen colour")
-    a = AxisData(f, tau, (j,))
-    require_valid(a)
-    return a

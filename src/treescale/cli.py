@@ -15,7 +15,6 @@ import sys
 from . import acceptance, balloracle, bmtree, sylow
 from .errors import ParseError, PreconditionError
 from .groupspec import parse_axis, parse_group_spec
-from .perm import PermGroup
 from .supernat import prime_factors
 from .sylow import subgroup_index
 
@@ -109,12 +108,13 @@ def cmd_sylow(args) -> int:
     spec = parse_group_spec(args.group)
     p = args.prime
     sub = bmtree.designated_sylow(spec.group, p)
-    index = subgroup_index(spec.group, sub)
+    factors = prime_factors(subgroup_index(spec.group, sub))
+    index = "*".join(str(q) if e == 1 else f"{q}^{e}" for q, e in factors.items()) or "1"
     payload = {"command": "sylow", "group": spec.canonical, "prime": p,
-               "order": sub.order(), "index": index.render(),
+               "order": sub.order(), "index": index,
                "generators": [g.cycle_string() for g in sub.generators],
                "law": "Sylow subgroup order is the p-part of the group order"}
-    text = (f"order {sub.order()}, index {index.render()}, generators "
+    text = (f"order {sub.order()}, index {index}, generators "
             + (", ".join(g.cycle_string() for g in sub.generators) or "none"))
     _emit(args, payload, text)
     return 0

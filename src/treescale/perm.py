@@ -482,9 +482,6 @@ class PermGroup:
             self._element_set = frozenset(self.elements())
         return self._element_set
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     # -- orbits and stabilisers --------------------------------------------
 
     def _check_point(self, point: int) -> None:

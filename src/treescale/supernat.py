@@ -1,43 +1,45 @@
-"""Supernatural numbers: formal products of prime powers p^e with e in
-{1, 2, ...} or infinity.
+"""Number helpers for group orders and scales: primality, factorisation,
+p-adic valuation and the p-part of a positive rational.
 
-These are the value domain for subgroup indices and p-parts.  The infinite
-exponent is represented by ``math.inf`` and absorbs both addition (under
-multiplication of numbers) and maximum (under lcm).
-
-Canonical text form: primes ascending, ``2^3*5^inf*7``; the empty product
-renders as ``1``.
+Indices of subgroups are finite integers here; the ``sylow`` command renders
+them as prime powers from ``prime_factors``.
 """
 
 from __future__ import annotations
 
-import math
-import re
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionError
+from .errors import PreconditionError
 
-INF = math.inf
-
-_TOKEN_RE = re.compile(r"^(\d+)(?:\^(\d+|inf))?$")
-
-
-def _is_inf(e) -> bool:
-    return isinstance(e, float) and math.isinf(e) and e > 0
+# The first twelve primes.  As Miller-Rabin bases they decide primality
+# exactly for every n < 2^64 (Sorenson and Webster, Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Whether n is prime; n >= 2^64 is refused."""
+    if n <= 37:
+        return n in _BASES
+    if n >= 1 << 64:
+        raise PreconditionError(f"cannot decide whether {n} is prime; need n < 2^64")
+    if any(n % p == 0 for p in _BASES):
         return False
-    if n < 4:
+    if n < 41 * 41:  # no prime factor up to 37, and below the square of 41
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -73,112 +75,6 @@ def valuation(n: int, p: int) -> int:
         e += 1
         n //= p
     return e
-
-
-class Supernatural:
-    """An immutable supernatural number."""
-
-    __slots__ = ("_exps",)
-
-    def __init__(self, exps: dict | None = None):
-        clean: dict[int, int | float] = {}
-        for p, e in (exps or {}).items():
-            if not is_prime(p):
-                raise PreconditionError(f"{p} is not prime")
-            if e == 0:
-                continue
-            if not _is_inf(e) and (not isinstance(e, int) or e < 0):
-                raise PreconditionError(f"bad exponent {e!r} for prime {p}")
-            clean[p] = e
-        self._exps = dict(sorted(clean.items()))
-
-    @classmethod
-    def from_int(cls, n: int) -> "Supernatural":
-        if n < 1:
-            raise PreconditionError(f"no supernatural value for {n}; need n >= 1")
-        return cls(prime_factors(n))
-
-    @classmethod
-    def parse(cls, text: str) -> "Supernatural":
-        text = text.strip()
-        if text == "1":
-            return cls()
-        exps: dict[int, int | float] = {}
-        for token in text.split("*"):
-            m = _TOKEN_RE.match(token.strip())
-            if m is None:
-                raise ParseError(f"bad supernatural token {token!r}")
-            p = int(m.group(1))
-            raw = m.group(2)
-            e = 1 if raw is None else (INF if raw == "inf" else int(raw))
-            if not is_prime(p):
-                raise ParseError(f"{p} is not prime in {text!r}")
-            if p in exps:
-                raise ParseError(f"repeated prime {p} in {text!r}")
-            if e == 0:
-                raise ParseError(f"zero exponent not allowed in {text!r}")
-            exps[p] = e
-        return cls(exps)
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(self._exps)
-
-    def exponent(self, p: int) -> int | float:
-        return self._exps.get(p, 0)
-
-    def __mul__(self, other: "Supernatural") -> "Supernatural":
-        exps = dict(self._exps)
-        for p, e in other._exps.items():
-            cur = exps.get(p, 0)
-            exps[p] = INF if _is_inf(cur) or _is_inf(e) else cur + e
-        return Supernatural(exps)
-
-    @staticmethod
-    def lcm(items) -> "Supernatural":
-        exps: dict[int, int | float] = {}
-        for item in items:
-            if isinstance(item, int):
-                item = Supernatural.from_int(item)
-            for p, e in item._exps.items():
-                exps[p] = max(exps.get(p, 0), e)
-        return Supernatural(exps)
-
-    def divides(self, other: "Supernatural") -> bool:
-        return all(e <= other.exponent(p) for p, e in self._exps.items())
-
-    def p_part(self, p: int) -> "Supernatural":
-        if not is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
-        e = self._exps.get(p, 0)
-        return Supernatural({p: e} if e else None)
-
-    def render(self) -> str:
-        if not self._exps:
-            return "1"
-        parts = []
-        for p, e in self._exps.items():
-            if e == 1:
-                parts.append(str(p))
-            elif _is_inf(e):
-                parts.append(f"{p}^inf")
-            else:
-                parts.append(f"{p}^{e}")
-        return "*".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"Supernatural({self.render()!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Supernatural) and self._exps == other._exps
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._exps.items()))
-
-
-ONE = Supernatural()
 
 
 def rational_p_part(q: Fraction, p: int) -> Fraction:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import PreconditionError
 from .perm import (PermGroup, Permutation, generated, is_subgroup,
                    nilpotent_residual, normal_closure, spanning_generators)
-from .supernat import Supernatural, is_prime, prime_factors, valuation
+from .supernat import is_prime, prime_factors, valuation
 
 
 def _require_prime(p: int) -> None:
@@ -315,11 +315,11 @@ def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets) -> bool:
     return (o_u.element_set() & v.element_set()) == o_v.element_set()
 
 
-def subgroup_index(g: PermGroup, h: PermGroup) -> Supernatural:
-    """|G : H| as a supernatural number (finite here)."""
+def subgroup_index(g: PermGroup, h: PermGroup) -> int:
+    """|G : H| for a subgroup H of G."""
     if not is_subgroup(h, g):
         raise PreconditionError("index requires H <= G")
-    return Supernatural.from_int(g.order() // h.order())
+    return g.order() // h.order()
 
 
 def corpus() -> list[tuple[str, PermGroup]]:

@@ -1,9 +1,12 @@
-"""The enumeration bound and the walk-depth cap are module constants, checked
-in one place each; no function takes a per-call override of either."""
+"""The public surface: the enumeration bound and the walk-depth cap are
+module constants, checked in one place each, with no per-call override;
+every exported name resolves; no module imports a name it never uses."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import treescale
 
@@ -30,3 +33,38 @@ def test_no_bound_or_depth_cap_parameter():
     overrides = [name for name, fn in found
                  if {"bound", "depth_cap"} & set(inspect.signature(fn).parameters)]
     assert overrides == []
+
+
+def test_every_exported_name_resolves():
+    assert len(treescale.__all__) == len(set(treescale.__all__)) > 20
+    assert [name for name in treescale.__all__ if not hasattr(treescale, name)] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads and does not list in __all__."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_finder():
+    assert unused_imports("import os\nimport sys\nsys.exit()") == ["os"]
+    assert unused_imports("from a import b as c, d\n__all__ = ['d']") == ["c"]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep") == []
+
+
+def test_no_module_imports_an_unused_name():
+    sources = sorted(Path(treescale.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    found = {path.name: unused_imports(path.read_text()) for path in sources}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from treescale import balloracle
 from treescale.acceptance import valid_axes
 from treescale.bmtree import (AxisData, _local_sylow_family, aggregate_scale,
-                              build_alternating, build_tau_cycle,
                               designated_sylow, inverse_axis,
                               localisation_scale, localized_scale, modular,
                               scale, scale_spectrum, symscale_case,
@@ -492,30 +491,6 @@ class TestCasePrediction:
             sp = scale_spectrum(f, 6, mode="exponents", prime=p)
             for e in sp.entries:
                 assert local_contains(pred, e), (k, p, e)
-
-
-class TestBuilders:
-    def test_alternating(self):
-        a = build_alternating(S4, 1, 2)
-        assert scale(a) == 9
-        assert a.word == (2, 1)
-
-    def test_alternating_rejects_equal(self):
-        with pytest.raises(PreconditionError):
-            build_alternating(S4, 2, 2)
-
-    def test_tau_cycle(self):
-        a = build_tau_cycle(S3, Permutation.parse("(1 2 3)", 3), 1)
-        assert a.word == (1,)
-        assert scale(a) == 2
-
-    def test_tau_cycle_needs_moved_colour(self):
-        with pytest.raises(PreconditionError):
-            build_tau_cycle(C3_ON_5, Permutation.parse("(1 2 3)", 5), 4)
-
-    def test_tau_cycle_needs_membership(self):
-        with pytest.raises(PreconditionError):
-            build_tau_cycle(C3_ON_5, Permutation.parse("(1 2)", 5), 1)
 
 
 def test_power_law_against_oracle():

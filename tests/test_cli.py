@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,30 @@ def test_sylow_index_text(capsys, group, prime, index):
     assert code == 0 and f", index {index}, generators " in out
     code, out, _ = run(capsys, "sylow", "--group", group, "--prime", prime, "--json")
     assert code == 0 and json.loads(out)["index"] == index
+
+
+_HUGE_PRIME_ENTRY_POINTS = [
+    ["sylow", "--group", "sym:4", "--prime", "{p}"],
+    ["predict", "--k", "5", "--prime", "{p}"],
+    ["localscale", "--group", "sym:4", "--axis", "twist=id; word=1,2", "--prime", "{p}"],
+    ["spectrum", "--group", "sym:4", "--mode", "exponents", "--prime", "{p}"],
+    ["scale", "--group", "sylow:{p}:sym:4", "--axis", "twist=id; word=1,2"],
+]
+
+
+@pytest.mark.parametrize("template", _HUGE_PRIME_ENTRY_POINTS,
+                         ids=lambda t: t[0] if "--prime" in t else "sylow-spec")
+@pytest.mark.parametrize("p", [10 ** 18 + 3, 2 ** 64 + 13], ids=["prime", "too-big"])
+def test_huge_prime_ends_at_once(capsys, template, p):
+    argv = [arg.format(p=p) for arg in template]
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert "Traceback" not in err
+    if p < 2 ** 64:
+        assert code == 0 and err == ""
+    else:
+        assert code in {1, 2} and len(err.splitlines()) == 1
 
 
 def test_basis_command(capsys):

@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
-from treescale.perm import (ENUMERATION_BOUND, PermGroup, Permutation,
-                            _orbit_transversal, commutator_subgroup, generated,
-                            is_subgroup, lower_central_series,
-                            nilpotent_residual, normal_closure,
-                            spanning_generators)
+from treescale.perm import (PermGroup, Permutation, _orbit_transversal,
+                            commutator_subgroup, generated, is_subgroup,
+                            lower_central_series, nilpotent_residual,
+                            normal_closure, spanning_generators)
 from treescale.sylow import corpus, sylow_of_symmetric
 
 
@@ -401,7 +400,7 @@ def normaliser(g, h):
         raise PreconditionError("degree mismatch")
     if not is_subgroup(h, g):
         raise PreconditionError("normaliser requires H <= G")
-    if h.is_trivial():
+    if not h.generators:
         return g
     return PermGroup(g.degree, spanning_generators(g.degree, g.conjugators([(h, h)])))
 
