@@ -17,15 +17,13 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime; n >= 2^64 is refused."""
+    """Whether n is prime; n >= 2^64 with no prime factor up to 37 is refused."""
     if n <= 37:
         return n in _BASES
-    if n >= 1 << 64:
-        raise PreconditionError(f"cannot decide whether {n} is prime; need n < 2^64")
     if any(n % p == 0 for p in _BASES):
         return False
-    if n < 41 * 41:  # no prime factor up to 37, and below the square of 41
-        return True
+    if n >= 1 << 64:
+        raise PreconditionError(f"cannot decide whether {n} is prime; need n < 2^64")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

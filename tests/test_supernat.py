@@ -33,9 +33,11 @@ def test_is_prime_up_to_two_to_the_64():
     assert not is_prime(2 ** 64 - 1)
     # a strong pseudoprime to the first nine primes as bases
     assert not is_prime(3825123056546413051)
-    for n in (2 ** 64, 2 ** 64 + 13):
-        with pytest.raises(PreconditionError):
-            is_prime(n)
+    # a small factor settles even n >= 2^64
+    assert not is_prime(2 ** 64)
+    assert not is_prime(3 * 2 ** 70)
+    with pytest.raises(PreconditionError):
+        is_prime(2 ** 64 + 13)
 
 
 def test_rational_p_part():
