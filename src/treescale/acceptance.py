@@ -116,21 +116,6 @@ def normal_subgroups(g: PermGroup) -> list[frozenset[Permutation]]:
     return out
 
 
-def find_conjugator(g: PermGroup, h: PermGroup, k: PermGroup) -> Permutation | None:
-    """Some x in g with x h x^-1 = k, by brute force."""
-    return next(g.conjugators([(h, k)]), None)
-
-
-def find_basis_conjugator(g: PermGroup, b1: sylow.SylowBasis,
-                          b2: sylow.SylowBasis) -> Permutation | None:
-    """Some x in g conjugating every member of b1 to the member of b2 at the
-    same prime."""
-    if b1.primes() != b2.primes():
-        return None
-    pairs = [(b1.members[p], b2.members[p]) for p in b1.members]
-    return next(g.conjugators(pairs), None)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -382,7 +367,7 @@ def c12_sylow_hall_battery() -> CheckResult:
             # conjugates of a Sylow are Sylow and reachable by the search
             for x in list(g.generators)[:2]:
                 conj = s.conjugate(x)
-                if find_conjugator(g, s, conj) is None:
+                if next(g.conjugators([(s, conj)]), None) is None:
                     note(f"{name}: no conjugator onto a conjugate Sylow {p}")
         normals = normal_subgroups(g)
         for p in primes:
@@ -402,7 +387,8 @@ def c12_sylow_hall_battery() -> CheckResult:
             note(f"{name}: basis violations {bad}")
         for x in list(g.generators)[:2]:
             other = basis.conjugate(x)
-            if find_basis_conjugator(g, basis, other) is None:
+            pairs = [(basis.members[p], other.members[p]) for p in basis.members]
+            if next(g.conjugators(pairs), None) is None:
                 note(f"{name}: Sylow bases not simultaneously conjugate")
         for k_sub in _covering_kernels(g):
             try:

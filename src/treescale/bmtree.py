@@ -227,11 +227,12 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     mode a state's exponents are the set bits of an int, so a step is a
     shift.  Values over the cap are dropped and flagged.
 
-    A step depends on the frontier alone, so once the frontier repeats,
-    every later length repeats an earlier one and the loop stops.  It keeps
-    only the frontier of the last power-of-two length to compare with
-    (Brent's cycle detection), which meets a repeat within about three
-    times the start or the period of the cycle.
+    Round n grows each orbital's reached set to the accumulations of words
+    of length at most n, advancing only those first reached in round n - 1
+    (a semi-naive least fixpoint); the seam pass runs once on the result.
+    The reached sets only grow, within the values up to the cap, so the
+    loop stops at max_len or at the first round that reaches nothing new,
+    whatever max_len is.
     """
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
@@ -256,19 +257,19 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     index = table.index
     if mode == "values":
         weights = table.sizes
-        start = {1}
+        start, empty = {1}, set()
 
         def advance(accs, w):
             kept = {acc * w for acc in accs if acc * w <= cap}
             return kept, len(kept) < len(accs)
     else:
         weights = [valuation(size, prime) for size in table.sizes]
-        start = 1
-        full = (1 << (cap + 1)) - 1
+        start, empty = 1, 0
 
         def advance(mask, w):
             moved = mask << w
-            return moved & full, moved > full
+            over = moved >> (cap + 1) << (cap + 1)
+            return moved ^ over, over > 0
 
     k = f.degree
     diagonal = [index[c][c] for c in range(k)]
@@ -281,30 +282,28 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
               if x != s - 1 and diagonal[x] == diagonal[c - 1]}
              for s, c in table.labels]
 
-    found = start
     truncated = False
-    frontier = {o: start for o in set(diagonal)}
-    earlier = None
-    for length in range(1, max_len + 1):
-        if length > 1:
-            new = {}
-            for t, sources in enumerate(steps):
-                for o, w in sources:
-                    if o in frontier:
-                        kept, over = advance(frontier[o], w)
-                        truncated = truncated or over
-                        if kept:
-                            new[t] = new[t] | kept if t in new else kept
-            frontier = new
-            if not frontier or frontier == earlier:
-                break
-        if length & (length - 1) == 0:
-            earlier = frontier
-        for o, accs in frontier.items():
-            for w in seams[o]:
-                kept, over = advance(accs, w)
-                truncated = truncated or over
-                found = found | kept
+    reached = [start if s == n else empty for s, n in table.labels]
+    fresh = reached
+    for _ in range(1, max_len):
+        grown = list(reached)
+        for t, sources in enumerate(steps):
+            for o, w in sources:
+                if fresh[o]:
+                    kept, over = advance(fresh[o], w)
+                    truncated = truncated or over
+                    grown[t] = grown[t] | kept
+        # grown contains reached, so ^ leaves what this round added
+        fresh = [g ^ r for g, r in zip(grown, reached)]
+        if not any(fresh):
+            break
+        reached = grown
+    found = start
+    for o, accs in enumerate(reached):
+        for w in seams[o]:
+            kept, over = advance(accs, w)
+            truncated = truncated or over
+            found = found | kept
     if mode == "values":
         entries = sorted(found)
     else:

@@ -6,6 +6,7 @@ oracle before being frozen here; the oracle cross-checks run alongside.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from treescale.bmtree import (AxisData, _local_sylow_family, aggregate_scale,
 from treescale.errors import InvalidAxisError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation
-from treescale.supernat import prime_factors, rational_p_part, valuation
+from treescale.supernat import is_prime, prime_factors, rational_p_part, valuation
+from treescale.sylow import sylow_of_symmetric
 
 S3 = PermGroup.symmetric(3)
 S4 = PermGroup.symmetric(4)
@@ -347,9 +349,11 @@ class TestSpectrum:
 
 
 def reference_spectrum(f, max_len, mode="values", prime=None, cap=None):
-    """(truncated, entries) from the spectrum DP run for every length up to
-    max_len, stopping only when the frontier empties; ``scale_spectrum``
-    stops at a repeated frontier and must give the same pair."""
+    """(truncated, entries) from the spectrum DP run over the words of each
+    exact length up to max_len in turn, stopping only when that frontier
+    empties; ``scale_spectrum`` grows the set of words of length at most n
+    instead, stops when a round reaches nothing new, and must give the same
+    pair."""
     table = f.orbitals()
     index = table.index
     if mode == "values":
@@ -419,7 +423,7 @@ def spectrum_options():
         yield {"mode": "exponents", "prime": p, "cap": 3}
 
 
-class TestSpectrumStopsAtARepeatedFrontier:
+class TestSpectrumMatchesThePerLengthLoop:
     @pytest.mark.parametrize("spec", SPECTRUM_SPECS)
     def test_pinned_to_the_full_length_loop(self, spec):
         f = parse_group_spec(spec).group
@@ -442,6 +446,19 @@ class TestSpectrumStopsAtARepeatedFrontier:
             huge = scale_spectrum(f, 10 ** 9, **kwargs)
             assert huge.max_len == 10 ** 9
             assert (huge.truncated, huge.entries) == reference_spectrum(f, 40, **kwargs)
+
+
+def test_exponent_memory_follows_the_answer_not_the_cap():
+    f = parse_group_spec("sylow:2:sym:4").group
+    f.orbitals()
+    tracemalloc.start()
+    try:
+        huge = scale_spectrum(f, 3, mode="exponents", prime=2, cap=10 ** 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert huge.entries == scale_spectrum(f, 3, mode="exponents", prime=2, cap=40).entries
 
 
 def local_contains(pred, e):
@@ -484,13 +501,15 @@ class TestCasePrediction:
             symscale_case(2, 2)
 
     def test_prediction_matches_spectrum(self):
-        # every computed local exponent lies in the predicted set
-        for k, p in ((4, 3), (5, 3), (6, 3), (5, 2), (9, 3)):
-            pred = symscale_case(k, p)
-            f = designated_sylow(PermGroup.symmetric(k), p)
-            sp = scale_spectrum(f, 6, mode="exponents", prime=p)
-            for e in sp.entries:
-                assert local_contains(pred, e), (k, p, e)
+        # over all word lengths the computed local exponents up to the cap
+        # are exactly the predicted set
+        for k in range(3, 31):
+            for p in filter(is_prime, range(2, k + 1)):
+                pred = symscale_case(k, p)
+                sp = scale_spectrum(sylow_of_symmetric(k, p), 10 ** 9,
+                                    mode="exponents", prime=p, cap=40)
+                expected = tuple(e for e in range(41) if local_contains(pred, e))
+                assert sp.entries == expected, (k, p)
 
 
 def test_power_law_against_oracle():
