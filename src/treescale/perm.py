@@ -277,8 +277,8 @@ class _Chain:
         self.level_gens: list[list[Permutation]] = [[] for _ in range(degree)]
         self.orbits: list[dict[int, Permutation] | None] = [None] * degree
         self.inverses: list[_InverseImages | None] = [None] * degree
-        for g in generators:
-            self._place(g)
+        for g in generators:  # distinct and nontrivial, as PermGroup keeps them
+            self.level_gens[g.min_moved() - 1].append(g)
         i = degree - 1
         while i >= 0:
             added_at = None
@@ -292,11 +292,6 @@ class _Chain:
                 # its Schreier generators are the deeper strong generators.
                 self.orbits[i] = {i + 1: Permutation.identity(degree)}
             i = i - 1 if added_at is None else added_at
-
-    def _place(self, g: Permutation) -> None:
-        m = g.min_moved()
-        if m is not None and g not in self.level_gens[m - 1]:
-            self.level_gens[m - 1].append(g)
 
     def _gens_from(self, i: int) -> list[Permutation]:
         return [g for lvl in self.level_gens[i:] for g in lvl]
@@ -375,9 +370,11 @@ class PermGroup:
     Values are immutable; the stabiliser chain, order, element list,
     per-point stabilisers and the orbital table are write-once caches.  So
     are, through ``_memo``, the values derived from the group as a whole:
-    ``is_soluble()``, ``nilpotent_residual``, and per prime p
-    ``sylow.sylow_subgroup`` (without ``start``), ``sylow.p_core`` and the
-    designated Sylow subgroup F(p) and local Sylow family of ``bmtree``.
+    ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
+    by the derived and lower central series), ``nilpotent_residual``, and
+    per prime p ``sylow.sylow_subgroup`` (without ``start``),
+    ``sylow.p_core`` and the designated Sylow subgroup F(p) and local Sylow
+    family of ``bmtree``.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
@@ -389,13 +386,15 @@ class PermGroup:
             raise PreconditionError("degree must be at least 1")
         self.degree = degree
         cleaned = []
+        seen = {_IDENTITY[degree]}
         for g in generators:
             if isinstance(g, str):
                 g = Permutation.parse(g, degree)
             if g.degree != degree:
                 raise PreconditionError(
                     f"generator degree {g.degree} does not match group degree {degree}")
-            if not g.is_identity() and g not in cleaned:
+            if g.images not in seen:
+                seen.add(g.images)
                 cleaned.append(g)
         self.generators = tuple(cleaned)
         self._chain = None
@@ -412,6 +411,16 @@ class PermGroup:
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree)
+
+    @classmethod
+    def _with_element_set(cls, degree: int, generators,
+                          elements: frozenset[Permutation]) -> "PermGroup":
+        """The group generated by generators, whose element set is already
+        known to be elements; its order and element set start filled in."""
+        group = cls(degree, generators)
+        group._element_set = elements
+        group._order = len(elements)
+        return group
 
     @classmethod
     def symmetric(cls, k: int) -> "PermGroup":
@@ -550,19 +559,24 @@ class PermGroup:
         trans = self._transversal(a)
         if b not in trans:
             return set()
-        t = trans[b]
-        return {t(x) for x in self.point_stabiliser(a).orbit(c)}
+        t = trans[b].images
+        return {t[x - 1] for x in self.point_stabiliser(a)._transversal(c)}
 
     # -- predicates ----------------------------------------------------------
 
     def is_soluble(self) -> bool:
         return self._memo("soluble", lambda: _series(
-            self, lambda h: commutator_subgroup(h, h))[-1].order() == 1)
+            self, PermGroup._derived_subgroup)[-1].order() == 1)
 
     def is_nilpotent(self) -> bool:
         return nilpotent_residual(self).order() == 1
 
     # -- subgroup algebra ----------------------------------------------------
+
+    def _derived_subgroup(self) -> "PermGroup":
+        """[G, G], the step of the derived series and the first step of the
+        lower central series.  Cached."""
+        return self._memo("derived", lambda: commutator_subgroup(self, self))
 
     def conjugate(self, g: Permutation) -> "PermGroup":
         """The conjugate g G g^-1."""
@@ -643,7 +657,8 @@ def _series(g: PermGroup, step) -> list[PermGroup]:
 
 
 def lower_central_series(g: PermGroup) -> list[PermGroup]:
-    return _series(g, lambda h: commutator_subgroup(g, h))
+    return _series(g, lambda h: g._derived_subgroup() if h is g
+                   else commutator_subgroup(g, h))
 
 
 def nilpotent_residual(g: PermGroup) -> PermGroup:

@@ -30,12 +30,14 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     by default), grown one p-step at a time.  Without ``start`` it is
     cached on g, write-once per prime.
 
-    At each step the elements of g normalising the current p-subgroup are
-    scanned in canonical element order, without building the normaliser,
-    for the first one of p-power order outside the subgroup whose p-th
-    power falls inside; adjoining it multiplies the order by exactly p.
-    Such an element exists while the current subgroup is not Sylow, since
-    it is then a proper normal subgroup of a p-subgroup of its normaliser.
+    At each step the elements of g are scanned in canonical element order
+    for the first one outside the current p-subgroup H that normalises H,
+    has p-power order and has its p-th power in H.  Adjoining such an x
+    multiplies the order by exactly p, as <H, x> is the union of the cosets
+    H x^i for i < p, so the steps grow an element set by multiplication and
+    only the result is built as a ``PermGroup``, its element set and order
+    already known.  Such an element exists while H is not Sylow, since H is
+    then a proper normal subgroup of a p-subgroup of its normaliser.
     """
     _require_prime(p)
     if start is None:
@@ -45,18 +47,21 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     return _grow_sylow(g, p, start)
 
 
-def _grow_sylow(g: PermGroup, p: int, current: PermGroup) -> PermGroup:
+def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     target = p_part_of_order(g, p)
-    while current.order() < target:
-        cur_set = current.element_set()
+    gens = list(start.generators)
+    members = start.element_set()
+    while len(members) < target:
         # pow(p, o, o) == 0 exactly when the order o is a power of p
-        grown = next((x for x in g.conjugators([(current, current)])
-                      if x not in cur_set and pow(p, o := x.order(), o) == 0
-                      and x ** p in cur_set), None)
+        grown = next((x for x in g.elements()
+                      if x not in members and all(y.conjugate(x) in members for y in gens)
+                      and pow(p, o := x.order(), o) == 0 and x ** p in members), None)
         if grown is None:
             raise RuntimeError("Sylow growth step found no witness; this is a bug")
-        current = PermGroup(g.degree, list(current.generators) + [grown])
-    return current
+        gens.append(grown)
+        powers = [grown ** i for i in range(1, p)]
+        members = members | {h * x for x in powers for h in members}
+    return PermGroup._with_element_set(g.degree, gens, members)
 
 
 def sylow_of_symmetric(k: int, p: int) -> PermGroup:

@@ -9,6 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treescale import perm
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, _orbit_transversal,
@@ -177,6 +178,14 @@ class TestKernel:
             Permutation(p) * Permutation(q)
         with pytest.raises(PreconditionError):
             Permutation(p).conjugate(Permutation(q))
+
+
+class TestGenerators:
+    def test_duplicates_and_identities_are_dropped_in_order(self):
+        g = PermGroup(4, ["(1 2)", "()", "(2 3 4)", "(1 2)", Permutation.identity(4),
+                          "(2 3 4)", "(1 3)"])
+        assert [str(x) for x in g.generators] == ["(1 2)", "(2 3 4)", "(1 3)"]
+        assert PermGroup(3, ["()", "()"]).generators == ()
 
 
 class TestGroupOrder:
@@ -468,7 +477,24 @@ class TestPredicates:
             assert residual.order() == residual_order
             assert nilpotent_residual(g) is residual
             assert g.is_soluble() is soluble and g.is_soluble() is soluble
-            assert g._derived == {"nilpotent_residual": residual, "soluble": soluble}
+            derived = g._derived["derived"]
+            assert derived.order() == residual_order
+            assert g._derived == {"derived": derived, "nilpotent_residual": residual,
+                                  "soluble": soluble}
+
+    def test_both_series_share_one_derived_subgroup(self, monkeypatch):
+        calls = []
+        original = perm.commutator_subgroup
+
+        def counting(g, h):
+            calls.append((g, h))
+            return original(g, h)
+
+        monkeypatch.setattr(perm, "commutator_subgroup", counting)
+        g = PermGroup.symmetric(4)
+        assert g.is_soluble()
+        assert lower_central_series(g)[1] is g._derived["derived"]
+        assert [(a, b) for a, b in calls if a is g and b is g] == [(g, g)]
 
 
 class TestMemo:

@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treescale import perm
 from treescale.acceptance import all_subgroups, normal_subgroups
 from treescale.bmtree import designated_sylow
 from treescale.errors import EnumerationBoundError, PreconditionError
+from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
                             generated, is_subgroup, lower_central_series,
                             nilpotent_residual, normal_closure,
@@ -148,6 +150,48 @@ class TestPinnedToNormaliserScan:
     @given(small_groups, st.integers(0, 719))
     def test_random_groups(self, g, index):
         assert_pinned(g, index)
+
+
+def assert_filled_in_as_built(g, s):
+    """The growth fills in s's element set and order without a chain, and
+    they are those of the group its generators generate."""
+    assert s._chain is None
+    built = PermGroup(g.degree, s.generators)
+    assert s.element_set() == built.element_set()
+    assert s.order() == built.order()
+
+
+class TestGrowthOnElementSets:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_corpus(self, name):
+        g = dict(corpus())[name]
+        for p in (2, 3, 5, 7):
+            assert_filled_in_as_built(g, sylow_subgroup(g, p))
+            for index in range(0, g.order(), 5):
+                start = p_subgroup_of(g, p, index)
+                assert_filled_in_as_built(g, sylow_subgroup(g, p, start=start))
+
+    @pytest.mark.parametrize("k, p", [(8, 2), (9, 3)])
+    def test_p_groups(self, k, p):
+        g = sylow_of_symmetric(k, p)
+        s = sylow_subgroup(g, p)
+        assert s.order() == g.order()
+        assert_filled_in_as_built(g, s)
+
+    def test_no_chain_per_p_step(self, monkeypatch):
+        g = parse_group_spec("sylow:2:sym:12").group
+        built = []
+        original = perm._Chain.__init__
+
+        def counting(chain, *args):
+            built.append(chain)
+            original(chain, *args)
+
+        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        s = sylow_subgroup(g, 2)
+        assert s.order() == 2 ** valuation(math.factorial(12), 2)
+        # g's chain and the trivial start group's; none per p-step
+        assert len(built) <= 2
 
 
 def reference_pi_core(g, pi):
