@@ -311,16 +311,13 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     return ScaleSpectrum(mode, prime, max_len, cap, truncated, tuple(entries))
 
 
-_LOCAL_KINDS = ("zero-only", "even-naturals", "naturals-minus-one", "all-naturals")
-
-
 @dataclass(frozen=True)
 class SymmetricScalePrediction:
     """Case prediction for the local and ambient exponent sets over Sym(k)."""
 
     k: int
     p: int
-    local_exponents: str  # one of _LOCAL_KINDS
+    local_exponents: str  # a key of local_text's table
     ambient_step: int     # ambient exponent set is {ambient_step * n : n >= 0}
 
     def local_text(self) -> str:

@@ -622,18 +622,14 @@ def generated(groups) -> PermGroup:
 
 def normal_closure(g: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and normalised by G."""
-    gens = [s for s in seeds if not s.is_identity()]
-    closure = PermGroup(g.degree, gens)
-    queue = list(closure.generators)
+    closure = PermGroup(g.degree, seeds)
     gens = list(closure.generators)
-    while queue:
-        x = queue.pop(0)
+    for x in gens:  # the growing list is the breadth-first queue
         for c in g.generators:
             y = x.conjugate(c)
             if y not in closure:
                 gens.append(y)
                 closure = PermGroup(g.degree, gens)
-                queue.append(y)
     return closure
 
 

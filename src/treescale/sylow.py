@@ -2,13 +2,13 @@
 covering check for finite permutation groups.
 
 Everything here is deterministic: searches scan elements in the canonical
-(image-lexicographic) order, and the basis backtracking visits primes in
-increasing order.
+(image-lexicographic) order, and a Sylow basis takes, prime by prime in
+increasing order, the first conjugate that fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .perm import (PermGroup, Permutation, generated, is_subgroup,
@@ -173,13 +173,13 @@ def fitting(g: PermGroup) -> PermGroup:
     return generated(cores)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SylowBasis:
     """One Sylow subgroup per prime dividing the parent's order, pairwise
-    permutable."""
+    permutable.  Equality and hash are by identity, as for ``PermGroup``."""
 
     parent: PermGroup
-    members: dict[int, PermGroup] = field(compare=False)
+    members: dict[int, PermGroup]
 
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -212,17 +212,18 @@ def are_permutable(a: PermGroup, b: PermGroup) -> bool:
     return joined.order() * _meet_order(a, b) == a.order() * b.order()
 
 
-def _sylow_conjugates(g: PermGroup, p: int) -> list[PermGroup]:
-    """All conjugates of the canonical Sylow p-subgroup P, discovery order.
+def _sylow_conjugates(g: PermGroup, p: int):
+    """The conjugates of the canonical Sylow p-subgroup P, lazily, in
+    discovery order: P first, then each new conjugate as the scan of g in
+    canonical element order meets it.
 
     As |xPx^-1| = |P|, x gives a conjugate already found exactly when it
     maps P's generators into that conjugate's element set.  Only the
     conjugates holding the image of the first generator are tried, and an
     element set is built only for a new conjugate."""
     base = sylow_subgroup(g, p)
+    yield base
     members = base.element_set()
-    if all(y.conjugate(x) in members for x in g.generators for y in base.generators):
-        return [base]
     first, *rest = base.generators
     holders: dict[Permutation, list[frozenset[Permutation]]] = {}
 
@@ -231,43 +232,37 @@ def _sylow_conjugates(g: PermGroup, p: int) -> list[PermGroup]:
             holders.setdefault(y, []).append(elements)
 
     found(members)
-    out = [base]
     for x in g.elements():
         if not any(all(y.conjugate(x) in seen for y in rest)
                    for seen in holders.get(first.conjugate(x), ())):
             found(frozenset(y.conjugate(x) for y in members))
-            out.append(base.conjugate(x))
-    return out
+            yield base.conjugate(x)
 
 
 def sylow_basis(g: PermGroup) -> SylowBasis:
-    """A Sylow basis of a soluble group, by backtracking over conjugates.
+    """A Sylow basis of a soluble group, by first fit over conjugates.
 
-    Primes are visited in increasing order; candidates for each prime are
-    conjugates of the canonical Sylow subgroup in canonical transversal
-    order.  Hall's theorem guarantees the search succeeds.
+    Primes are visited in increasing order; for each, the first conjugate
+    of the canonical Sylow subgroup, in ``_sylow_conjugates`` order, that
+    permutes with every member already chosen is taken.  A normal Sylow
+    subgroup permutes with every subgroup, so it is taken at once.
+
+    The first fit never meets a dead end (P. Hall, 1937): the members
+    chosen so far multiply to a Hall subgroup H; Hall subgroups for one
+    set of primes are conjugate, and so are the Sylow bases of H, so some
+    Sylow basis of g extends the chosen members.  A backtracking search
+    over the same candidates therefore keeps the same first fits.
     """
     if not g.is_soluble():
         raise PreconditionError("sylow_basis requires a soluble group")
-    primes = sorted(prime_factors(g.order()))
-    candidates = {p: _sylow_conjugates(g, p) for p in primes}
-
-    chosen: list[PermGroup] = []
-
-    def extend(i: int) -> bool:
-        if i == len(primes):
-            return True
-        for cand in candidates[primes[i]]:
-            if all(are_permutable(cand, old) for old in chosen):
-                chosen.append(cand)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0):
-        raise RuntimeError("no Sylow basis found for a soluble group; this is a bug")
-    return SylowBasis(g, dict(zip(primes, chosen)))
+    members: dict[int, PermGroup] = {}
+    for p in sorted(prime_factors(g.order())):
+        fit = next((c for c in _sylow_conjugates(g, p)
+                    if all(are_permutable(c, old) for old in members.values())), None)
+        if fit is None:
+            raise RuntimeError("no Sylow basis found for a soluble group; this is a bug")
+        members[p] = fit
+    return SylowBasis(g, members)
 
 
 def basis_normaliser(g: PermGroup, basis: SylowBasis) -> PermGroup:

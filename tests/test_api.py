@@ -1,6 +1,7 @@
 """The public surface: the enumeration bound and the walk-depth cap are
 module constants, checked in one place each, with no per-call override;
-every exported name resolves; no module imports a name it never uses."""
+every exported name resolves; no module imports a name it never uses, and
+no module defines a private name that no module reads."""
 
 import ast
 import importlib
@@ -68,3 +69,47 @@ def test_no_module_imports_an_unused_name():
     assert len(sources) >= 9
     found = {path.name: unused_imports(path.read_text()) for path in sources}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` assignments, functions and classes that no
+    module reads as a loaded name, an attribute or an import alias."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.endswith("__")
+                       and name not in read]
+    return unread
+
+
+def test_unread_private_name_finder():
+    assert unread_private_names({"a": "_X = 1\n_Y = 2\nprint(_Y)"}) == ["a._X"]
+    assert unread_private_names({"a": "def _f(): pass\nclass _C: pass\n__all__ = []",
+                                 "b": "from a import _f\nimport a\na._C"}) == []
+    assert unread_private_names({"a": "_n: int = 0\ndef _g(): pass\nA = B = 1"}) == [
+        "a._n", "a._g"]
+
+
+def test_no_private_module_name_is_unread():
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
+    assert len(sources) >= 9
+    assert unread_private_names(sources) == []

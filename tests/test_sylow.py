@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treescale import perm
 from treescale.acceptance import all_subgroups, normal_subgroups
@@ -304,7 +304,7 @@ class TestSylowTheory:
     def test_conjugate_count(self, name):
         g = GROUPS[name]
         for p in prime_factors(g.order()):
-            conjugates = _sylow_conjugates(g, p)
+            conjugates = list(_sylow_conjugates(g, p))
             assert len(conjugates) % p == 1
             assert len(conjugates) == g.order() // normaliser(g, conjugates[0]).order()
             assert len({c.element_set() for c in conjugates}) == len(conjugates)
@@ -321,7 +321,7 @@ class TestSylowTheory:
     def test_nilpotent_groups_have_one_conjugate_per_prime(self, name):
         g = GROUPS[name]
         for p in prime_factors(g.order()):
-            assert len(_sylow_conjugates(g, p)) == 1
+            assert len(list(_sylow_conjugates(g, p))) == 1
 
 
 def reference_sylow_conjugates(g, p):
@@ -403,6 +403,59 @@ class TestDerivedOncePerGroup:
         assert sylow_subgroup(g, 2) is cached
 
 
+def reference_sylow_basis(g):
+    """The Sylow basis by backtracking over the full conjugate lists, primes
+    in increasing order; ``sylow_basis`` must choose the same members."""
+    primes = sorted(prime_factors(g.order()))
+    candidates = {p: list(_sylow_conjugates(g, p)) for p in primes}
+    chosen = []
+
+    def extend(i):
+        if i == len(primes):
+            return True
+        for cand in candidates[primes[i]]:
+            if all(are_permutable(cand, old) for old in chosen):
+                chosen.append(cand)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    assert extend(0)
+    return dict(zip(primes, chosen))
+
+
+def assert_basis_pinned(g):
+    assert ({p: m.generators for p, m in sylow_basis(g).members.items()}
+            == {p: m.generators for p, m in reference_sylow_basis(g).items()})
+
+
+class TestBasisPinnedToBacktracking:
+    @pytest.mark.parametrize("name", sorted(n for n, g in GROUPS.items() if g.is_soluble()))
+    def test_named_groups(self, name):
+        assert_basis_pinned(GROUPS[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups)
+    def test_random_groups(self, g):
+        assume(g.is_soluble())
+        assert_basis_pinned(g)
+
+    def test_builds_no_conjugate_group_for_sym4(self, monkeypatch):
+        built = []
+        original = PermGroup.conjugate
+
+        def counting(group, x):
+            built.append(x)
+            return original(group, x)
+
+        monkeypatch.setattr(PermGroup, "conjugate", counting)
+        basis = sylow_basis(PermGroup.symmetric(4))
+        assert basis.violations() == []
+        # the canonical Sylow 2- and 3-subgroups already permute
+        assert built == []
+
+
 class TestBasis:
     def test_sym4_basis(self):
         basis = sylow_basis(PermGroup.symmetric(4))
@@ -429,6 +482,14 @@ class TestBasis:
         s4 = PermGroup.symmetric(4)
         basis = sylow_basis(s4)
         assert are_permutable(basis.members[2], basis.members[3])
+
+    def test_equality_is_identity(self):
+        s4 = PermGroup.symmetric(4)
+        basis = sylow_basis(s4)
+        other = basis.conjugate(Permutation.parse("(1 2 3)", 4))
+        assert other.members[2].generators != basis.members[2].generators
+        assert basis != other and basis == basis
+        assert len({basis, other}) == 2
 
 
 class TestBasisNormaliser:
