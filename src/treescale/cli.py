@@ -9,6 +9,7 @@ emitted in the documented fixed order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -168,7 +169,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later call in the process; a one-shot process builds it once, as before.
+
+    Reuse is safe because ``parse_args`` never changes the parser: each call
+    fills a fresh namespace, reads the defaults without writing them, and
+    prints usage and errors to the ``sys.stdout`` or ``sys.stderr`` current
+    at that call.  It is built on first use, not at import, so importing
+    the module stays as cheap as before.
+    """
     parser = argparse.ArgumentParser(
         prog="treescale",
         description="Scale arithmetic for universal groups acting on coloured trees.")
@@ -225,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -339,13 +339,16 @@ class _Chain:
             n *= len(trans)
         return n
 
-    def elements(self) -> list[Permutation]:
-        result = [Permutation.identity(self.degree)]
+    def elements(self) -> list[tuple[int, ...]]:
+        """The image tuples of every element, composed level by level as
+        t_1 t_2 ... t_k with t_i from level i's transversal; unsorted."""
+        result = [_IDENTITY[self.degree]]
         for i in range(self.degree - 1, -1, -1):
             trans = self.orbits[i]
             if len(trans) == 1:
                 continue
-            result = [trans[pt] * h for pt in sorted(trans) for h in result]
+            result = [tuple([t[x - 1] for x in h])
+                      for t in [trans[pt].images for pt in sorted(trans)] for h in result]
         return result
 
 
@@ -483,7 +486,7 @@ class PermGroup:
             if self.order() > ENUMERATION_BOUND:
                 raise EnumerationBoundError(f"group order {self.order()} exceeds "
                                             f"enumeration bound {ENUMERATION_BOUND}")
-            self._elements = tuple(sorted(self.chain().elements()))
+            self._elements = tuple(map(Permutation._of, sorted(self.chain().elements())))
         return self._elements
 
     def element_set(self) -> frozenset[Permutation]:

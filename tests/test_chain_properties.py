@@ -2,9 +2,13 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+
 from treescale.perm import PermGroup, Permutation
 from treescale.sylow import corpus
 
+from test_bmtree import small_groups
 from test_perm import brute_force_elements
 
 
@@ -55,3 +59,23 @@ def test_point_stabiliser_on_random_groups():
         direct = [x for x in g.elements() if x(i) == i]
         assert stab.order() == len(direct)
         assert all(x in stab for x in direct)
+
+
+def assert_listed_in_canonical_order(g):
+    """elements() is every element of g once, strictly increasing by image
+    tuple, and equal to the closure of the generators."""
+    images = [x.images for x in g.elements()]
+    assert all(a < b for a, b in zip(images, images[1:]))
+    assert len(images) == g.order()
+    assert set(images) == brute_force_elements(g.degree, g.generators)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_corpus_elements_in_canonical_order(name):
+    assert_listed_in_canonical_order(dict(corpus())[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_groups())
+def test_random_group_elements_in_canonical_order(g):
+    assert_listed_in_canonical_order(g)

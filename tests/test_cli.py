@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treescale.cli import main
+import treescale
+from treescale.cli import build_parser, main
 
 # A directory and a group file that is not UTF-8: neither can be read as a
 # group file.
@@ -246,6 +250,46 @@ def test_verify_json_shape(capsys):
     assert code == 0
     assert payload[0]["name"] == "c13_spectrum_exponent_inclusion"
     assert set(payload[0]) == {"name", "passed", "law", "detail"}
+
+
+# -- one parser per process -------------------------------------------------
+
+SRC = Path(treescale.__file__).resolve().parents[1]
+
+
+def fresh(*argv):
+    """(exit code, stdout, stderr) of argv as the only call of a new process."""
+    proc = subprocess.run([sys.executable, "-m", "treescale.cli", *argv],
+                          capture_output=True, text=True, timeout=120, check=False,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("first, then", [
+    (["spectrum", "--group", "sylow:3:sym:6", "--max-len", "6", "--mode", "exponents",
+      "--prime", "3", "--cap", "12", "--json"],
+     ["spectrum", "--group", "sym:3", "--json"]),
+    (["oracle", "--group", "sym:3", "--axis", "twist=(1 2 3); word=1,2", "--power", "2",
+      "--json"],
+     ["oracle", "--group", "sym:3", "--axis", "twist=(1 2 3); word=1,2", "--json"]),
+])
+def test_an_earlier_call_leaves_no_option_behind(capsys, first, then):
+    assert run(capsys, *first)[0] == 0
+    assert run(capsys, *then) == fresh(*then)
+
+
+def test_an_argparse_error_leaves_the_next_call_unchanged(capsys):
+    argv = ["spectrum", "--group", "sym:3", "--max-len", "3", "--json"]
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --group" in capsys.readouterr().err
+    assert run(capsys, *argv) == before == fresh(*argv)
 
 
 # -- fuzzing ---------------------------------------------------------------
