@@ -77,43 +77,37 @@ def random_axis(rng: random.Random, f: PermGroup, max_len: int,
 # brute-force subgroup oracles
 
 
-def all_subgroups(g: PermGroup) -> set[frozenset[Permutation]]:
-    """Every subgroup of a small group, as element sets: close the cyclic
-    subgroups under pairwise join."""
+def normal_subgroups(g: PermGroup) -> list[frozenset[Permutation]]:
+    """Every normal subgroup of a small group, as element sets: the
+    subgroups generated by single conjugacy classes, closed under products
+    of pairs, as NM is a normal subgroup when N and M are.  Every normal
+    subgroup is the product of the class subgroups of its elements."""
     elems = g.elements()
     identity = Permutation.identity(g.degree)
 
-    def closure(seed: frozenset[Permutation]) -> frozenset[Permutation]:
-        items = set(seed) | {identity}
-        frontier = list(items)
+    def generated_by(seeds: frozenset[Permutation]) -> frozenset[Permutation]:
+        items = {identity}
+        frontier = [identity]
         while frontier:
             x = frontier.pop()
-            for y in list(items):
-                for z in (x * y, y * x):
-                    if z not in items:
-                        items.add(z)
-                        frontier.append(z)
+            for s in seeds:
+                z = x * s
+                if z not in items:
+                    items.add(z)
+                    frontier.append(z)
         return frozenset(items)
 
-    cyclics = {closure(frozenset({x})) for x in elems}
-    subs = set(cyclics) | {frozenset({identity})}
-    frontier = list(subs)
+    classes = {frozenset(y * x * y.inverse() for y in elems) for x in elems}
+    normals = {generated_by(c) for c in classes}
+    frontier = list(normals)
     while frontier:
         a = frontier.pop()
-        for c in cyclics:
-            j = closure(a | c)
-            if j not in subs:
-                subs.add(j)
-                frontier.append(j)
-    return subs
-
-
-def normal_subgroups(g: PermGroup) -> list[frozenset[Permutation]]:
-    out = []
-    for sub in all_subgroups(g):
-        if all(x * s * x.inverse() in sub for x in g.generators for s in sub):
-            out.append(sub)
-    return out
+        for b in list(normals):
+            product = frozenset(x * y for x in a for y in b)
+            if product not in normals:
+                normals.add(product)
+                frontier.append(product)
+    return list(normals)
 
 
 # ---------------------------------------------------------------------------
@@ -217,40 +211,32 @@ def c08_oracle_agreement() -> CheckResult:
            "explicit-tuple count; m-fold words give the m-th power")
     problems = []
     checked = 0
-    for k in (3, 4):
-        for f in _sweep_groups(k):
-            for a in valid_axes(f, 3):
-                checked += 1
-                s = scale(a)
-                oc = balloracle.orbit_count(a)
-                ex = balloracle.exhaustive_orbit_count(a)
-                if not (s == oc == ex):
-                    problems.append(f"{f.degree}/{a.describe()}: scale={s} walk={oc} tuples={ex}")
-                    continue
-                for m in (2, 3):
-                    if len(a.word) * m <= balloracle.DEPTH_CAP:
-                        ocm = balloracle.orbit_count(a, m)
-                        if ocm != s ** m:
-                            problems.append(
-                                f"{f.degree}/{a.describe()}: power {m} gives {ocm} != {s ** m}")
-    rng = random.Random(_SEED + 8)
-    for _ in range(200):
-        k = rng.choice((3, 4, 5))
-        f = rng.choice(_sweep_groups(k))
-        a = random_axis(rng, f, 4)
+
+    def check(a: AxisData, label: str) -> None:
+        nonlocal checked
         checked += 1
         s = scale(a)
         oc = balloracle.orbit_count(a)
-        if s != oc:
-            problems.append(f"random {f.degree}/{a.describe()}: scale={s} walk={oc}")
-        if f.order() <= balloracle.GROUP_CAP and len(a.word) <= 3:
-            ex = balloracle.exhaustive_orbit_count(a)
-            if ex != s:
-                problems.append(f"random {f.degree}/{a.describe()}: tuples={ex} != {s}")
-        for m in (2, 3):
-            if len(a.word) * m <= balloracle.DEPTH_CAP:
-                if balloracle.orbit_count(a, m) != s ** m:
-                    problems.append(f"random {f.degree}/{a.describe()}: power {m} mismatch")
+        ex = (balloracle.exhaustive_orbit_count(a)
+              if a.group.order() <= balloracle.GROUP_CAP and len(a.word) <= 3 else None)
+        if oc != s or ex not in (None, s):
+            wrong = f"scale={s} walk={oc} tuples={ex}"
+        else:
+            powers = [(m, balloracle.orbit_count(a, m)) for m in (2, 3)
+                      if len(a.word) * m <= balloracle.DEPTH_CAP]
+            wrong = "; ".join(f"power {m} gives {n} != {s ** m}"
+                              for m, n in powers if n != s ** m)
+        if wrong:
+            problems.append(f"{label}{a.group.degree}/{a.describe()}: {wrong}")
+
+    for k in (3, 4):
+        for f in _sweep_groups(k):
+            for a in valid_axes(f, 3):
+                check(a, "")
+    rng = random.Random(_SEED + 8)
+    for _ in range(200):
+        k = rng.choice((3, 4, 5))
+        check(random_axis(rng, rng.choice(_sweep_groups(k)), 4), "random ")
     detail = f"{checked} axes agree across scale, walk and tuple oracles" \
         if not problems else "; ".join(problems[:4])
     return CheckResult("c08_oracle_agreement", law, not problems, detail)

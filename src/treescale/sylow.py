@@ -212,40 +212,18 @@ def are_permutable(a: PermGroup, b: PermGroup) -> bool:
     return joined.order() * _meet_order(a, b) == a.order() * b.order()
 
 
-def _sylow_conjugates(g: PermGroup, p: int):
-    """The conjugates of the canonical Sylow p-subgroup P, lazily, in
-    discovery order: P first, then each new conjugate as the scan of g in
-    canonical element order meets it.
-
-    As |xPx^-1| = |P|, x gives a conjugate already found exactly when it
-    maps P's generators into that conjugate's element set.  Only the
-    conjugates holding the image of the first generator are tried, and an
-    element set is built only for a new conjugate."""
-    base = sylow_subgroup(g, p)
-    yield base
-    members = base.element_set()
-    first, *rest = base.generators
-    holders: dict[Permutation, list[frozenset[Permutation]]] = {}
-
-    def found(elements: frozenset[Permutation]) -> None:
-        for y in elements:
-            holders.setdefault(y, []).append(elements)
-
-    found(members)
-    for x in g.elements():
-        if not any(all(y.conjugate(x) in seen for y in rest)
-                   for seen in holders.get(first.conjugate(x), ())):
-            found(frozenset(y.conjugate(x) for y in members))
-            yield base.conjugate(x)
-
-
 def sylow_basis(g: PermGroup) -> SylowBasis:
     """A Sylow basis of a soluble group, by first fit over conjugates.
 
-    Primes are visited in increasing order; for each, the first conjugate
-    of the canonical Sylow subgroup, in ``_sylow_conjugates`` order, that
-    permutes with every member already chosen is taken.  A normal Sylow
-    subgroup permutes with every subgroup, so it is taken at once.
+    Primes are visited in increasing order; for each, with P the canonical
+    Sylow p-subgroup, the first x P x^-1 over x in canonical element order
+    that permutes with every member already chosen is taken.  The identity
+    comes first, so P itself is tried first, and it fits whenever |g| has
+    at most two prime divisors: |PQ| = |P||Q| = |g| makes PQ = g = QP.  A
+    conjugate that several x give is tried again.  The first x whose
+    conjugate fits is the first x giving that conjugate, since an earlier
+    one would have fitted too, so the member is also the first fit among
+    the distinct conjugates, listed in the order this scan first meets them.
 
     The first fit never meets a dead end (P. Hall, 1937): the members
     chosen so far multiply to a Hall subgroup H; Hall subgroups for one
@@ -257,7 +235,9 @@ def sylow_basis(g: PermGroup) -> SylowBasis:
         raise PreconditionError("sylow_basis requires a soluble group")
     members: dict[int, PermGroup] = {}
     for p in sorted(prime_factors(g.order())):
-        fit = next((c for c in _sylow_conjugates(g, p)
+        base = sylow_subgroup(g, p)
+        candidates = (base if x.is_identity() else base.conjugate(x) for x in g.elements())
+        fit = next((c for c in candidates
                     if all(are_permutable(c, old) for old in members.values())), None)
         if fit is None:
             raise RuntimeError("no Sylow basis found for a soluble group; this is a bug")

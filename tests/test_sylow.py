@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treescale import perm
-from treescale.acceptance import all_subgroups, normal_subgroups
+from treescale import perm, sylow
+from treescale.acceptance import normal_subgroups
 from treescale.bmtree import designated_sylow
 from treescale.errors import EnumerationBoundError, PreconditionError
 from treescale.groupspec import parse_group_spec
@@ -15,7 +15,7 @@ from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
                             nilpotent_residual, normal_closure,
                             spanning_generators)
 from treescale.supernat import prime_factors, valuation
-from treescale.sylow import (SylowBasis, _sylow_conjugates, are_permutable,
+from treescale.sylow import (SylowBasis, are_permutable,
                              basis_normaliser, core_commensurability_check,
                              corpus, fitting, is_normal_in, p_core,
                              p_part_of_order, pi_core, subgroup_index,
@@ -33,6 +33,47 @@ def same_subgroup(h, k):
     """H = K: equal degrees and orders, and H's generators lie in K."""
     return (h.degree == k.degree and h.order() == k.order()
             and all(x in k for x in h.generators))
+
+
+def all_subgroups(g):
+    """Every subgroup of a small group, as element sets: close the cyclic
+    subgroups under pairwise join."""
+    elems = g.elements()
+    identity = Permutation.identity(g.degree)
+
+    def closure(seed):
+        items = set(seed) | {identity}
+        frontier = list(items)
+        while frontier:
+            x = frontier.pop()
+            for y in list(items):
+                for z in (x * y, y * x):
+                    if z not in items:
+                        items.add(z)
+                        frontier.append(z)
+        return frozenset(items)
+
+    cyclics = {closure(frozenset({x})) for x in elems}
+    subs = set(cyclics) | {frozenset({identity})}
+    frontier = list(subs)
+    while frontier:
+        a = frontier.pop()
+        for c in cyclics:
+            j = closure(a | c)
+            if j not in subs:
+                subs.add(j)
+                frontier.append(j)
+    return subs
+
+
+class TestNormalSubgroupOracle:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_matches_the_normal_members_of_all_subgroups(self, name):
+        g = GROUPS[name]
+        normals = normal_subgroups(g)
+        assert len(normals) == len(set(normals))
+        assert set(normals) == {sub for sub in all_subgroups(g) if all(
+            x * s * x.inverse() in sub for x in g.generators for s in sub)}
 
 
 class TestSylowSubgroup:
@@ -274,11 +315,9 @@ class TestCores:
         for _, g in corpus():
             for p in prime_factors(g.order()):
                 core_set = p_core(g, p).element_set()
-                for sub in all_subgroups(g):
+                for sub in normal_subgroups(g):
                     n = len(sub)
-                    if n == p ** valuation(n, p) and all(
-                            x * s * x.inverse() in sub
-                            for x in g.generators for s in sub):
+                    if n == p ** valuation(n, p):
                         assert sub <= core_set
 
     def test_pi_core_full(self):
@@ -299,34 +338,10 @@ class TestCores:
             assert (p_core(g, 2).order() == p_part_of_order(g, 2)) is p_normal
 
 
-class TestSylowTheory:
-    @pytest.mark.parametrize("name", sorted(GROUPS))
-    def test_conjugate_count(self, name):
-        g = GROUPS[name]
-        for p in prime_factors(g.order()):
-            conjugates = list(_sylow_conjugates(g, p))
-            assert len(conjugates) % p == 1
-            assert len(conjugates) == g.order() // normaliser(g, conjugates[0]).order()
-            assert len({c.element_set() for c in conjugates}) == len(conjugates)
-
-    @pytest.mark.parametrize("name", sorted(GROUPS))
-    def test_p_core_is_the_meet_of_all_conjugates(self, name):
-        g = GROUPS[name]
-        for p in prime_factors(g.order()):
-            meet = frozenset.intersection(
-                *(c.element_set() for c in _sylow_conjugates(g, p)))
-            assert p_core(g, p).element_set() == meet
-
-    @pytest.mark.parametrize("name", ["q8", "d8", "sylow2sym8"])
-    def test_nilpotent_groups_have_one_conjugate_per_prime(self, name):
-        g = GROUPS[name]
-        for p in prime_factors(g.order()):
-            assert len(list(_sylow_conjugates(g, p))) == 1
-
-
 def reference_sylow_conjugates(g, p):
-    """The conjugate list with each conjugate told apart by its whole
-    conjugated element set; ``_sylow_conjugates`` must give the same list."""
+    """The conjugates of the canonical Sylow p-subgroup P, P first, then
+    each new conjugate as the scan of g in canonical element order meets
+    it, told apart by its whole conjugated element set."""
     base = sylow_subgroup(g, p)
     members = base.element_set()
     if all(y.conjugate(x) in members for x in g.generators for y in base.generators):
@@ -341,21 +356,29 @@ def reference_sylow_conjugates(g, p):
     return out
 
 
-def assert_conjugates_pinned(g):
-    for p in prime_factors(g.order()):
-        assert ([c.generators for c in _sylow_conjugates(g, p)]
-                == [c.generators for c in reference_sylow_conjugates(g, p)])
-
-
-class TestSylowConjugatesPinnedToElementSetKeys:
+class TestSylowTheory:
     @pytest.mark.parametrize("name", sorted(GROUPS))
-    def test_named_groups(self, name):
-        assert_conjugates_pinned(GROUPS[name])
+    def test_conjugate_count(self, name):
+        g = GROUPS[name]
+        for p in prime_factors(g.order()):
+            conjugates = reference_sylow_conjugates(g, p)
+            assert len(conjugates) % p == 1
+            assert len(conjugates) == g.order() // normaliser(g, conjugates[0]).order()
+            assert len({c.element_set() for c in conjugates}) == len(conjugates)
 
-    @settings(max_examples=60, deadline=None)
-    @given(small_groups)
-    def test_random_groups(self, g):
-        assert_conjugates_pinned(g)
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_p_core_is_the_meet_of_all_conjugates(self, name):
+        g = GROUPS[name]
+        for p in prime_factors(g.order()):
+            meet = frozenset.intersection(
+                *(c.element_set() for c in reference_sylow_conjugates(g, p)))
+            assert p_core(g, p).element_set() == meet
+
+    @pytest.mark.parametrize("name", ["q8", "d8", "sylow2sym8"])
+    def test_nilpotent_groups_have_one_conjugate_per_prime(self, name):
+        g = GROUPS[name]
+        for p in prime_factors(g.order()):
+            assert len(reference_sylow_conjugates(g, p)) == 1
 
 
 class TestDerivedOncePerGroup:
@@ -407,7 +430,7 @@ def reference_sylow_basis(g):
     """The Sylow basis by backtracking over the full conjugate lists, primes
     in increasing order; ``sylow_basis`` must choose the same members."""
     primes = sorted(prime_factors(g.order()))
-    candidates = {p: list(_sylow_conjugates(g, p)) for p in primes}
+    candidates = {p: reference_sylow_conjugates(g, p) for p in primes}
     chosen = []
 
     def extend(i):
@@ -426,8 +449,12 @@ def reference_sylow_basis(g):
 
 
 def assert_basis_pinned(g):
-    assert ({p: m.generators for p, m in sylow_basis(g).members.items()}
+    members = sylow_basis(g).members
+    assert ({p: m.generators for p, m in members.items()}
             == {p: m.generators for p, m in reference_sylow_basis(g).items()})
+    # any two Sylow subgroups permute when |g| has at most two prime divisors
+    if len(members) <= 2:
+        assert all(members[p] is sylow_subgroup(g, p) for p in members)
 
 
 class TestBasisPinnedToBacktracking:
@@ -454,6 +481,24 @@ class TestBasisPinnedToBacktracking:
         assert basis.violations() == []
         # the canonical Sylow 2- and 3-subgroups already permute
         assert built == []
+
+    def test_falls_back_to_the_first_canonical_conjugate_that_fits(self, monkeypatch):
+        g = parse_group_spec("gens:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)").group
+        shift = Permutation.parse("(1 2 3 4 5 6 7)", 7)
+        p2, p3 = sylow_subgroup(g, 2), sylow_subgroup(g, 3).conjugate(shift)
+        assert not set_products_agree(p2, p3)
+        original = sylow_subgroup
+        monkeypatch.setattr(sylow, "sylow_subgroup",
+                            lambda h, p: p3 if p == 3 else original(h, p))
+        basis = sylow_basis(g)
+        assert basis.violations() == []
+        assert basis.members[2] is p2
+        # brute force: conjugate element sets by products, permutability by set products
+        first = next(x for x in g.elements() if set_products_agree(
+            p2, PermGroup(7, [x * y * x.inverse() for y in p3.generators])))
+        assert g.elements().index(first) == 6
+        assert basis.members[3].element_set() == frozenset(
+            first * y * first.inverse() for y in p3.elements())
 
 
 class TestBasis:
