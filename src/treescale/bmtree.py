@@ -7,21 +7,22 @@ of edge colours (c_1, ..., c_n) read from a vertex v towards x^-1 v.  The
 seam colour c_0 := tau(c_n) is the colour of the edge from v towards x v;
 properness forces c_i != c_{i+1} and c_0 != c_1.
 
-The scale of such an element is the product of the suborbit sizes
-|F_{c_{i-1}} . c_i| for i = 1..n.  Two local counterparts exist for a prime
-p: the scale over the Sylow restriction U(F(p)) (``localized_scale``) and
-the scale in the p-localisation, built from a local Sylow subgroup of
-U(F)_v (``localisation_scale``).
+Every scale is one product, seam colour first, of the weights of an
+orbital table at the pairs (c_{i-1}, c_i): for the scale, F's suborbit
+sizes |F_{c_{i-1}} . c_i|.  Two local counterparts for a prime p weight
+F(p)'s orbitals: by F(p)'s suborbit sizes, the scale over the Sylow
+restriction U(F(p)) (``localized_scale``); by the indices of a local Sylow
+family, the scale in the p-localisation (``localisation_scale``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InvalidAxisError, PreconditionError
-from .perm import PermGroup, Permutation
+from .perm import Orbitals, PermGroup, Permutation
 from .supernat import is_prime, prime_factors, valuation
 from .sylow import sylow_of_symmetric, sylow_subgroup
 
@@ -79,16 +80,22 @@ def require_valid(a: AxisData) -> None:
         raise InvalidAxisError(violations)
 
 
-def scale(a: AxisData) -> int:
-    """Product of suborbit sizes along the word, seam colour first."""
-    require_valid(a)
-    f = a.group
+def _word_product(a: AxisData, table: Orbitals) -> int:
+    """The product of the weights ``table.sizes`` of the orbitals of the
+    pairs (c_{i-1}, c_i) for i = 1..n, seam colour first."""
+    index, sizes = table.index, table.sizes
     prev = a.seam_colour
     value = 1
     for c in a.word:
-        value *= f.suborbit_size(prev, c)
+        value *= sizes[index[prev - 1][c - 1]]
         prev = c
     return value
+
+
+def scale(a: AxisData) -> int:
+    """Product of suborbit sizes along the word, seam colour first."""
+    require_valid(a)
+    return _word_product(a, a.group.orbitals())
 
 
 def inverse_axis(a: AxisData) -> AxisData:
@@ -133,14 +140,10 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     where Q_c is a Sylow p-subgroup of the point stabiliser F_c containing
     P_c.  One Q_r is grown from P_r per P-orbit, r its least colour, and
     carried along the orbit by conjugation, so Q_{pi c} = pi Q_c pi^-1 for
-    pi in P: every element whose twist lies in P then normalises S.  Cached
-    on f, write-once per prime.  Growing Q_r scans the elements of F_r, so
-    it is refused above the enumeration bound.
+    pi in P: every element whose twist lies in P then normalises S.  Growing
+    Q_r scans the elements of F_r, so it is refused above the enumeration
+    bound.
     """
-    return f._memo(("local_sylow_family", p), lambda: _grow_local_sylow_family(f, p))
-
-
-def _grow_local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     root = designated_sylow(f, p)
     family: dict[int, PermGroup] = {}
     for r in range(1, f.degree + 1):
@@ -152,27 +155,33 @@ def _grow_local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     return family
 
 
+def _local_table(f: PermGroup, p: int) -> Orbitals:
+    """F(p)'s orbital table, each orbital weighted by |Q_r : Q_r meet Q_m|
+    at its label (r, m), Q the local Sylow family.  The index is the same
+    at every pair of the orbital, because Q_{pi c} = pi Q_c pi^-1 for pi in
+    F(p).  Cached on f, write-once per prime."""
+    def make() -> Orbitals:
+        family = _local_sylow_family(f, p)
+        table = designated_sylow(f, p).orbitals()
+        sets = {c: q.element_set() for c, q in family.items()}
+        return table._replace(sizes=tuple(len(sets[r]) // len(sets[r] & sets[m])
+                                          for r, m in table.labels))
+    return f._memo(("local_table", p), make)
+
+
 def localisation_scale(a: AxisData, p: int) -> int:
     """Scale in the p-localisation of U(F), the group in which the local
-    Sylow subgroup S of ``_local_sylow_family`` is compact open; the twist
-    must lie in F(p).
+    Sylow subgroup S of ``_local_sylow_family`` is compact open; the axis
+    must be valid over F(p), in particular the twist must lie in it.
 
     Moeller's limit formula with V = S gives the product of the indices
     |Q_{c_{i-1}} : Q_{c_{i-1}} meet Q_{c_i}| for i = 1..n, seam colour
-    first.  Each factor is a power of p and a multiple of the p-part of the
-    ambient factor |F_{c_{i-1}} . c_i|.
+    first, read from ``_local_table``.  Each factor is a power of p and a
+    multiple of the p-part of the ambient factor |F_{c_{i-1}} . c_i|.
     """
-    require_valid(a)
-    family = _local_sylow_family(a.group, p)
-    if a.twist not in designated_sylow(a.group, p):
-        raise InvalidAxisError(["twist is not a member of the designated Sylow subgroup"])
-    prev = a.seam_colour
-    value = 1
-    for c in a.word:
-        here = family[prev].element_set()
-        value *= len(here) // len(here & family[c].element_set())
-        prev = c
-    return value
+    local = AxisData(designated_sylow(a.group, p), a.twist, a.word)
+    require_valid(local)
+    return _word_product(local, _local_table(a.group, p))
 
 
 def aggregate_scale(a: AxisData) -> int:
@@ -203,13 +212,9 @@ class ScaleSpectrum:
     entries: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
-        out = {"mode": self.mode}
-        if self.prime is not None:
-            out["prime"] = self.prime
-        out["max_len"] = self.max_len
-        out["cap"] = self.cap
-        out["truncated"] = self.truncated
-        out["entries"] = list(self.entries)
+        out = asdict(self)
+        if self.prime is None:
+            del out["prime"]
         return out
 
 

@@ -356,10 +356,11 @@ class Orbitals(NamedTuple):
     """The orbitals of G: its orbits on ordered pairs of points.
 
     ``index[a - 1][b - 1]`` numbers the orbital of (a, b).  Orbital o has
-    label ``labels[o]`` = (r, m), itself a pair in it: r is the least point
-    of the orbit of a, and m the least point of the G_r-orbit of u^-1(b) for
+    label ``labels[o]`` = (r, m), its least pair: r is the least point of
+    the orbit of a, and m the least point of the G_r-orbit of u^-1(b) for
     any u in G with u(r) = a.  Orbitals are numbered in label order, and
-    ``sizes[o]`` is |G_a . b| for every (a, b) in orbital o.
+    ``sizes[o]`` is |G_a . b| for every (a, b) in orbital o: the number of
+    pairs in o over the number of distinct first points among them.
     """
 
     index: tuple[tuple[int, ...], ...]
@@ -376,8 +377,8 @@ class PermGroup:
     ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
     by the derived and lower central series), ``nilpotent_residual``, and
     per prime p ``sylow.sylow_subgroup`` (without ``start``),
-    ``sylow.p_core`` and the designated Sylow subgroup F(p) and local Sylow
-    family of ``bmtree``.
+    ``sylow.p_core`` and the designated Sylow subgroup F(p) and local
+    orbital table of ``bmtree``.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
@@ -509,9 +510,6 @@ class PermGroup:
             self._transversals[point] = cached
         return cached
 
-    def orbit(self, point: int) -> set[int]:
-        return set(self._transversal(point))
-
     def point_stabiliser(self, point: int) -> "PermGroup":
         """Stabiliser of a point, generated by Schreier generators."""
         self._check_point(point)
@@ -524,37 +522,32 @@ class PermGroup:
         return stab
 
     def orbitals(self) -> Orbitals:
-        """The orbital table, built from the transversal and the point
-        stabiliser of the least point of each orbit."""
+        """The orbital table: one breadth-first walk over ordered pairs per
+        orbital, started at the least pair not yet reached.  It reads no
+        stabiliser or transversal, so it shares no code with
+        ``transporter_images``."""
         if self._orbitals is None:
             k = self.degree
-            index: list[tuple[int, ...] | None] = [None] * k
+            gens = [g.images for g in self.generators]
+            at = [-1] * (k * k)  # at[(a - 1) * k + b - 1]: the orbital of (a, b)
             labels: list[tuple[int, int]] = []
             sizes: list[int] = []
-            for r in range(1, k + 1):
-                if index[r - 1] is not None:
+            for start in range(k * k):
+                if at[start] >= 0:
                     continue
-                stab = self.point_stabiliser(r)
-                at_r = [-1] * k  # at_r[x - 1]: the orbital of (r, x)
-                for m in range(1, k + 1):
-                    if at_r[m - 1] >= 0:
-                        continue
-                    suborbit = stab.orbit(m)
-                    for x in suborbit:
-                        at_r[x - 1] = len(labels)
-                    labels.append((r, m))
-                    sizes.append(len(suborbit))
-                for a, u in self._transversal(r).items():
-                    index[a - 1] = tuple(at_r[x - 1] for x in u.inverse().images)
-            self._orbitals = Orbitals(tuple(index), tuple(labels), tuple(sizes))
+                o = at[start] = len(labels)
+                pairs = [divmod(start, k)]
+                for a, b in pairs:  # the growing list is the breadth-first queue
+                    for g in gens:
+                        x, y = g[a] - 1, g[b] - 1
+                        if at[x * k + y] < 0:
+                            at[x * k + y] = o
+                            pairs.append((x, y))
+                labels.append((start // k + 1, start % k + 1))
+                sizes.append(len(pairs) // len({a for a, _ in pairs}))
+            self._orbitals = Orbitals(tuple(tuple(at[a:a + k]) for a in range(0, k * k, k)),
+                                      tuple(labels), tuple(sizes))
         return self._orbitals
-
-    def suborbit_size(self, i: int, j: int) -> int:
-        """|G_i . j|, the length of the suborbit of j at the point i."""
-        self._check_point(i)
-        self._check_point(j)
-        table = self.orbitals()
-        return table.sizes[table.index[i - 1][j - 1]]
 
     def transporter_images(self, a: int, b: int, c: int) -> set[int]:
         """{f(c) : f in G, f(a) = b}; empty iff b is not in the orbit of a."""

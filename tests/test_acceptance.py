@@ -1,17 +1,30 @@
 """Acceptance battery: one test per criterion, printing one pass/fail line
 each.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines,
 or ``treescale verify --suite all`` for the CLI equivalent.
+
+Each item's report must also equal its entry in ``data/verify_all.json``,
+the output of ``treescale verify --suite all --json`` kept from before the
+last change to the battery's code paths: the report is byte-identical
+across refactors unless a change means it to move.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from treescale.acceptance import CHECKS
+
+GOLDEN = {item["name"]: item for item in json.loads(
+    (Path(__file__).parent / "data" / "verify_all.json").read_text())}
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_criterion(name):
     result = CHECKS[name]()
     print(result.line())
+    assert {"name": result.name, "passed": result.passed, "law": result.law,
+            "detail": result.detail} == GOLDEN[name]
     assert result.passed, result.line()
 
 

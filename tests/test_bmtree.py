@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from treescale import balloracle
 from treescale.acceptance import valid_axes
-from treescale.bmtree import (AxisData, _local_sylow_family, aggregate_scale,
-                              designated_sylow, inverse_axis,
+from treescale.bmtree import (AxisData, _local_sylow_family, _local_table,
+                              aggregate_scale, designated_sylow, inverse_axis,
                               localisation_scale, localized_scale, modular,
                               scale, scale_spectrum, symscale_case,
                               validate_axis)
@@ -190,6 +190,26 @@ class TestLocalisation:
         assert f.order() == 4
 
 
+# groups on which the local table is checked against its definition:
+# sym:3-7, alt:4-6, dihedral:6, S3 wr S2 and AGL(1,7)
+LOCAL_SPECS = ["sym:3", "sym:4", "sym:5", "sym:6", "sym:7", "alt:4", "alt:5",
+               "alt:6", "dihedral:6", "gens:6:(1 2);(1 2 3);(1 4)(2 5)(3 6)",
+               "gens:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)"]
+
+
+def reference_localisation_scale(a, family):
+    """The product of |Q_{c_{i-1}} : Q_{c_{i-1}} meet Q_{c_i}| along the
+    word, seam colour first, each factor intersected afresh from the local
+    Sylow family Q; ``localisation_scale`` reads the factors from the local
+    orbital table instead and must give the same value."""
+    prev, value = a.seam_colour, 1
+    for c in a.word:
+        here = family[prev].element_set()
+        value *= len(here) // len(here & family[c].element_set())
+        prev = c
+    return value
+
+
 class TestLocalisationScale:
     def test_open_local_sylow_gives_the_ambient_scale(self):
         # over sym:3 every F_c has order 2, so S has index |F : F(2)| = 3 in
@@ -230,7 +250,6 @@ class TestLocalisationScale:
         for p in (2, 3, 5):
             root, family = designated_sylow(f, p), _local_sylow_family(f, p)
             assert designated_sylow(f, p) is root
-            assert _local_sylow_family(f, p) is family
             for c in range(1, 6):
                 fc, q = f.point_stabiliser(c), family[c]
                 assert all(x in fc for x in q.generators)
@@ -238,6 +257,38 @@ class TestLocalisationScale:
                 assert all(x in q for x in root.point_stabiliser(c).generators)
                 for pi in root.generators:
                     assert same_subgroup(q.conjugate(pi), family[pi(c)])
+
+    def test_twist_is_checked_before_the_family_is_grown(self):
+        # sym:10's point stabilisers are above the enumeration bound, so
+        # growing the family would refuse; the twist check comes first
+        f = PermGroup.symmetric(10)
+        with pytest.raises(InvalidAxisError, match="local action group"):
+            localisation_scale(axis(f, "(1 2 3)", (1, 2)), 2)
+        assert ("local_table", 2) not in f._derived
+
+    def test_local_table_is_write_once(self):
+        f = PermGroup.symmetric(4)
+        assert _local_table(f, 2) is _local_table(f, 2)
+
+    @pytest.mark.parametrize("spec", LOCAL_SPECS)
+    def test_local_weights_are_the_family_indices(self, spec):
+        f = parse_group_spec(spec).group
+        for p in prime_factors(f.order()):
+            family, table = _local_sylow_family(f, p), _local_table(f, p)
+            for a in range(1, f.degree + 1):
+                for b in range(1, f.degree + 1):
+                    qa, qb = family[a].element_set(), family[b].element_set()
+                    weight = table.sizes[table.index[a - 1][b - 1]]
+                    assert weight == len(qa) // len(qa & qb), (p, a, b)
+
+    @pytest.mark.parametrize("spec", LOCAL_SPECS)
+    def test_matches_the_per_factor_intersection(self, spec):
+        f = parse_group_spec(spec).group
+        for p in prime_factors(f.order()):
+            family = _local_sylow_family(f, p)
+            for a in valid_axes(designated_sylow(f, p), 3):
+                amb = AxisData(f, a.twist, a.word)
+                assert localisation_scale(amb, p) == reference_localisation_scale(amb, family)
 
     def test_p_powers_bounded_below_by_ambient_p_parts(self):
         for f in (S4, S5, PermGroup.alternating(5)):

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from treescale import perm
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
-from treescale.perm import (PermGroup, Permutation, _orbit_transversal,
-                            commutator_subgroup, generated, is_subgroup,
-                            lower_central_series, nilpotent_residual,
-                            normal_closure, spanning_generators)
+from treescale.perm import (Orbitals, PermGroup, Permutation,
+                            _orbit_transversal, commutator_subgroup,
+                            generated, is_subgroup, lower_central_series,
+                            nilpotent_residual, normal_closure,
+                            spanning_generators)
 from treescale.sylow import corpus, sylow_of_symmetric
 
 
@@ -234,19 +235,30 @@ def chain_base(g):
     return [i + 1 for i, trans in enumerate(g.chain().orbits) if len(trans) > 1]
 
 
+def orbit(g, point):
+    """The orbit of point under g, read from its transversal."""
+    return set(g._transversal(point))
+
+
+def suborbit_size(g, a, b):
+    """|G_a . b|, read from g's orbital table."""
+    table = g.orbitals()
+    return table.sizes[table.index[a - 1][b - 1]]
+
+
 class TestOrbits:
     def test_transitive_orbit(self):
-        assert PermGroup.symmetric(4).orbit(1) == {1, 2, 3, 4}
+        assert orbit(PermGroup.symmetric(4), 1) == {1, 2, 3, 4}
 
     def test_fixed_point(self):
-        assert PermGroup(5, ["(1 2 3)"]).orbit(4) == {4}
+        assert orbit(PermGroup(5, ["(1 2 3)"]), 4) == {4}
 
     def test_cycle_orbit(self):
-        assert PermGroup(5, ["(1 2 3)"]).orbit(2) == {1, 2, 3}
+        assert orbit(PermGroup(5, ["(1 2 3)"]), 2) == {1, 2, 3}
 
     def test_point_out_of_range(self):
         with pytest.raises(PreconditionError):
-            PermGroup.symmetric(3).orbit(4)
+            orbit(PermGroup.symmetric(3), 4)
 
     def test_stabiliser_order(self):
         assert PermGroup.symmetric(4).point_stabiliser(1).order() == 6
@@ -257,20 +269,20 @@ class TestOrbits:
         g = PermGroup(6, ["(1 2 3)", "(4 5 6)"])
         stab = g.point_stabiliser(1)
         assert stab.order() == 3
-        assert stab.orbit(4) == {4, 5, 6}
+        assert orbit(stab, 4) == {4, 5, 6}
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_orbit_stabiliser_identity(self, k):
         for g in (PermGroup.symmetric(k), PermGroup.alternating(k),
                   PermGroup.dihedral(k), PermGroup(k, ["(1 2 3)"])):
             for i in range(1, k + 1):
-                assert g.order() == len(g.orbit(i)) * g.point_stabiliser(i).order()
+                assert g.order() == len(orbit(g, i)) * g.point_stabiliser(i).order()
 
     def test_suborbits(self):
         s4 = PermGroup.symmetric(4)
-        assert s4.suborbit_size(1, 2) == 3
-        assert s4.suborbit_size(1, 1) == 1
-        assert PermGroup(5, ["(1 2 3)"]).suborbit_size(4, 1) == 3
+        assert suborbit_size(s4, 1, 2) == 3
+        assert suborbit_size(s4, 1, 1) == 1
+        assert suborbit_size(PermGroup(5, ["(1 2 3)"]), 4, 1) == 3
 
     def test_suborbit_index_identity(self):
         # |G_a . b| = |G_a| / |G_a meet G_b| on everything enumerable here
@@ -281,7 +293,7 @@ class TestOrbits:
                     ga = g.point_stabiliser(a)
                     gb = g.point_stabiliser(b)
                     meet = ga.element_set() & gb.element_set()
-                    assert g.suborbit_size(a, b) * len(meet) == ga.order()
+                    assert suborbit_size(g, a, b) * len(meet) == ga.order()
 
 
 def reference_schreier_generators(trans, gens):
@@ -356,12 +368,74 @@ class TestOrbitals:
                 assert images == {pr for pr in pairs
                                   if table.index[pr[0] - 1][pr[1] - 1] == here}
                 assert table.labels[here] in images
-                assert table.sizes[here] == len(g.point_stabiliser(a).orbit(b))
+                assert table.sizes[here] == len({x(b) for x in g.elements() if x(a) == a})
             assert list(table.labels) == sorted(table.labels)
 
     def test_write_once(self):
         g = PermGroup.symmetric(4)
         assert g.orbitals() is g.orbitals()
+
+
+def reference_orbitals(g):
+    """The orbital table built from the point stabiliser of the least point
+    r of each orbit: one orbital (r, m) per suborbit of G_r, labelled by its
+    least point m, and the row of each a in the orbit of r read through
+    u^-1 for the transversal element u with u(r) = a.  ``orbitals()`` walks
+    ordered pairs instead and must give the same table."""
+    k = g.degree
+    index = [None] * k
+    labels, sizes = [], []
+    for r in range(1, k + 1):
+        if index[r - 1] is not None:
+            continue
+        stab = g.point_stabiliser(r)
+        at_r = [-1] * k  # at_r[x - 1]: the orbital of (r, x)
+        for m in range(1, k + 1):
+            if at_r[m - 1] >= 0:
+                continue
+            suborbit = orbit(stab, m)
+            for x in suborbit:
+                at_r[x - 1] = len(labels)
+            labels.append((r, m))
+            sizes.append(len(suborbit))
+        for a, u in g._transversal(r).items():
+            index[a - 1] = tuple(at_r[x - 1] for x in u.inverse().images)
+    return Orbitals(tuple(index), tuple(labels), tuple(sizes))
+
+
+@st.composite
+def block_groups(draw):
+    """A group of degree at most 9 with up to three generators, each
+    preserving the blocks {1..split} and {split+1..degree} or, by draw,
+    any permutation; split < degree mostly gives an intransitive group."""
+    degree = draw(st.integers(1, 9))
+    split = draw(st.integers(1, degree))
+    points = list(range(1, degree + 1))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            gens.append(Permutation(draw(st.permutations(points))))
+        else:
+            gens.append(Permutation(draw(st.permutations(points[:split]))
+                                    + draw(st.permutations(points[split:]))))
+    return PermGroup(degree, gens)
+
+
+class TestOrbitalsPinnedToStabiliserConstruction:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_corpus(self, name):
+        g = dict(corpus())[name]
+        assert g.orbitals() == reference_orbitals(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_groups())
+    def test_random_groups(self, g):
+        assert g.orbitals() == reference_orbitals(g)
+
+    @pytest.mark.parametrize("spec", ["sym:32", "alt:32", "sylow:2:sym:32", "sylow:3:sym:27"])
+    def test_large_degree(self, spec):
+        g = parse_group_spec(spec).group
+        assert g.orbitals() == reference_orbitals(g)
 
 
 class TestTransporters:
@@ -380,9 +454,9 @@ class TestTransporters:
         for g in (PermGroup.symmetric(4), PermGroup.alternating(4),
                   PermGroup.dihedral(5)):
             for a in range(1, g.degree + 1):
-                for b in g.orbit(a):
+                for b in orbit(g, a):
                     for c in range(1, g.degree + 1):
-                        assert len(g.transporter_images(a, b, c)) == g.suborbit_size(a, c)
+                        assert len(g.transporter_images(a, b, c)) == suborbit_size(g, a, c)
 
     def test_matches_brute_force(self):
         g = PermGroup.dihedral(4)
@@ -400,7 +474,7 @@ def same_subgroup(h, k):
 
 
 def is_transitive(g):
-    return len(g.orbit(1)) == g.degree
+    return len(orbit(g, 1)) == g.degree
 
 
 def normaliser(g, h):

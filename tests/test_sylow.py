@@ -22,7 +22,7 @@ from treescale.sylow import (SylowBasis, are_permutable,
                              sylow_basis, sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
-from test_perm import normaliser
+from test_perm import normaliser, orbit
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
@@ -285,7 +285,7 @@ class TestSylowOfSymmetric:
     def test_wreath_on_nine(self):
         f = sylow_of_symmetric(9, 3)
         assert f.order() == 81
-        assert len(f.orbit(1)) == f.degree
+        assert len(orbit(f, 1)) == f.degree
 
     @pytest.mark.parametrize("k", range(1, 16))
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
