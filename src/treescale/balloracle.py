@@ -69,8 +69,7 @@ def explicit_sequences(a: AxisData) -> set[tuple[int, ...]]:
     with f_0 fixing the seam colour and each f_i matching the previous image."""
     require_valid(a)
     _check_exhaustive_domain(a)
-    f = a.group
-    elems = f.elements()
+    elems = [g.images for g in a.group.elements()]
     word = list(a.word)
     c0 = a.seam_colour
     n = len(word)
@@ -80,11 +79,10 @@ def explicit_sequences(a: AxisData) -> set[tuple[int, ...]]:
         if i == n:
             seqs.add(prefix)
             return
+        s, t = src - 1, word[i] - 1
         for g in elems:
-            if g(src) != img:
-                continue
-            b = g(word[i])
-            rec(i + 1, word[i], b, prefix + (b,))
+            if g[s] == img:
+                rec(i + 1, word[i], g[t], prefix + (g[t],))
 
     rec(0, c0, c0, ())
     return seqs

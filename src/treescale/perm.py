@@ -372,7 +372,9 @@ class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Values are immutable; the stabiliser chain, order, element list,
-    per-point stabilisers and the orbital table are write-once caches.  So
+    per-point transversals and stabilisers, the orbital table and, for each
+    orbit, the point orbits of the stabiliser of its least point (read by
+    ``transporter_images``) are write-once caches.  So
     are, through ``_memo``, the values derived from the group as a whole:
     ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
     by the derived and lower central series), ``nilpotent_residual``, and
@@ -382,8 +384,8 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
-                 "_element_set", "_stabilisers", "_transversals", "_orbitals",
-                 "_derived")
+                 "_element_set", "_stabilisers", "_transversals", "_suborbits",
+                 "_orbitals", "_derived")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -407,6 +409,7 @@ class PermGroup:
         self._element_set = None
         self._stabilisers = {}
         self._transversals = {}
+        self._suborbits = {}
         self._orbitals = None
         self._derived = {}
 
@@ -550,13 +553,34 @@ class PermGroup:
         return self._orbitals
 
     def transporter_images(self, a: int, b: int, c: int) -> set[int]:
-        """{f(c) : f in G, f(a) = b}; empty iff b is not in the orbit of a."""
+        """{f(c) : f in G, f(a) = b}; empty iff b is not in the orbit of a.
+
+        With r the least point of the orbit of a and u_q = _transversal(r)[q],
+        f(a) = b exactly when f = u_b h u_a^-1 with h in G_r, so the set is
+        u_b applied to the G_r-orbit of u_a^-1(c).  The transversal and the
+        orbits of G_r on points, found by uncached orbit walks under the
+        generators of ``point_stabiliser(r)``, are kept for every point of
+        the orbit: each orbit of G builds one stabiliser, and keeps no
+        transversal of it."""
+        self._check_point(a)
+        self._check_point(b)
         self._check_point(c)
-        trans = self._transversal(a)
+        if a not in self._suborbits:
+            r = min(_orbit_transversal(self.degree, a, self.generators))
+            trans = self._transversal(r)
+            gens = self.point_stabiliser(r).generators
+            orbits: dict[int, list[int]] = {}
+            for x in range(1, self.degree + 1):
+                if x not in orbits:
+                    suborbit = list(_orbit_transversal(self.degree, x, gens))
+                    orbits.update(dict.fromkeys(suborbit, suborbit))
+            self._suborbits.update(dict.fromkeys(trans, (trans, orbits)))
+        trans, orbits = self._suborbits[a]
         if b not in trans:
             return set()
-        t = trans[b].images
-        return {t[x - 1] for x in self.point_stabiliser(a)._transversal(c)}
+        u_b = trans[b].images
+        # the index of c in u_a's images is u_a^-1(c) - 1
+        return {u_b[x - 1] for x in orbits[trans[a].images.index(c) + 1]}
 
     # -- predicates ----------------------------------------------------------
 

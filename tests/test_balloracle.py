@@ -3,10 +3,12 @@
 import pytest
 
 from treescale import balloracle
+from treescale.acceptance import valid_axes
 from treescale.balloracle import (DEPTH_CAP, GROUP_CAP, exhaustive_orbit_count,
                                   explicit_sequences, extended_word, orbit_count)
 from treescale.bmtree import AxisData, require_valid
 from treescale.errors import PreconditionError
+from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation
 
 S3 = PermGroup.symmetric(3)
@@ -113,3 +115,18 @@ def test_sequence_count_matches_orbit_count():
 def test_group_cap_constant_is_honoured():
     assert PermGroup.symmetric(5).order() > GROUP_CAP
     assert DEPTH_CAP == 12
+
+
+@pytest.mark.parametrize("spec, least_points", [
+    ("sym:6", [1]),
+    ("gens:7:(1 2);(3 4 5 6)", [1, 3, 7]),
+    ("gens:6:(1 2);(1 2 3);(4 5 6)", [1, 4]),
+])
+def test_walk_builds_one_stabiliser_per_orbit(spec, least_points):
+    # one transversal and one stabiliser, both at the least point of each
+    # orbit; the stabiliser is read only for its generators
+    f = parse_group_spec(spec).group
+    for a in valid_axes(f, 3):
+        orbit_count(a)
+    assert sorted(f._stabilisers) == sorted(f._transversals) == least_points
+    assert all(not stab._transversals for stab in f._stabilisers.values())

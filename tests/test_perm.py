@@ -5,6 +5,7 @@ which never touches the stabiliser chain.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -459,12 +460,54 @@ class TestTransporters:
                         assert len(g.transporter_images(a, b, c)) == suborbit_size(g, a, c)
 
     def test_matches_brute_force(self):
-        g = PermGroup.dihedral(4)
-        for a in range(1, 5):
-            for b in range(1, 5):
-                for c in range(1, 5):
-                    direct = {f(c) for f in g.elements() if f(a) == b}
-                    assert g.transporter_images(a, b, c) == direct
+        assert_transporters_brute_force(PermGroup.dihedral(4))
+
+    @pytest.mark.parametrize("name", ["two_orbits", "sym3xc3", "c3_with_fixed_points"])
+    def test_intransitive_matches_brute_force(self, name):
+        # orbits whose least point is above 1: {3..6}, {4, 5, 6}, {2, 4, 5}
+        g = {"two_orbits": PermGroup(6, ["(1 2)", "(3 4 5 6)"]),
+             "sym3xc3": dict(corpus())["sym3xc3"],
+             "c3_with_fixed_points": PermGroup(5, ["(2 4 5)"])}[name]
+        assert_transporters_brute_force(g)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_groups_match_brute_force(self, seed):
+        assert_transporters_brute_force(seeded_group(seed))
+
+    @pytest.mark.parametrize("point", [(0, 1, 2), (5, 1, 2), (1, 0, 2), (1, 9, 2),
+                                       (1, 2, 0), (1, 2, 5)])
+    def test_out_of_range_point_raises(self, point):
+        bad = next(x for x in point if not 1 <= x <= 4)
+        with pytest.raises(PreconditionError, match=rf"^point {bad} out of range 1\.\.4$"):
+            PermGroup.symmetric(4).transporter_images(*point)
+
+
+def assert_transporters_brute_force(g):
+    """transporter_images(a, b, c) = {f(c) : f(a) = b} over the elements,
+    for every triple of points, b outside the orbit of a included."""
+    points = range(1, g.degree + 1)
+    for a in points:
+        for b in points:
+            movers = [f for f in g.elements() if f(a) == b]
+            for c in points:
+                assert g.transporter_images(a, b, c) == {f(c) for f in movers}, (a, b, c)
+
+
+def seeded_group(seed):
+    """A group of degree 3 to 7 with one to three generators, each either
+    any permutation or one preserving the blocks {1..split} and
+    {split+1..degree}, so many of these groups are intransitive."""
+    rng = random.Random(seed)
+    degree = rng.randint(3, 7)
+    split = rng.randint(1, degree)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.25:
+            gens.append(Permutation(rng.sample(range(1, degree + 1), degree)))
+        else:
+            gens.append(Permutation(rng.sample(range(1, split + 1), split)
+                                    + rng.sample(range(split + 1, degree + 1), degree - split)))
+    return PermGroup(degree, gens)
 
 
 def same_subgroup(h, k):
