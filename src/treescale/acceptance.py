@@ -365,7 +365,7 @@ def c12_sylow_hall_battery() -> CheckResult:
                 note(f"{name}: O_{p} is not a {p}-group")
             for sub in normals:
                 n = len(sub)
-                if n > 1 and n == p ** valuation(n, p) and not sub <= cset:
+                if n > 1 and n == p ** valuation(n, p) and not {x.images for x in sub} <= cset:
                     note(f"{name}: normal {p}-subgroup of order {n} outside O_{p}")
         basis = sylow.sylow_basis(g)
         bad = basis.violations()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import EnumerationBoundError, ParseError, PreconditionError
@@ -131,14 +132,10 @@ class Permutation:
         return Permutation._of(tuple(inv))
 
     def conjugate(self, x: "Permutation") -> "Permutation":
-        """x * self * x^-1 in one pass: it maps x(i) to x(self(i))."""
-        xs = x.images
-        if len(self.images) != len(xs):
+        """x * self * x^-1."""
+        if len(self.images) != len(x.images):
             raise PreconditionError("degree mismatch in conjugation")
-        out = [0] * len(xs)
-        for xi, img in zip(xs, self.images):
-            out[xi - 1] = xs[img - 1]
-        return Permutation._of(tuple(out))
+        return Permutation._of(conjugate_images(self.images, x.images))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -203,9 +200,19 @@ class Permutation:
         return self.images < other.images
 
 
-def commutator(a: Permutation, b: Permutation) -> Permutation:
-    """[a, b] = a^-1 b^-1 a b."""
-    return a.inverse() * b.inverse() * a * b
+def conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of x y x^-1 from those of y and x, in one pass: it
+    maps x(i) to x(y(i))."""
+    out = [0] * len(x)
+    for xi, img in zip(x, y):
+        out[xi - 1] = x[img - 1]
+    return tuple(out)
+
+
+def right_multiplier(x: tuple[int, ...]) -> itemgetter:
+    """The map h -> h x on image tuples of degree at least 2, for the image
+    tuple x of x."""
+    return itemgetter(*[q - 1 for q in x])
 
 
 def _orbit_transversal(degree: int, point: int, gens) -> dict[int, Permutation]:
@@ -279,18 +286,34 @@ class _Chain:
         self.inverses: list[_InverseImages | None] = [None] * degree
         for g in generators:  # distinct and nontrivial, as PermGroup keeps them
             self.level_gens[g.min_moved() - 1].append(g)
-        i = degree - 1
+        self._complete(degree - 1)
+
+    def add(self, g: Permutation) -> bool:
+        """Extend the group by g in place: sift g, place the residue at the
+        level of its least moved point and complete the chain from there.
+        False, with nothing changed, when g is already a member."""
+        residue = self._sift_from(0, g)
+        if residue is None:
+            return False
+        j = residue.min_moved() - 1
+        self.level_gens[j].append(residue)
+        self._complete(j)
+        return True
+
+    def _complete(self, i: int) -> None:
+        """Build levels i, i-1, ..., 0 over the complete deeper levels,
+        climbing back to the level of each new strong generator."""
         while i >= 0:
             added_at = None
             if self.level_gens[i]:
                 gens = self._gens_from(i)
-                trans = self.orbits[i] = _orbit_transversal(degree, i + 1, gens)
+                trans = self.orbits[i] = _orbit_transversal(self.degree, i + 1, gens)
                 self.inverses[i] = _InverseImages(trans)
                 added_at = self._verify_level(i, gens)
             else:
                 # Without generators of its own a level has orbit {i+1}, and
                 # its Schreier generators are the deeper strong generators.
-                self.orbits[i] = {i + 1: Permutation.identity(degree)}
+                self.orbits[i] = {i + 1: Permutation.identity(self.degree)}
             i = i - 1 if added_at is None else added_at
 
     def _gens_from(self, i: int) -> list[Permutation]:
@@ -340,15 +363,14 @@ class _Chain:
         return n
 
     def elements(self) -> list[tuple[int, ...]]:
-        """The image tuples of every element, composed level by level as
-        t_1 t_2 ... t_k with t_i from level i's transversal; unsorted."""
+        """The image tuples of every element, unsorted: the products
+        u_k ... u_2 u_1, u_i the inverse of an element of level i's
+        transversal, are the inverses of the products t_1 t_2 ... t_k."""
         result = [_IDENTITY[self.degree]]
         for i in range(self.degree - 1, -1, -1):
-            trans = self.orbits[i]
-            if len(trans) == 1:
-                continue
-            result = [tuple([t[x - 1] for x in h])
-                      for t in [trans[pt].images for pt in sorted(trans)] for h in result]
+            if len(self.orbits[i]) > 1:
+                times = [right_multiplier(self.inverses[i][pt]) for pt in self.orbits[i]]
+                result = [by_u(h) for by_u in times for h in result]
         return result
 
 
@@ -421,12 +443,19 @@ class PermGroup:
 
     @classmethod
     def _with_element_set(cls, degree: int, generators,
-                          elements: frozenset[Permutation]) -> "PermGroup":
-        """The group generated by generators, whose element set is already
+                          elements: frozenset[tuple[int, ...]]) -> "PermGroup":
+        """The group generated by generators, whose image tuples are already
         known to be elements; its order and element set start filled in."""
         group = cls(degree, generators)
         group._element_set = elements
         group._order = len(elements)
+        return group
+
+    @classmethod
+    def _with_chain(cls, degree: int, generators, chain: _Chain) -> "PermGroup":
+        """The group generated by generators, whose chain is chain."""
+        group = cls(degree, generators)
+        group._chain = chain
         return group
 
     @classmethod
@@ -442,7 +471,9 @@ class PermGroup:
     def alternating(cls, k: int) -> "PermGroup":
         if k < 3:
             return cls.trivial(max(k, 1))
-        return cls(k, [Permutation.from_cycles(k, [[1, 2, i]]) for i in range(3, k + 1)])
+        # (1 2 3) and the long cycle of odd length: (1 ... k) or (2 ... k)
+        return cls(k, [Permutation.from_cycles(k, [[1, 2, 3]]),
+                       Permutation.from_cycles(k, [range(2 - k % 2, k + 1)])])
 
     @classmethod
     def cyclic(cls, k: int) -> "PermGroup":
@@ -493,9 +524,10 @@ class PermGroup:
             self._elements = tuple(map(Permutation._of, sorted(self.chain().elements())))
         return self._elements
 
-    def element_set(self) -> frozenset[Permutation]:
+    def element_set(self) -> frozenset[tuple[int, ...]]:
+        """The image tuples of all elements."""
         if self._element_set is None:
-            self._element_set = frozenset(self.elements())
+            self._element_set = frozenset(x.images for x in self.elements())
         return self._element_set
 
     # -- orbits and stabilisers --------------------------------------------
@@ -608,21 +640,19 @@ class PermGroup:
         pairs = list(pairs)
         if any(h.order() != k.order() for h, k in pairs):
             return
-        checks = [(h.generators, k.element_set()) for h, k in pairs]
+        checks = [([y.images for y in h.generators], k.element_set()) for h, k in pairs]
         for x in self.elements():
-            if all(y.conjugate(x) in kset for gens, kset in checks for y in gens):
+            xs = x.images
+            if all(conjugate_images(y, xs) in kset for gens, kset in checks for y in gens):
                 yield x
 
 
 def spanning_generators(degree: int, elements) -> list[Permutation]:
-    """Greedy small generating set for the subgroup the elements generate."""
-    gens: list[Permutation] = []
-    group = PermGroup.trivial(degree)
-    for x in elements:
-        if x not in group:
-            gens.append(x)
-            group = PermGroup(degree, gens)
-    return gens
+    """Greedy small generating set for the subgroup the elements generate:
+    each element outside the group of those taken before it, found on one
+    chain extended in place."""
+    chain = PermGroup.trivial(degree).chain()
+    return [x for x in elements if chain.add(x)]
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
@@ -643,19 +673,20 @@ def generated(groups) -> PermGroup:
 def normal_closure(g: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and normalised by G."""
     closure = PermGroup(g.degree, seeds)
+    chain = closure.chain()
     gens = list(closure.generators)
     for x in gens:  # the growing list is the breadth-first queue
         for c in g.generators:
             y = x.conjugate(c)
-            if y not in closure:
+            if chain.add(y):
                 gens.append(y)
-                closure = PermGroup(g.degree, gens)
-    return closure
+    return PermGroup._with_chain(g.degree, gens, chain)
 
 
 def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
     """[G, H] for H <= G, as a normal closure in G."""
-    comms = [commutator(a, b) for a in g.generators for b in h.generators]
+    # the commutators [a, b] = a^-1 b^-1 a b of the generators
+    comms = [a.inverse() * b.inverse() * a * b for a in g.generators for b in h.generators]
     return normal_closure(g, comms)
 
 

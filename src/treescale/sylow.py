@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .perm import (PermGroup, Permutation, generated, is_subgroup,
-                   nilpotent_residual, normal_closure, spanning_generators)
+from .perm import (PermGroup, Permutation, conjugate_images, generated, is_subgroup,
+                   nilpotent_residual, normal_closure, right_multiplier,
+                   spanning_generators)
 from .supernat import is_prime, prime_factors, valuation
 
 
@@ -36,7 +37,7 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     multiplies the order by exactly p, as <H, x> is the union of the cosets
     H x^i for i < p, so the steps grow an element set by multiplication and
     only the result is built as a ``PermGroup``, its element set and order
-    already known.  Such an element exists while H is not Sylow, since H is
+    already known.  The scan and the cosets work on image tuples.  Such an element exists while H is not Sylow, since H is
     then a proper normal subgroup of a p-subgroup of its normaliser.
     """
     _require_prime(p)
@@ -50,18 +51,31 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
 def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     target = p_part_of_order(g, p)
     gens = list(start.generators)
-    members = start.element_set()
+    members = set(start.element_set())
     while len(members) < target:
-        # pow(p, o, o) == 0 exactly when the order o is a power of p
+        images = [y.images for y in gens]
+        # x^p in the p-group H gives x p-power order
         grown = next((x for x in g.elements()
-                      if x not in members and all(y.conjugate(x) in members for y in gens)
-                      and pow(p, o := x.order(), o) == 0 and x ** p in members), None)
+                      if (xs := x.images) not in members
+                      and all(conjugate_images(y, xs) in members for y in images)
+                      and _power(xs, p) in members), None)
         if grown is None:
             raise RuntimeError("Sylow growth step found no witness; this is a bug")
         gens.append(grown)
-        powers = [grown ** i for i in range(1, p)]
-        members = members | {h * x for x in powers for h in members}
-    return PermGroup._with_element_set(g.degree, gens, members)
+        times = right_multiplier(grown.images)
+        coset = members
+        for _ in range(p - 1):
+            coset = {times(h) for h in coset}  # H x^i from H x^(i-1)
+            members |= coset
+    return PermGroup._with_element_set(g.degree, gens, frozenset(members))
+
+
+def _power(xs: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The image tuple of x^n, n >= 1, from that of x."""
+    times, power = right_multiplier(xs), xs
+    for _ in range(n - 1):
+        power = times(power)
+    return power
 
 
 def sylow_of_symmetric(k: int, p: int) -> PermGroup:
@@ -118,12 +132,13 @@ def _p_core(g: PermGroup, p: int) -> PermGroup:
     while True:
         before = len(members)
         for x in g.generators:
-            members = members & {y.conjugate(x) for y in members}
+            members = members & {conjugate_images(y, x.images) for y in members}
         if len(members) == before:
             break
     if len(members) == sylow.order():
         return sylow
-    return PermGroup(g.degree, spanning_generators(g.degree, sorted(members)))
+    return PermGroup(g.degree, spanning_generators(
+        g.degree, map(Permutation._of, sorted(members))))
 
 
 def pi_core(g: PermGroup, pi) -> PermGroup:
@@ -132,33 +147,37 @@ def pi_core(g: PermGroup, pi) -> PermGroup:
     An element belongs to it exactly when its normal closure is a pi-group,
     so the core is generated by all such elements.  No closure is built for
     an element whose order is not a pi-number, nor for a conjugate of an
-    element whose closure failed: its closure is the same.
+    element whose closure failed: its closure is the same.  The core grows
+    on one chain, extended in place.
     """
     pi = frozenset(pi)
     for p in pi:
         _require_prime(p)
-    core = PermGroup.trivial(g.degree)
-    failed: set[Permutation] = set()
+    chain = PermGroup.trivial(g.degree).chain()
+    gens: list[Permutation] = []
+    failed: set[tuple[int, ...]] = set()
     for x in g.elements():
-        if (x.is_identity() or x in failed or not set(prime_factors(x.order())) <= pi
-                or x in core):
+        if (x.is_identity() or x.images in failed
+                or not set(prime_factors(x.order())) <= pi or chain.contains(x)):
             continue
         closure = normal_closure(g, [x])
         if set(prime_factors(closure.order())) <= pi:
-            core = PermGroup(g.degree, core.generators + (x,))
+            chain.add(x)
+            gens.append(x)
         else:
-            failed |= _conjugacy_class(g, x)
-    return core
+            failed |= _conjugacy_class(g, x.images)
+    return PermGroup._with_chain(g.degree, gens, chain)
 
 
-def _conjugacy_class(g: PermGroup, x: Permutation) -> set[Permutation]:
-    """The conjugates of x by g, closed under the generators' conjugation."""
+def _conjugacy_class(g: PermGroup, x: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The image tuples of the conjugates of x by g, closed under the
+    generators' conjugation."""
     found = {x}
     frontier = [x]
     while frontier:
         y = frontier.pop()
         for c in g.generators:
-            z = y.conjugate(c)
+            z = conjugate_images(y, c.images)
             if z not in found:
                 found.add(z)
                 frontier.append(z)

@@ -39,7 +39,7 @@ def test_membership_agrees_with_enumeration():
             images = list(range(1, g.degree + 1))
             rng.shuffle(images)
             candidate = Permutation(images)
-            assert (candidate in g) == (candidate in elems), name
+            assert (candidate in g) == (candidate.images in elems), name
 
 
 def test_element_count_equals_order_on_random_groups():
