@@ -137,18 +137,6 @@ class Permutation:
             raise PreconditionError("degree mismatch in conjugation")
         return Permutation._of(conjugate_images(self.images, x.images))
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(len(self.images))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return self.images == _IDENTITY[len(self.images)]
 
@@ -393,8 +381,9 @@ class Orbitals(NamedTuple):
 class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
-    Values are immutable; the stabiliser chain, order, element list,
-    per-point transversals and stabilisers, the orbital table and, for each
+    Values are immutable; the stabiliser chain, order, element list, the
+    element set (of image tuples), per-point transversals and stabilisers,
+    the orbital table and, for each
     orbit, the point orbits of the stabiliser of its least point (read by
     ``transporter_images``) are write-once caches.  So
     are, through ``_memo``, the values derived from the group as a whole:

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from treescale.perm import PermGroup, Permutation
+from treescale.perm import PermGroup, Permutation, _Chain
 from treescale.sylow import corpus
 
 from test_bmtree import small_groups
@@ -79,3 +79,43 @@ def test_corpus_elements_in_canonical_order(name):
 @given(small_groups())
 def test_random_group_elements_in_canonical_order(g):
     assert_listed_in_canonical_order(g)
+
+
+def assert_extension_matches_fresh(degree, gens, rng):
+    """A chain of the first generator extended by the others through
+    ``_Chain.add`` has the order, basic orbits, membership and elements of
+    a chain built afresh on all of them; add reports an element as new
+    exactly when the ones before it do not generate it."""
+    gens = PermGroup(degree, gens).generators
+    extended = PermGroup(degree, gens[:1]).chain()
+    for i, g in enumerate(gens[1:], 1):
+        assert extended.add(g) == (g not in PermGroup(degree, gens[:i]))
+        assert not extended.add(g)
+    fresh = _Chain(degree, gens)
+    assert extended.order() == fresh.order()
+    assert [set(level) for level in extended.orbits] == [set(level) for level in fresh.orbits]
+    assert sorted(extended.elements()) == sorted(fresh.elements())
+    assert set(extended.elements()) == brute_force_elements(degree, gens)
+    for _ in range(20):
+        images = list(range(1, degree + 1))
+        rng.shuffle(images)
+        candidate = Permutation(images)
+        assert extended.contains(candidate) == fresh.contains(candidate)
+
+
+def test_extended_chain_matches_fresh_chain_on_random_groups():
+    rng = random.Random(29)
+    for degree, gens in random_generator_sets(seed=31, count=40):
+        assert_extension_matches_fresh(degree, gens, rng)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_extended_chain_matches_fresh_chain_on_corpus(name):
+    g = dict(corpus())[name]
+    assert_extension_matches_fresh(g.degree, g.generators[::-1], random.Random(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_groups())
+def test_extended_chain_matches_fresh_chain_on_intransitive_groups(g):
+    assert_extension_matches_fresh(g.degree, g.generators, random.Random(5))

@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treescale import perm
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
@@ -16,7 +16,7 @@ from treescale.groupspec import parse_group_spec
 from treescale.perm import (Orbitals, PermGroup, Permutation,
                             _orbit_transversal, commutator_subgroup,
                             generated, is_subgroup, lower_central_series,
-                            nilpotent_residual, normal_closure,
+                            nilpotent_residual, normal_closure, right_multiplier,
                             spanning_generators)
 from treescale.sylow import corpus, sylow_of_symmetric
 
@@ -151,10 +151,11 @@ class TestKernel:
         p, = case
         assert_built_as(Permutation(p).inverse(), tuple_inverse(p))
 
-    @given(kernel_cases(1), st.integers(-7, 7))
-    def test_power(self, case, n):
-        p, = case
-        assert_built_as(Permutation(p) ** n, tuple_power(p, n))
+    @given(kernel_cases(2))
+    def test_right_multiplier(self, case):
+        p, q = case
+        assume(len(p) > 1)
+        assert right_multiplier(q)(p) == tuple_product(p, q)
 
     @given(kernel_cases(2))
     def test_conjugate(self, case):

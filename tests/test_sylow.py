@@ -22,7 +22,7 @@ from treescale.sylow import (SylowBasis, are_permutable,
                              sylow_basis, sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
-from test_perm import normaliser, orbit
+from test_perm import normaliser, orbit, tuple_power
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
@@ -131,7 +131,7 @@ def reference_sylow(g, p, start=None):
         cur_set = current.element_set()
         grown = next(x for x in normaliser(g, current).elements()
                      if x.images not in cur_set and x.order() == p ** valuation(x.order(), p)
-                     and (x ** p).images in cur_set)
+                     and tuple_power(x.images, p) in cur_set)
         current = PermGroup(g.degree, list(current.generators) + [grown])
     return current
 
@@ -163,7 +163,7 @@ def p_subgroup_of(g, p, index):
     """The cyclic group of the p-part of the index-th element of g."""
     x = g.elements()[index % g.order()]
     o = x.order()
-    return PermGroup(g.degree, [x ** (o // p ** valuation(o, p))])
+    return PermGroup(g.degree, [Permutation(tuple_power(x.images, o // p ** valuation(o, p)))])
 
 
 small_groups = st.integers(1, 6).flatmap(lambda d: st.lists(
@@ -195,10 +195,11 @@ class TestPinnedToNormaliserScan:
 
 def assert_filled_in_as_built(g, s):
     """The growth fills in s's element set and order without a chain, and
-    they are those of the group its generators generate."""
+    they are the image tuples and order of the group its generators
+    generate."""
     assert s._chain is None
     built = PermGroup(g.degree, s.generators)
-    assert s.element_set() == built.element_set()
+    assert s.element_set() == frozenset(x.images for x in built.elements())
     assert s.order() == built.order()
 
 
@@ -219,6 +220,14 @@ class TestGrowthOnElementSets:
         assert s.order() == g.order()
         assert_filled_in_as_built(g, s)
 
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_p_core_element_set(self, name):
+        g = GROUPS[name]
+        for p in prime_factors(g.order()):
+            core = p_core(g, p)
+            built = PermGroup(g.degree, core.generators)
+            assert core.element_set() == frozenset(x.images for x in built.elements())
+
     def test_no_chain_per_p_step(self, monkeypatch):
         g = parse_group_spec("sylow:2:sym:12").group
         built = []
@@ -235,18 +244,85 @@ class TestGrowthOnElementSets:
         assert len(built) <= 2
 
 
+def rebuilt_spanning_generators(degree, elements):
+    """The greedy generating set, with a new group built for every element
+    taken; ``spanning_generators`` must take the same elements."""
+    gens = []
+    group = PermGroup.trivial(degree)
+    for x in elements:
+        if x not in group:
+            gens.append(x)
+            group = PermGroup(degree, gens)
+    return gens
+
+
+def rebuilt_normal_closure(g, seeds):
+    """The normal closure, with a new group built for every conjugate
+    taken; ``normal_closure`` must take the same conjugates."""
+    closure = PermGroup(g.degree, seeds)
+    gens = list(closure.generators)
+    for x in gens:
+        for c in g.generators:
+            y = x.conjugate(c)
+            if y not in closure:
+                gens.append(y)
+                closure = PermGroup(g.degree, gens)
+    return closure
+
+
 def reference_pi_core(g, pi):
-    """The closure of every element not yet in the core, none skipped;
-    ``pi_core`` must give the same generators."""
+    """The closure of every element not yet in the core, none skipped, and
+    a new group built for every element taken; ``pi_core`` must give the
+    same generators."""
     members = []
     core = PermGroup.trivial(g.degree)
     for x in g.elements():
         if x.is_identity() or x in core:
             continue
-        if set(prime_factors(normal_closure(g, [x]).order())) <= set(pi):
+        if set(prime_factors(rebuilt_normal_closure(g, [x]).order())) <= set(pi):
             members.append(x)
-            core = PermGroup(g.degree, spanning_generators(g.degree, members))
+            core = PermGroup(g.degree, rebuilt_spanning_generators(g.degree, members))
     return core
+
+
+def assert_closures_pinned(g):
+    """normal_closure and spanning_generators, which extend one chain, take
+    the generators that rebuilding a group per element taken takes."""
+    elements = g.elements()
+    for x in elements[::max(1, len(elements) // 10)]:
+        assert normal_closure(g, [x]).generators == rebuilt_normal_closure(g, [x]).generators
+    comms = [a.inverse() * b.inverse() * a * b for a in g.generators for b in g.generators]
+    assert normal_closure(g, comms).generators == rebuilt_normal_closure(g, comms).generators
+    for picked in (elements, elements[::-1], elements[1::3]):
+        assert (spanning_generators(g.degree, picked)
+                == rebuilt_spanning_generators(g.degree, picked))
+
+
+class TestClosuresPinnedToRebuilding:
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_named_groups(self, name):
+        assert_closures_pinned(GROUPS[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups)
+    def test_random_groups(self, g):
+        assert_closures_pinned(g)
+
+    def test_one_chain_per_closure(self, monkeypatch):
+        g = PermGroup.symmetric(6)
+        g.elements()
+        built = []
+        original = perm._Chain.__init__
+
+        def counting(chain, *args):
+            built.append(chain)
+            original(chain, *args)
+
+        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        closure = normal_closure(g, [Permutation.parse("(1 2 3)", 6)])
+        assert closure.order() == 360 and len(built) == 1
+        spanning_generators(6, g.elements())
+        assert len(built) == 2
 
 
 PRIME_SETS = ({2}, {3}, {2, 3}, {5}, {2, 5})

@@ -4,14 +4,15 @@ orders, cycles and conjugates; group orders, orbits, point stabilisers,
 solubility, nilpotency, Sylow orders, derived-series lengths,
 lower-central-series orders, and the normality of p-cores and the Fitting
 subgroup; stabiliser-chain orders, bases and membership on structured
-generator sets.  Skipped when sympy is absent."""
+generator sets, and the orders and elements of chains extended in place,
+and normal-closure orders.  Skipped when sympy is absent."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subgroup,
-                            lower_central_series)
+                            lower_central_series, normal_closure)
 from treescale.supernat import prime_factors
 from treescale.sylow import fitting, p_core, sylow_subgroup
 
@@ -135,6 +136,29 @@ def test_chain_agrees_with_sympy_on_structured_generators(case, rng):
         rng.shuffle(images)
         other = Permutation(images)
         assert (other in ours) == theirs.contains(sympy_permutation(other))
+
+
+@settings(max_examples=100, deadline=None)
+@given(structured_generators())
+def test_extended_chain_agrees_with_sympy(case):
+    degree, gens = case
+    chain = PermGroup(degree, gens[-1:]).chain()
+    for g in gens:
+        chain.add(g)
+    theirs = sympy_group(degree, [g.images for g in gens])
+    assert chain.order() == theirs.order()
+    assert set(chain.elements()) == {images_of(x) for x in theirs.generate()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens_specs(), st.integers(0, 5039))
+def test_normal_closure_agrees_with_sympy(case, index):
+    spec, degree, images = case
+    ours = parse_group_spec(spec).group
+    seed = ours.elements()[index % ours.order()]
+    theirs = sympy_group(degree, images)
+    expected = theirs.normal_closure(sympy_permutation(seed)).order()
+    assert normal_closure(ours, [seed]).order() == expected
 
 
 def derived_length(group):
