@@ -135,7 +135,7 @@ class Permutation:
         """x * self * x^-1."""
         if len(self.images) != len(x.images):
             raise PreconditionError("degree mismatch in conjugation")
-        return Permutation._of(conjugate_images(self.images, x.images))
+        return Permutation._of(_conjugate_images(self.images, x.images))
 
     def is_identity(self) -> bool:
         return self.images == _IDENTITY[len(self.images)]
@@ -188,7 +188,7 @@ class Permutation:
         return self.images < other.images
 
 
-def conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+def _conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
     """The image tuple of x y x^-1 from those of y and x, in one pass: it
     maps x(i) to x(y(i))."""
     out = [0] * len(x)
@@ -197,7 +197,7 @@ def conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def right_multiplier(x: tuple[int, ...]) -> itemgetter:
+def _right_multiplier(x: tuple[int, ...]) -> itemgetter:
     """The map h -> h x on image tuples of degree at least 2, for the image
     tuple x of x."""
     return itemgetter(*[q - 1 for q in x])
@@ -357,7 +357,7 @@ class _Chain:
         result = [_IDENTITY[self.degree]]
         for i in range(self.degree - 1, -1, -1):
             if len(self.orbits[i]) > 1:
-                times = [right_multiplier(self.inverses[i][pt]) for pt in self.orbits[i]]
+                times = [_right_multiplier(self.inverses[i][pt]) for pt in self.orbits[i]]
                 result = [by_u(h) for by_u in times for h in result]
         return result
 
@@ -632,7 +632,7 @@ class PermGroup:
         checks = [([y.images for y in h.generators], k.element_set()) for h, k in pairs]
         for x in self.elements():
             xs = x.images
-            if all(conjugate_images(y, xs) in kset for gens, kset in checks for y in gens):
+            if all(_conjugate_images(y, xs) in kset for gens, kset in checks for y in gens):
                 yield x
 
 

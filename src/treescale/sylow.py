@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .perm import (PermGroup, Permutation, conjugate_images, generated, is_subgroup,
-                   nilpotent_residual, normal_closure, right_multiplier,
+from .perm import (PermGroup, Permutation, _conjugate_images, _right_multiplier,
+                   generated, is_subgroup, nilpotent_residual, normal_closure,
                    spanning_generators)
 from .supernat import is_prime, prime_factors, valuation
 
@@ -32,13 +32,14 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     cached on g, write-once per prime.
 
     At each step the elements of g are scanned in canonical element order
-    for the first one outside the current p-subgroup H that normalises H,
-    has p-power order and has its p-th power in H.  Adjoining such an x
-    multiplies the order by exactly p, as <H, x> is the union of the cosets
-    H x^i for i < p, so the steps grow an element set by multiplication and
-    only the result is built as a ``PermGroup``, its element set and order
-    already known.  The scan and the cosets work on image tuples.  Such an element exists while H is not Sylow, since H is
-    then a proper normal subgroup of a p-subgroup of its normaliser.
+    for the first one outside the current p-subgroup H that normalises H
+    and has its p-th power in H, which gives it p-power order.  Adjoining
+    such an x multiplies the order by exactly p, as <H, x> is the union of
+    the cosets H x^i for i < p, so the steps grow a set of image tuples by
+    multiplication and only the result is built as a ``PermGroup``, its
+    element set and order already known.  Such an element exists while H
+    is not Sylow, since H is then a proper normal subgroup of a p-subgroup
+    of its normaliser.
     """
     _require_prime(p)
     if start is None:
@@ -54,15 +55,14 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     members = set(start.element_set())
     while len(members) < target:
         images = [y.images for y in gens]
-        # x^p in the p-group H gives x p-power order
         grown = next((x for x in g.elements()
                       if (xs := x.images) not in members
-                      and all(conjugate_images(y, xs) in members for y in images)
+                      and all(_conjugate_images(y, xs) in members for y in images)
                       and _power(xs, p) in members), None)
         if grown is None:
             raise RuntimeError("Sylow growth step found no witness; this is a bug")
         gens.append(grown)
-        times = right_multiplier(grown.images)
+        times = _right_multiplier(grown.images)
         coset = members
         for _ in range(p - 1):
             coset = {times(h) for h in coset}  # H x^i from H x^(i-1)
@@ -72,7 +72,7 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
 
 def _power(xs: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The image tuple of x^n, n >= 1, from that of x."""
-    times, power = right_multiplier(xs), xs
+    times, power = _right_multiplier(xs), xs
     for _ in range(n - 1):
         power = times(power)
     return power
@@ -132,7 +132,7 @@ def _p_core(g: PermGroup, p: int) -> PermGroup:
     while True:
         before = len(members)
         for x in g.generators:
-            members = members & {conjugate_images(y, x.images) for y in members}
+            members = members & {_conjugate_images(y, x.images) for y in members}
         if len(members) == before:
             break
     if len(members) == sylow.order():
@@ -177,7 +177,7 @@ def _conjugacy_class(g: PermGroup, x: tuple[int, ...]) -> set[tuple[int, ...]]:
     while frontier:
         y = frontier.pop()
         for c in g.generators:
-            z = conjugate_images(y, c.images)
+            z = _conjugate_images(y, c.images)
             if z not in found:
                 found.add(z)
                 frontier.append(z)

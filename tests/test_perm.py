@@ -14,10 +14,10 @@ from treescale import perm
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (Orbitals, PermGroup, Permutation,
-                            _orbit_transversal, commutator_subgroup,
-                            generated, is_subgroup, lower_central_series,
-                            nilpotent_residual, normal_closure, right_multiplier,
-                            spanning_generators)
+                            _orbit_transversal, _right_multiplier,
+                            commutator_subgroup, generated, is_subgroup,
+                            lower_central_series, nilpotent_residual,
+                            normal_closure, spanning_generators)
 from treescale.sylow import corpus, sylow_of_symmetric
 
 
@@ -155,7 +155,7 @@ class TestKernel:
     def test_right_multiplier(self, case):
         p, q = case
         assume(len(p) > 1)
-        assert right_multiplier(q)(p) == tuple_product(p, q)
+        assert _right_multiplier(q)(p) == tuple_product(p, q)
 
     @given(kernel_cases(2))
     def test_conjugate(self, case):
