@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import EnumerationBoundError, ParseError, PreconditionError
@@ -197,12 +196,6 @@ def _conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]
     return tuple(out)
 
 
-def _right_multiplier(x: tuple[int, ...]) -> itemgetter:
-    """The map h -> h x on image tuples of degree at least 2, for the image
-    tuple x of x."""
-    return itemgetter(*[q - 1 for q in x])
-
-
 def _orbit_transversal(degree: int, point: int, gens) -> dict[int, Permutation]:
     """Breadth-first orbit of point under gens: maps each q in the orbit to
     a product u of generators with u(point) = q."""
@@ -351,14 +344,15 @@ class _Chain:
         return n
 
     def elements(self) -> list[tuple[int, ...]]:
-        """The image tuples of every element, unsorted: the products
-        u_k ... u_2 u_1, u_i the inverse of an element of level i's
-        transversal, are the inverses of the products t_1 t_2 ... t_k."""
+        """The image tuples of every element, composed level by level as
+        t_1 t_2 ... t_k with t_i from level i's transversal; unsorted."""
         result = [_IDENTITY[self.degree]]
         for i in range(self.degree - 1, -1, -1):
-            if len(self.orbits[i]) > 1:
-                times = [_right_multiplier(self.inverses[i][pt]) for pt in self.orbits[i]]
-                result = [by_u(h) for by_u in times for h in result]
+            trans = self.orbits[i]
+            if len(trans) == 1:
+                continue
+            result = [tuple([t[x - 1] for x in h])
+                      for t in [trans[pt].images for pt in sorted(trans)] for h in result]
         return result
 
 

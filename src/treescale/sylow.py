@@ -9,11 +9,11 @@ increasing order, the first conjugate that fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import PreconditionError
-from .perm import (PermGroup, Permutation, _conjugate_images, _right_multiplier,
-                   generated, is_subgroup, nilpotent_residual, normal_closure,
-                   spanning_generators)
+from .perm import (PermGroup, Permutation, _conjugate_images, generated, is_subgroup,
+                   nilpotent_residual, normal_closure, spanning_generators)
 from .supernat import is_prime, prime_factors, valuation
 
 
@@ -62,7 +62,7 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
         if grown is None:
             raise RuntimeError("Sylow growth step found no witness; this is a bug")
         gens.append(grown)
-        times = _right_multiplier(grown.images)
+        times = _times(grown.images)
         coset = members
         for _ in range(p - 1):
             coset = {times(h) for h in coset}  # H x^i from H x^(i-1)
@@ -70,9 +70,15 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     return PermGroup._with_element_set(g.degree, gens, frozenset(members))
 
 
+def _times(xs: tuple[int, ...]) -> itemgetter:
+    """The map h -> h x on image tuples, xs that of x; for degree at least
+    2, which every group with a nontrivial p-subgroup has."""
+    return itemgetter(*[q - 1 for q in xs])
+
+
 def _power(xs: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The image tuple of x^n, n >= 1, from that of x."""
-    times, power = _right_multiplier(xs), xs
+    times, power = _times(xs), xs
     for _ in range(n - 1):
         power = times(power)
     return power

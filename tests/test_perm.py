@@ -8,16 +8,16 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treescale import perm
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (Orbitals, PermGroup, Permutation,
-                            _orbit_transversal, _right_multiplier,
-                            commutator_subgroup, generated, is_subgroup,
-                            lower_central_series, nilpotent_residual,
-                            normal_closure, spanning_generators)
+                            _orbit_transversal, commutator_subgroup,
+                            generated, is_subgroup, lower_central_series,
+                            nilpotent_residual, normal_closure,
+                            spanning_generators)
 from treescale.sylow import corpus, sylow_of_symmetric
 
 
@@ -150,12 +150,6 @@ class TestKernel:
     def test_inverse(self, case):
         p, = case
         assert_built_as(Permutation(p).inverse(), tuple_inverse(p))
-
-    @given(kernel_cases(2))
-    def test_right_multiplier(self, case):
-        p, q = case
-        assume(len(p) > 1)
-        assert _right_multiplier(q)(p) == tuple_product(p, q)
 
     @given(kernel_cases(2))
     def test_conjugate(self, case):
