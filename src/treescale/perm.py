@@ -668,8 +668,9 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
 
 def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
     """[G, H] for H <= G, as a normal closure in G."""
-    # the commutators [a, b] = a^-1 b^-1 a b of the generators
-    comms = [a.inverse() * b.inverse() * a * b for a in g.generators for b in h.generators]
+    # the commutators [a, b] = a^-1 (b^-1 a b) of the generators
+    h_inverses = [b.inverse() for b in h.generators]
+    comms = [a.inverse() * a.conjugate(b_inv) for a in g.generators for b_inv in h_inverses]
     return normal_closure(g, comms)
 
 

@@ -55,10 +55,10 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     members = set(start.element_set())
     while len(members) < target:
         images = [y.images for y in gens]
+        # the p-th power test first: it rejects more candidates
         grown = next((x for x in g.elements()
-                      if (xs := x.images) not in members
-                      and all(_conjugate_images(y, xs) in members for y in images)
-                      and _power(xs, p) in members), None)
+                      if (xs := x.images) not in members and _power(xs, p) in members
+                      and all(_conjugate_images(y, xs) in members for y in images)), None)
         if grown is None:
             raise RuntimeError("Sylow growth step found no witness; this is a bug")
         gens.append(grown)
