@@ -377,9 +377,9 @@ class PermGroup:
 
     Values are immutable; the stabiliser chain, order, element list, the
     element set (of image tuples), per-point transversals and stabilisers,
-    the orbital table and, for each
-    orbit, the point orbits of the stabiliser of its least point (read by
-    ``transporter_images``) are write-once caches.  So
+    the orbital table and, for each orbit, the point orbits of the
+    stabiliser of its least point (read by ``transporter_images``) are
+    write-once caches.  So
     are, through ``_memo``, the values derived from the group as a whole:
     ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
     by the derived and lower central series), ``nilpotent_residual``, and
