@@ -273,6 +273,9 @@ class _Chain:
         """Extend the group by g in place: sift g, place the residue at the
         level of its least moved point and complete the chain from there.
         False, with nothing changed, when g is already a member."""
+        if g.degree != self.degree:
+            raise PreconditionError(
+                f"generator degree {g.degree} does not match group degree {self.degree}")
         residue = self._sift_from(0, g)
         if residue is None:
             return False

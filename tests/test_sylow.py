@@ -308,6 +308,11 @@ class TestClosuresPinnedToRebuilding:
     def test_random_groups(self, g):
         assert_closures_pinned(g)
 
+    def test_degree_mismatch_is_refused(self):
+        for x in (Permutation.identity(2), Permutation.parse("(1 2)", 4)):
+            with pytest.raises(PreconditionError):
+                spanning_generators(3, [x])
+
     def test_one_chain_per_closure(self, monkeypatch):
         g = PermGroup.symmetric(6)
         g.elements()
