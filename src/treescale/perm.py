@@ -196,21 +196,26 @@ def _conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]
     return tuple(out)
 
 
-def _orbit_transversal(degree: int, point: int, gens) -> dict[int, Permutation]:
+def _orbit_transversal(degree: int, point: int, gens, trans=None) -> dict[int, Permutation]:
     """Breadth-first orbit of point under gens: maps each q in the orbit to
-    a product u of generators with u(point) = q."""
-    trans = {point: Permutation.identity(degree)}
-    frontier = [point]
+    a product u of generators with u(point) = q.  Given trans, the orbit
+    under all but the last generator, extends it in place: the old points
+    meet only the last generator, the new ones all of them."""
+    if trans is None:
+        trans = {point: Permutation.identity(degree)}
+        frontier, walk = [point], gens
+    else:
+        frontier, walk = list(trans), gens[-1:]
     while frontier:
         nxt = []
         for pt in frontier:
             u = trans[pt]
-            for g in gens:
+            for g in walk:
                 q = g.images[pt - 1]
                 if q not in trans:
                     trans[q] = g * u
                     nxt.append(q)
-        frontier = nxt
+        frontier, walk = nxt, gens
     return trans
 
 
@@ -229,96 +234,117 @@ class _InverseImages(dict):
         return images
 
 
-def _schreier_generators(trans: dict[int, Permutation], gens, inverses=None):
+def _schreier_generators(trans: dict[int, Permutation], gens, inverses: _InverseImages,
+                         done: dict[int, int]):
     """The nontrivial Schreier generators t_{g(pt)}^-1 g t_pt of the point
-    stabiliser, in (sorted point, generator) order.  A pair with
-    g t_pt = t_{g(pt)}, a tree edge of the orbit walk, gives the identity
-    and costs one product; the inverses come from the memo ``inverses`` of
-    trans, a fresh one when none is given."""
-    if inverses is None:
-        inverses = _InverseImages(trans)
+    stabiliser, in (sorted point, generator) order, each formed in one
+    pass with the inverse from the memo ``inverses`` of trans.  ``done``
+    maps a point to the number of leading generators whose pairs with it
+    are formed already; only later pairs are formed, each counted there
+    before its generator is yielded."""
     gen_images = [g.images for g in gens]
     for pt in sorted(trans):
         u = trans[pt].images
-        for g in gen_images:
-            q = g[pt - 1]
-            gu = tuple([g[x - 1] for x in u])
-            if gu != trans[q].images:
-                inv = inverses[q]
-                yield Permutation._of(tuple([inv[x - 1] for x in gu]))
+        identity = _IDENTITY[len(u)]
+        for n in range(done.get(pt, 0), len(gen_images)):
+            g = gen_images[n]
+            inv = inverses[g[pt - 1]]
+            sg = tuple([inv[g[x - 1] - 1] for x in u])
+            if sg != identity:
+                done[pt] = n + 1
+                yield Permutation._of(sg)
+        done[pt] = len(gen_images)
 
 
 class _Chain:
-    """Deterministic stabiliser chain with full ordered base (1, 2, ..., k).
+    """Deterministic stabiliser chain with full ordered base (1, 2, ..., k),
+    built by incremental Schreier-Sims.
 
-    Level i has base point i+1 and holds the strong generators whose least
-    moved point is i+1; each level stores the basic orbit of its base point
-    under the generators of that and all deeper-numbered levels, together
-    with a transversal and a memo of the transversal's inverse image tuples,
-    which starts empty whenever the level is rebuilt.
+    Level i has base point i+1 and an append-only list of the strong
+    generators that fix 1..i, with the basic orbit of i+1 under them: a
+    transversal extended in place whenever the list grows, so the memo of
+    its inverse image tuples stays valid.  A level whose orbit has grown
+    past one point also keeps, per orbit point, how many of its generators
+    have had their Schreier generator sifted, so no (point, generator)
+    pair is sifted twice.  Each orbit lies in the true basic orbit, so the
+    orbit lengths multiply to at most |G|; the build stops once they reach
+    k!, or k!/2 with every strong generator even, the largest order a
+    group on k points (and an even one) can have.
     """
 
-    __slots__ = ("degree", "level_gens", "orbits", "inverses")
+    __slots__ = ("degree", "gens", "orbits", "inverses", "done")
 
     def __init__(self, degree: int, generators):
         self.degree = degree
-        self.level_gens: list[list[Permutation]] = [[] for _ in range(degree)]
-        self.orbits: list[dict[int, Permutation] | None] = [None] * degree
+        identity = Permutation.identity(degree)
+        self.gens: list[list[Permutation]] = [[] for _ in range(degree)]
+        self.orbits: list[dict[int, Permutation]] = [{i + 1: identity} for i in range(degree)]
         self.inverses: list[_InverseImages | None] = [None] * degree
+        self.done: list[dict[int, int] | None] = [None] * degree
         for g in generators:  # distinct and nontrivial, as PermGroup keeps them
-            self.level_gens[g.min_moved() - 1].append(g)
+            self._place(g)
         self._complete(degree - 1)
 
     def add(self, g: Permutation) -> bool:
-        """Extend the group by g in place: sift g, place the residue at the
-        level of its least moved point and complete the chain from there.
-        False, with nothing changed, when g is already a member."""
+        """Extend the group by g in place: sift g, place the residue and
+        complete the chain from its level.  False, with nothing changed,
+        when g is already a member."""
         if g.degree != self.degree:
             raise PreconditionError(
                 f"generator degree {g.degree} does not match group degree {self.degree}")
         residue = self._sift_from(0, g)
         if residue is None:
             return False
-        j = residue.min_moved() - 1
-        self.level_gens[j].append(residue)
-        self._complete(j)
+        self._complete(self._place(residue))
         return True
 
-    def _complete(self, i: int) -> None:
-        """Build levels i, i-1, ..., 0 over the complete deeper levels,
-        climbing back to the level of each new strong generator."""
-        while i >= 0:
-            added_at = None
-            if self.level_gens[i]:
-                gens = self._gens_from(i)
-                trans = self.orbits[i] = _orbit_transversal(self.degree, i + 1, gens)
+    def _place(self, g: Permutation) -> int:
+        """Append the strong generator g to levels 0..j, j+1 its least moved
+        point, extend their orbits and return j."""
+        j = g.min_moved() - 1
+        for i in range(j + 1):
+            self.gens[i].append(g)
+            trans = _orbit_transversal(self.degree, i + 1, self.gens[i], self.orbits[i])
+            if self.done[i] is None and len(trans) > 1:
                 self.inverses[i] = _InverseImages(trans)
-                added_at = self._verify_level(i, gens)
-            else:
-                # Without generators of its own a level has orbit {i+1}, and
-                # its Schreier generators are the deeper strong generators.
-                self.orbits[i] = {i + 1: Permutation.identity(self.degree)}
-            i = i - 1 if added_at is None else added_at
+                self.done[i] = {}
+        return j
 
-    def _gens_from(self, i: int) -> list[Permutation]:
-        return [g for lvl in self.level_gens[i:] for g in lvl]
+    def _at_bound(self) -> bool:
+        n = math.prod(map(len, self.orbits))
+        bound = math.factorial(self.degree)
+        return n == bound or (2 * n == bound and all(
+            sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in self.gens[0]))
 
-    def _verify_level(self, i: int, gens: list[Permutation]) -> int | None:
-        """Sift all Schreier generators of level i through the chain below.
+    def _complete(self, i: int) -> None:
+        """Sift the unsifted pairs of levels i, i-1, ..., 0, climbing back to
+        the level of each new strong generator, until none is left or the
+        orbits reach the degree bound.  The orbits are then the true basic
+        orbits, so the chain is complete whatever pairs are left; the only
+        element add can still bring in is an odd one into Alt(k), and its
+        residue (k-1 k) lifts the product to k!."""
+        if self._at_bound():
+            return
+        while i >= 0:
+            j = self._verify_level(i)
+            if j is not None and self._at_bound():
+                return
+            i = i - 1 if j is None else j
 
-        Returns the level index a new strong generator was added at, or None
-        when the level verifies cleanly.  A deeper strong generator lies in
-        the verified chain below and is not sifted.
-        """
-        deeper = {g.images for g in gens[len(self.level_gens[i]):]}
-        for sg in _schreier_generators(self.orbits[i], gens, self.inverses[i]):
-            if sg.images in deeper:
-                continue
-            residue = self._sift_from(i + 1, sg)
-            if residue is not None:
-                j = residue.min_moved() - 1
-                self.level_gens[j].append(residue)
-                return j
+    def _verify_level(self, i: int) -> int | None:
+        """Sift the unsifted Schreier generators of level i through the
+        chain below; the level of a new strong generator, or None.  A
+        Schreier generator that is a deeper strong generator is not sifted,
+        and a level whose orbit is one point has no others."""
+        if self.done[i] is None:
+            return None
+        deeper = {g.images for g in self.gens[i + 1]}
+        for sg in _schreier_generators(self.orbits[i], self.gens[i], self.inverses[i],
+                                       self.done[i]):
+            if sg.images not in deeper:
+                residue = self._sift_from(i + 1, sg)
+                if residue is not None:
+                    return self._place(residue)
         return None
 
     def _sift_from(self, start: int, g: Permutation) -> Permutation | None:
@@ -331,7 +357,7 @@ class _Chain:
             t = h[lvl]
             if t == lvl + 1:
                 continue
-            if t not in self.orbits[lvl]:  # levels from start on are built
+            if t not in self.orbits[lvl]:
                 return Permutation._of(h)
             inv = self.inverses[lvl][t]
             h = tuple([inv[x - 1] for x in h])
@@ -425,7 +451,8 @@ class PermGroup:
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree)
+        """The trivial group; its order and element set start filled in."""
+        return cls._with_element_set(degree, (), frozenset([_IDENTITY[degree]]))
 
     @classmethod
     def _with_element_set(cls, degree: int, generators,
@@ -537,8 +564,9 @@ class PermGroup:
         cached = self._stabilisers.get(point)
         if cached is not None:
             return cached
-        stab = PermGroup(self.degree,
-                         _schreier_generators(self._transversal(point), self.generators))
+        trans = self._transversal(point)
+        stab = PermGroup(self.degree, _schreier_generators(
+            trans, self.generators, _InverseImages(trans), {}))
         self._stabilisers[point] = stab
         return stab
 

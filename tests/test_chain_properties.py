@@ -1,10 +1,12 @@
 """Randomised cross-checks of the stabiliser chain against brute force."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 
+from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation, _Chain
 from treescale.sylow import corpus
 
@@ -119,3 +121,84 @@ def test_extended_chain_matches_fresh_chain_on_corpus(name):
 @given(small_groups())
 def test_extended_chain_matches_fresh_chain_on_intransitive_groups(g):
     assert_extension_matches_fresh(g.degree, g.generators, random.Random(5))
+
+
+def is_even(g):
+    return sum(len(c) - 1 for c in g.cycles()) % 2 == 0
+
+
+def degree_bound(group):
+    """k!, or k!/2 when every generator is even, but never below 1."""
+    even = all(map(is_even, group.generators))
+    return max(math.factorial(group.degree) // (2 if even else 1), 1)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_build_sifts_nothing_once_the_orbits_reach_the_degree_bound(k, monkeypatch):
+    """The orbit lengths multiply to at most |G|, so once they reach k!
+    (sym:k), or k!/2 with even generators (alt:k), the chain is complete
+    and no Schreier generator is sifted any more."""
+    for group in (PermGroup.symmetric(k), PermGroup.alternating(k)):
+        bound = degree_bound(group)
+        products = []
+        original = _Chain._sift_from
+
+        def recording(chain, start, g):
+            products.append(math.prod(map(len, chain.orbits)))
+            return original(chain, start, g)
+
+        monkeypatch.setattr(_Chain, "_sift_from", recording)
+        chain = _Chain(group.degree, group.generators)
+        monkeypatch.undo()
+        assert chain.order() == bound
+        assert all(n < bound for n in products)
+
+
+def assert_transversals_valid(chain):
+    """Level i's transversal maps i+1 to each orbit point and fixes 1..i."""
+    for i, trans in enumerate(chain.orbits):
+        for q, u in trans.items():
+            assert u.images[:i] == tuple(range(1, i + 1)) and u.images[i] == q
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_alternating_chain_stopped_at_the_bound_extends_to_symmetric(k):
+    """alt:k's chain stops at k!/2 with pairs left unsifted; it still
+    decides membership by parity, and an odd element extends it to a chain
+    of sym:k."""
+    alt = PermGroup.alternating(k)
+    chain = alt.chain()
+    assert chain.order() == max(math.factorial(k) // 2, 1)
+    rng = random.Random(k)
+    for _ in range(20):
+        images = list(range(1, alt.degree + 1))
+        rng.shuffle(images)
+        candidate = Permutation(images)
+        assert chain.contains(candidate) == is_even(candidate)
+    if k < 2:
+        return
+    assert chain.add(Permutation.from_cycles(k, [[1, 2]]))
+    fresh = PermGroup.symmetric(k).chain()
+    assert chain.order() == fresh.order() == math.factorial(k)
+    assert [set(level) for level in chain.orbits] == [set(level) for level in fresh.orbits]
+    assert_transversals_valid(chain)
+    assert not chain.add(Permutation.from_cycles(k, [range(1, k + 1)]))
+    if k <= 6:
+        assert set(chain.elements()) == brute_force_elements(
+            k, PermGroup.symmetric(k).generators)
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("trivial:1", 1), ("sym:1", 1), ("alt:1", 1),
+    ("trivial:2", 1), ("sym:2", 2), ("alt:2", 1), ("gens:2:(1 2)", 2)])
+def test_degrees_one_and_two(spec, order):
+    """On one or two points the bound is 1 for even generators (halving 1!
+    must not give 0) and k! otherwise."""
+    g = parse_group_spec(spec).group
+    chain = _Chain(g.degree, g.generators)
+    assert chain.order() == order == degree_bound(g)
+    assert_transversals_valid(chain)
+    assert not chain.add(Permutation.identity(g.degree))
+    if g.degree == 2:
+        assert chain.add(Permutation.parse("(1 2)", 2)) == (order == 1)
+        assert chain.order() == 2 and chain.contains(Permutation.parse("(1 2)", 2))

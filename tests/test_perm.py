@@ -193,6 +193,24 @@ class TestGroupOrder:
     def test_trivial(self):
         assert PermGroup.trivial(5).order() == 1
 
+    def test_trivial_group_builds_no_chain(self, monkeypatch):
+        built = []
+        original = perm._Chain.__init__
+
+        def counting(chain, *args):
+            built.append(chain)
+            original(chain, *args)
+
+        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        for degree in (1, 2, 5):
+            g = PermGroup.trivial(degree)
+            assert g.order() == 1 and g.element_set() == {tuple(range(1, degree + 1))}
+        assert built == []
+        # a chain is still built on request, and it can be extended
+        chain = PermGroup.trivial(3).chain()
+        assert chain.order() == 1 and chain.add(Permutation.parse("(1 2)", 3))
+        assert len(built) == 1 and chain.order() == 2
+
     def test_two_cycles(self):
         g = PermGroup(6, ["(1 2 3)", "(4 5 6)"])
         assert g.order() == 9

@@ -84,8 +84,11 @@ def structured_generators(draw):
     most 8: [a, a*b] with b(1) = 1, two generators of the top level with the
     same image of 1; generators fixing 1..m, so the top m levels are
     trivial; one generator moving only the last few points, alone on its
-    level, next to up to two random ones."""
-    degree = draw(st.integers(2, 8))
+    level, next to up to two random ones.  The "even" family, of degree at
+    most 12, has only even generators, so its chains stop at k!/2 when they
+    generate Alt(k)."""
+    family = draw(st.sampled_from(["pair", "fixing", "deep", "even"]))
+    degree = draw(st.integers(2, 12 if family == "even" else 8))
     points = list(range(1, degree + 1))
 
     def moving(moved):
@@ -95,17 +98,24 @@ def structured_generators(draw):
             images[x - 1] = y
         return Permutation(images)
 
-    family = draw(st.sampled_from(["pair", "fixing", "deep"]))
     if family == "pair":
         a = moving(points)
         gens = [a, a * moving(points[1:])]
     elif family == "fixing":
         m = draw(st.integers(1, degree - 1))
         gens = [moving(points[m:]) for _ in range(draw(st.integers(1, 3)))]
-    else:
+    elif family == "deep":
         deep = moving(points[-draw(st.integers(2, degree)):])
         gens = [deep] + [moving(points) for _ in range(draw(st.integers(0, 2)))]
+    else:
+        transposition = Permutation.from_cycles(degree, [[1, 2]])
+        gens = [g if is_even(g) else g * transposition
+                for g in (moving(points) for _ in range(draw(st.integers(1, 3))))]
     return degree, gens
+
+
+def is_even(g):
+    return sum(len(c) - 1 for c in g.cycles()) % 2 == 0
 
 
 def sympy_base(group, degree):
@@ -138,16 +148,34 @@ def test_chain_agrees_with_sympy_on_structured_generators(case, rng):
         assert (other in ours) == theirs.contains(sympy_permutation(other))
 
 
+def assert_chain_agrees(chain, theirs, degree, rng):
+    """Same order, and the same elements up to degree 8; above it the same
+    membership of random permutations."""
+    assert chain.order() == theirs.order()
+    if degree <= 8:
+        assert set(chain.elements()) == {images_of(x) for x in theirs.generate()}
+        return
+    for _ in range(10):
+        images = list(range(1, degree + 1))
+        rng.shuffle(images)
+        other = Permutation(images)
+        assert chain.contains(other) == theirs.contains(sympy_permutation(other))
+
+
 @settings(max_examples=100, deadline=None)
-@given(structured_generators())
-def test_extended_chain_agrees_with_sympy(case):
+@given(structured_generators(), st.randoms(use_true_random=False))
+def test_extended_chain_agrees_with_sympy(case, rng):
+    """A chain extended by the generators, then by an odd element: for
+    the "even" family that extends a chain stopped at k!/2."""
     degree, gens = case
     chain = PermGroup(degree, gens[-1:]).chain()
     for g in gens:
         chain.add(g)
-    theirs = sympy_group(degree, [g.images for g in gens])
-    assert chain.order() == theirs.order()
-    assert set(chain.elements()) == {images_of(x) for x in theirs.generate()}
+    assert_chain_agrees(chain, sympy_group(degree, [g.images for g in gens]), degree, rng)
+    odd = Permutation.from_cycles(degree, [[1, 2]])
+    chain.add(odd)
+    assert_chain_agrees(chain, sympy_group(degree, [g.images for g in gens + [odd]]),
+                        degree, rng)
 
 
 @settings(max_examples=60, deadline=None)
