@@ -217,8 +217,7 @@ def c08_oracle_agreement() -> CheckResult:
         checked += 1
         s = scale(a)
         oc = balloracle.orbit_count(a)
-        ex = (balloracle.exhaustive_orbit_count(a)
-              if a.group.order() <= balloracle.GROUP_CAP and len(a.word) <= 3 else None)
+        ex = balloracle.exhaustive_orbit_count(a) if balloracle.exhaustive_applies(a) else None
         if oc != s or ex not in (None, s):
             wrong = f"scale={s} walk={oc} tuples={ex}"
         else:

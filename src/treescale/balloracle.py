@@ -56,19 +56,19 @@ def orbit_count(a: AxisData, power: int = 1) -> int:
     return sum(counts.values())
 
 
-def _check_exhaustive_domain(a: AxisData) -> None:
-    if a.group.order() > GROUP_CAP:
-        raise PreconditionError(
-            f"group order {a.group.order()} exceeds the oracle cap {GROUP_CAP}")
-    if len(a.word) > 3:
-        raise PreconditionError("exhaustive oracle handles words of length <= 3")
+def exhaustive_applies(a: AxisData) -> bool:
+    """Whether the explicit-tuple oracle takes the axis: group order at
+    most GROUP_CAP and word length at most 3."""
+    return a.group.order() <= GROUP_CAP and len(a.word) <= 3
 
 
 def explicit_sequences(a: AxisData) -> set[tuple[int, ...]]:
     """Image sequences from explicit tuples of local actions (f_0..f_{n-1})
     with f_0 fixing the seam colour and each f_i matching the previous image."""
     require_valid(a)
-    _check_exhaustive_domain(a)
+    if not exhaustive_applies(a):
+        raise PreconditionError(f"exhaustive oracle refuses group order {a.group.order()} "
+                                f"with word length {len(a.word)}")
     elems = [g.images for g in a.group.elements()]
     word = list(a.word)
     c0 = a.seam_colour

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InvalidAxisError, PreconditionError
-from .perm import Orbitals, PermGroup, Permutation
+from .perm import Orbitals, PermGroup, Permutation, meet_index
 from .supernat import is_prime, prime_factors, valuation
 from .sylow import sylow_of_symmetric, sylow_subgroup
 
@@ -163,8 +163,7 @@ def _local_table(f: PermGroup, p: int) -> Orbitals:
     def make() -> Orbitals:
         family = _local_sylow_family(f, p)
         table = designated_sylow(f, p).orbitals()
-        sets = {c: q.element_set() for c, q in family.items()}
-        return table._replace(sizes=tuple(len(sets[r]) // len(sets[r] & sets[m])
+        return table._replace(sizes=tuple(meet_index(family[r], family[m])
                                           for r, m in table.labels))
     return f._memo(("local_table", p), make)
 

@@ -145,7 +145,7 @@ def cmd_oracle(args) -> int:
                "formula": formula, "walk": walk,
                "law": "the orbit count equals the m-th power of the scale"}
     lines = [f"formula:  {formula}", f"walk:     {walk}"]
-    if m == 1 and spec.group.order() <= balloracle.GROUP_CAP and len(a.word) <= 3:
+    if m == 1 and balloracle.exhaustive_applies(a):
         explicit = balloracle.exhaustive_orbit_count(a)
         payload["explicit"] = explicit
         lines.append(f"explicit: {explicit}")
@@ -172,13 +172,13 @@ def cmd_verify(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by every
-    later call in the process; a one-shot process builds it once, as before.
+    later call in the process; a one-shot process builds it once.
 
     Reuse is safe because ``parse_args`` never changes the parser: each call
     fills a fresh namespace, reads the defaults without writing them, and
     prints usage and errors to the ``sys.stdout`` or ``sys.stderr`` current
     at that call.  It is built on first use, not at import, so importing
-    the module stays as cheap as before.
+    the module builds no parser.
     """
     parser = argparse.ArgumentParser(
         prog="treescale",
@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("inverse", cmd_inverse, "axis of the inverse element"),
             ("modular", cmd_modular, "modular value of an axis"),
             ("aggregate", cmd_aggregate, "product of local scales"),
-            ("oracle", cmd_oracle, "orbit-count oracles next to the formula")):
+            ("oracle", cmd_oracle, "orbit-count oracles next to the formula"),
+            ("localscale", cmd_localscale, "scale over the Sylow restriction")):
         p = add(name, fn, help_)
         p.add_argument("--group", required=True, help="group spec, e.g. sym:4")
         p.add_argument("--axis", required=True,
@@ -204,11 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "oracle":
             p.add_argument("--power", type=int, default=1,
                            help="count images of the m-fold word")
-
-    p = add("localscale", cmd_localscale, "scale over the Sylow restriction")
-    p.add_argument("--group", required=True)
-    p.add_argument("--axis", required=True)
-    p.add_argument("--prime", type=int, required=True)
+        if name == "localscale":
+            p.add_argument("--prime", type=int, required=True,
+                           help="the prime p of the Sylow restriction U(F(p))")
 
     p = add("spectrum", cmd_spectrum, "achieved scale values up to a word length")
     p.add_argument("--group", required=True)

@@ -86,7 +86,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         k = _parse_degree(rest, "point count")
         try:
             return GroupSpec(f"{head}:{k}", _SIMPLE_BUILTINS[head](k))
-        except Exception as exc:
+        except PreconditionError as exc:
             raise ParseError(f"cannot build {spec!r}: {exc}") from None
     if head == "sylow":
         ptext, _, inner = rest.partition(":")

@@ -645,7 +645,9 @@ class PermGroup:
         return self._memo("derived", lambda: commutator_subgroup(self, self))
 
     def conjugate(self, g: Permutation) -> "PermGroup":
-        """The conjugate g G g^-1."""
+        """The conjugate g G g^-1; G itself when g is its identity."""
+        if g.images == _IDENTITY[self.degree]:
+            return self
         return PermGroup(self.degree, [h.conjugate(g) for h in self.generators])
 
     def conjugators(self, pairs):
@@ -661,16 +663,25 @@ class PermGroup:
                 yield x
 
 
-def spanning_generators(degree: int, elements) -> list[Permutation]:
-    """Greedy small generating set for the subgroup the elements generate:
+def spanning_generators(degree: int, elements) -> PermGroup:
+    """The subgroup the elements generate, on a greedy small generating set:
     each element outside the group of those taken before it, found on one
-    chain extended in place."""
+    chain extended in place, which the group keeps."""
     chain = PermGroup.trivial(degree).chain()
-    return [x for x in elements if chain.add(x)]
+    return PermGroup._with_chain(degree, [x for x in elements if chain.add(x)], chain)
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
     return h.degree == g.degree and all(x in g for x in h.generators)
+
+
+def meet_index(h: PermGroup, k: PermGroup) -> int:
+    """|H : H meet K|, from the elements of the smaller group that lie in
+    the larger one; the one place a subgroup meet is counted."""
+    if h.degree != k.degree:
+        raise PreconditionError(f"degree mismatch: {h.degree} and {k.degree}")
+    small, big = (h, k) if h.order() <= k.order() else (k, h)
+    return h.order() // sum(1 for x in small.elements() if x in big)
 
 
 def generated(groups) -> PermGroup:

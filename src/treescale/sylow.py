@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .errors import PreconditionError
 from .perm import (PermGroup, Permutation, _conjugate_images, generated, is_subgroup,
-                   nilpotent_residual, normal_closure, spanning_generators)
+                   meet_index, nilpotent_residual, normal_closure, spanning_generators)
 from .supernat import is_prime, prime_factors, valuation
 
 
@@ -143,8 +143,7 @@ def _p_core(g: PermGroup, p: int) -> PermGroup:
             break
     if len(members) == sylow.order():
         return sylow
-    return PermGroup(g.degree, spanning_generators(
-        g.degree, map(Permutation._of, sorted(members))))
+    return spanning_generators(g.degree, map(Permutation._of, sorted(members)))
 
 
 def pi_core(g: PermGroup, pi) -> PermGroup:
@@ -225,16 +224,9 @@ class SylowBasis:
         return out
 
 
-def _meet_order(h: PermGroup, k: PermGroup) -> int:
-    """|H meet K|: the elements of the smaller factor that lie in the larger."""
-    small, big = (h, k) if h.order() <= k.order() else (k, h)
-    return sum(1 for x in small.elements() if x in big)
-
-
 def are_permutable(a: PermGroup, b: PermGroup) -> bool:
-    """True iff AB = BA, tested via |<A,B>| = |A||B| / |A meet B|."""
-    joined = generated([a, b])
-    return joined.order() * _meet_order(a, b) == a.order() * b.order()
+    """True iff AB = BA, tested via |<A,B>| = |AB| = |B| |A : A meet B|."""
+    return generated([a, b]).order() == b.order() * meet_index(a, b)
 
 
 def sylow_basis(g: PermGroup) -> SylowBasis:
@@ -261,7 +253,7 @@ def sylow_basis(g: PermGroup) -> SylowBasis:
     members: dict[int, PermGroup] = {}
     for p in sorted(prime_factors(g.order())):
         base = sylow_subgroup(g, p)
-        candidates = (base if x.is_identity() else base.conjugate(x) for x in g.elements())
+        candidates = map(base.conjugate, g.elements())
         fit = next((c for c in candidates
                     if all(are_permutable(c, old) for old in members.values())), None)
         if fit is None:
@@ -273,7 +265,7 @@ def sylow_basis(g: PermGroup) -> SylowBasis:
 def basis_normaliser(g: PermGroup, basis: SylowBasis) -> PermGroup:
     """Intersection of the normalisers of the basis members."""
     pairs = [(m, m) for m in basis.members.values()]
-    return PermGroup(g.degree, spanning_generators(g.degree, g.conjugators(pairs)))
+    return spanning_generators(g.degree, g.conjugators(pairs))
 
 
 def is_normal_in(v: PermGroup, u: PermGroup) -> bool:
@@ -300,9 +292,7 @@ def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup) -> bool:
             raise PreconditionError("hall covering requires a Sylow basis of U")
     if sorted(basis.members) != sorted(prime_factors(u.order())):
         raise PreconditionError("hall covering requires one basis member per prime")
-    n = basis_normaliser(u, basis)
-    product_size = n.order() * k.order() // _meet_order(n, k)
-    return product_size == u.order()
+    return k.order() * meet_index(basis_normaliser(u, basis), k) == u.order()
 
 
 def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets) -> bool:
@@ -317,7 +307,8 @@ def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets) -> bool:
         raise PreconditionError("core commensurability requires V normal in U")
     o_u = generated([pi_core(u, s) for s in sets])
     o_v = generated([pi_core(v, s) for s in sets])
-    return (o_u.element_set() & v.element_set()) == o_v.element_set()
+    # O_pi(V) is characteristic in V, so normal in U: o_v <= o_u meet v, equal iff orders are
+    return o_u.order() == o_v.order() * meet_index(o_u, v)
 
 
 def subgroup_index(g: PermGroup, h: PermGroup) -> int:

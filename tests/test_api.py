@@ -1,8 +1,9 @@
 """The public surface: the enumeration bound and the walk-depth cap are
-module constants, checked in one place each, with no per-call override;
-every exported name resolves; no module imports a name it never uses, no
-module defines a private name that no module reads, and no public name is
-read only by the tests."""
+module constants with no per-call override; the enumeration bound, the
+degree bound and the explicit-oracle cap are each read by exactly one
+function; every exported name resolves; no module imports a name it never
+uses, no module defines a private name that no module reads, and no public
+name is read only by the tests."""
 
 import ast
 import importlib
@@ -36,6 +37,43 @@ def test_no_bound_or_depth_cap_parameter():
     overrides = [name for name, fn in found
                  if {"bound", "depth_cap"} & set(inspect.signature(fn).parameters)]
     assert overrides == []
+
+
+def bound_readers(sources: dict[str, str], names) -> dict[str, list[str]]:
+    """For each of names, the module-level functions and the methods that
+    read it, nested functions counted with the function around them."""
+    readers = {name: [] for name in names}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        functions = [(f"{module}.{node.name}", node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                functions += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
+                              if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for qualified, node in functions:
+            read = read_names(node)
+            for name in names:
+                if read[name]:
+                    readers[name].append(qualified)
+    return readers
+
+
+def test_bound_reader_finder():
+    sources = {"a": "B = 1\ndef f():\n    def g():\n        return B\n    return g\n"
+                    "class C:\n    def m(self):\n        return a.B + B",
+               "b": "from a import B\nX = B"}
+    assert bound_readers(sources, ["B", "X"]) == {"B": ["a.f", "a.C.m"], "X": []}
+
+
+def test_each_bound_is_read_by_one_function():
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
+    assert bound_readers(sources, ["ENUMERATION_BOUND", "DEGREE_BOUND", "GROUP_CAP"]) == {
+        "ENUMERATION_BOUND": ["perm.PermGroup.elements"],
+        "DEGREE_BOUND": ["groupspec._parse_degree"],
+        "GROUP_CAP": ["balloracle.exhaustive_applies"],
+    }
 
 
 def test_every_exported_name_resolves():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from treescale import groupspec
 from treescale.errors import ParseError, PreconditionError
 from treescale.groupspec import (DEGREE_BOUND, parse_axis, parse_group_file,
                                  parse_group_spec)
@@ -35,6 +36,14 @@ class TestBuiltins:
                     "gens:3:(1 4)", "dihedral:2", "sym:0"):
             with pytest.raises(ParseError):
                 parse_group_spec(bad)
+
+    def test_constructor_bug_is_not_a_parse_error(self, monkeypatch):
+        def broken(k):
+            raise RuntimeError("constructor bug")
+
+        monkeypatch.setitem(groupspec._SIMPLE_BUILTINS, "sym", broken)
+        with pytest.raises(RuntimeError, match="constructor bug"):
+            parse_group_spec("sym:4")
 
     def test_missing_file(self):
         with pytest.raises(ParseError):

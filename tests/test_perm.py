@@ -541,7 +541,7 @@ def normaliser(g, h):
         raise PreconditionError("normaliser requires H <= G")
     if not h.generators:
         return g
-    return PermGroup(g.degree, spanning_generators(g.degree, g.conjugators([(h, h)])))
+    return spanning_generators(g.degree, g.conjugators([(h, h)]))
 
 
 class TestNormaliser:
@@ -657,6 +657,30 @@ class TestSubgroupAlgebra:
         h = PermGroup(4, ["(1 2 3)"]).conjugate(g)
         assert h.order() == 3
         assert Permutation.parse("(4 2 3)", 4) in h
+
+    def test_conjugate_by_the_identity_is_the_group(self):
+        for g in (PermGroup.symmetric(4), PermGroup.trivial(3), PermGroup(5, ["(1 2 3)"])):
+            assert g.conjugate(Permutation.identity(g.degree)) is g
+        with pytest.raises(PreconditionError):
+            PermGroup(4, ["(1 2)"]).conjugate(Permutation.identity(3))
+
+    def test_spanned_group_builds_no_second_chain(self, monkeypatch):
+        g = PermGroup.symmetric(5)
+        elements = g.elements()
+        built = []
+        original = perm._Chain.__init__
+
+        def counting(chain, *args):
+            built.append(chain)
+            original(chain, *args)
+
+        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        spanned = spanning_generators(5, elements[::-1])
+        assert spanned.order() == 120
+        assert all(x in spanned for x in elements)
+        assert spanning_generators(5, []).order() == 1
+        # one chain per spanning set, extended in place and kept by the group
+        assert len(built) == 2
 
     def test_generated(self):
         g = generated([PermGroup(4, ["(1 2)"]), PermGroup(4, ["(3 4)"])])

@@ -12,7 +12,7 @@ from treescale.errors import EnumerationBoundError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
                             generated, is_subgroup, lower_central_series,
-                            nilpotent_residual, normal_closure,
+                            meet_index, nilpotent_residual, normal_closure,
                             spanning_generators)
 from treescale.supernat import prime_factors, valuation
 from treescale.sylow import (SylowBasis, are_permutable,
@@ -22,7 +22,7 @@ from treescale.sylow import (SylowBasis, are_permutable,
                              sylow_basis, sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
-from test_perm import normaliser, orbit, tuple_power
+from test_perm import brute_force_elements, normaliser, orbit, tuple_power
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
@@ -142,7 +142,7 @@ def intersect(h, k):
         raise PreconditionError("degree mismatch")
     small, big = (h, k) if h.order() <= k.order() else (k, h)
     common = [x for x in small.elements() if x in big]
-    return PermGroup(h.degree, spanning_generators(h.degree, common))
+    return spanning_generators(h.degree, common)
 
 
 def reference_p_core(g, p):
@@ -294,8 +294,8 @@ def assert_closures_pinned(g):
     comms = [a.inverse() * b.inverse() * a * b for a in g.generators for b in g.generators]
     assert normal_closure(g, comms).generators == rebuilt_normal_closure(g, comms).generators
     for picked in (elements, elements[::-1], elements[1::3]):
-        assert (spanning_generators(g.degree, picked)
-                == rebuilt_spanning_generators(g.degree, picked))
+        assert (spanning_generators(g.degree, picked).generators
+                == tuple(rebuilt_spanning_generators(g.degree, picked)))
 
 
 class TestClosuresPinnedToRebuilding:
@@ -555,8 +555,10 @@ class TestBasisPinnedToBacktracking:
         original = PermGroup.conjugate
 
         def counting(group, x):
-            built.append(x)
-            return original(group, x)
+            conjugate = original(group, x)
+            if conjugate is not group:
+                built.append(x)
+            return conjugate
 
         monkeypatch.setattr(PermGroup, "conjugate", counting)
         basis = sylow_basis(PermGroup.symmetric(4))
@@ -797,8 +799,43 @@ def assert_kernel_pinned(g, basis, k):
 
 
 def subgroup_list(g):
-    return [PermGroup(g.degree, spanning_generators(g.degree, sorted(sub)))
+    return [spanning_generators(g.degree, sorted(sub))
             for sub in sorted(all_subgroups(g), key=sorted)]
+
+
+def brute_meet_index(h, k):
+    """|H : H meet K| from element sets closed under products, no chain."""
+    hs = brute_force_elements(h.degree, h.generators)
+    return len(hs) // len(hs & brute_force_elements(k.degree, k.generators))
+
+
+class TestMeetIndex:
+    @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+    def test_subgroup_pairs(self, name):
+        g = GROUPS[name]
+        subs = sorted(all_subgroups(g), key=sorted)
+        groups = [spanning_generators(g.degree, sorted(sub)) for sub in subs]
+        # every ordered pair, so both the smaller and the larger group come first
+        for hs, h in zip(subs, groups):
+            for ks, k in zip(subs, groups):
+                assert meet_index(h, k) == len(hs) // len(hs & ks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups, st.lists(st.integers(0, 719), min_size=3, max_size=3))
+    def test_random_groups(self, g, picks):
+        elements = g.elements()
+        x, y, z = (elements[i % len(elements)] for i in picks)
+        a = PermGroup(g.degree, [x])
+        b = PermGroup(g.degree, [y, z])
+        for h, k in ((a, b), (b, a), (a, g), (g, b), (g, g)):
+            assert meet_index(h, k) == brute_meet_index(h, k)
+
+    def test_degree_mismatch_is_refused(self):
+        for h, k in ((PermGroup.symmetric(3), PermGroup.symmetric(4)),
+                     (PermGroup.trivial(4), PermGroup.trivial(3))):
+            for pair in ((h, k), (k, h)):
+                with pytest.raises(PreconditionError):
+                    meet_index(*pair)
 
 
 class TestHallPredicatesPinnedToGroupBuilding:
