@@ -12,6 +12,7 @@ from collections import defaultdict
 
 from .bmtree import AxisData, require_valid
 from .errors import PreconditionError
+from .perm import PermGroup, Permutation, _orbit_transversal
 
 DEPTH_CAP = 12
 GROUP_CAP = 100
@@ -29,13 +30,41 @@ def extended_word(a: AxisData, power: int) -> list[int]:
     return out
 
 
+def _suborbit_table(f: PermGroup) -> dict[int, tuple[dict[int, Permutation], dict]]:
+    """For each point a of F, the pair (transversal, suborbits) of its orbit:
+    with r the least point of the orbit, ``f._transversal(r)``, and the map
+    from each point to its F_r-orbit, found by orbit walks under the
+    generators of ``f.point_stabiliser(r)``.  So each orbit builds one
+    stabiliser, and keeps no transversal of it.  Cached on f."""
+    def make():
+        table = {}
+        for r in range(1, f.degree + 1):
+            if r in table:
+                continue
+            trans = f._transversal(r)
+            gens = f.point_stabiliser(r).generators
+            orbits: dict[int, list[int]] = {}
+            for x in range(1, f.degree + 1):
+                if x not in orbits:
+                    suborbit = list(_orbit_transversal(f.degree, x, gens))
+                    orbits.update(dict.fromkeys(suborbit, suborbit))
+            table.update(dict.fromkeys(trans, (trans, orbits)))
+        return table
+    return f._memo("suborbits", make)
+
+
 def orbit_count(a: AxisData, power: int = 1) -> int:
     """|U . x^-power v| by transporter-set dynamic programming.
 
     The walk state is only (position, current image colour); the number of
     continuations from a state does not depend on how it was reached, which
-    the exhaustive oracle verifies on small instances.  The walk depth
-    len(word) * power is checked before the extended word is built.
+    the exhaustive oracle verifies on small instances.  A step from colour
+    prev to colour c takes state b to {f(c) : f in F, f(prev) = b}; with r
+    the least point of the orbit of prev and u_q the transversal element
+    taking r to q, that set is u_b applied to the F_r-orbit of
+    u_prev^-1(c).  The seam is the step from c_0 to the first colour, from
+    the one state c_0.  The walk depth len(word) * power is checked before
+    the extended word is built.
     """
     require_valid(a)
     if power < 1:
@@ -43,16 +72,22 @@ def orbit_count(a: AxisData, power: int = 1) -> int:
     depth = len(a.word) * power
     if depth > DEPTH_CAP:
         raise PreconditionError(f"walk depth {depth} exceeds the cap {DEPTH_CAP}")
-    word = extended_word(a, power)
-    f = a.group
-    c0 = a.seam_colour
-    counts: dict[int, int] = {b: 1 for b in f.transporter_images(c0, c0, word[0])}
-    for i in range(1, len(word)):
+    table = _suborbit_table(a.group)
+    prev = a.seam_colour
+    counts: dict[int, int] = {prev: 1}
+    for c in extended_word(a, power):
+        trans, orbits = table[prev]
+        # the index of c in u_prev's images is u_prev^-1(c) - 1
+        suborbit = orbits[trans[prev].images.index(c) + 1]
         nxt: dict[int, int] = defaultdict(int)
+        # every state b is an image of prev under F (the seam state is prev
+        # itself, and a later one an image of the colour before), so b lies
+        # in the orbit of prev and trans[b] exists
         for b, n in counts.items():
-            for b2 in f.transporter_images(word[i - 1], b, word[i]):
-                nxt[b2] += n
-        counts = dict(nxt)
+            u_b = trans[b].images
+            for x in suborbit:
+                nxt[u_b[x - 1]] += n
+        counts, prev = nxt, c
     return sum(counts.values())
 
 

@@ -405,21 +405,19 @@ class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Values are immutable; the stabiliser chain, order, element list, the
-    element set (of image tuples), per-point transversals and stabilisers,
-    the orbital table and, for each orbit, the point orbits of the
-    stabiliser of its least point (read by ``transporter_images``) are
-    write-once caches.  So
-    are, through ``_memo``, the values derived from the group as a whole:
-    ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
-    by the derived and lower central series), ``nilpotent_residual``, and
-    per prime p ``sylow.sylow_subgroup`` (without ``start``),
-    ``sylow.p_core`` and the designated Sylow subgroup F(p) and local
-    orbital table of ``bmtree``.
+    element set (of image tuples) and the orbital table are write-once
+    caches.  So are, through ``_memo``, the values derived from the group
+    as a whole: ``is_soluble()``, the derived subgroup [G, G] (key
+    ``derived``, shared by the derived and lower central series),
+    ``nilpotent_residual``, per prime p ``sylow.sylow_subgroup`` (without
+    ``start``), ``sylow.p_core`` and the designated Sylow subgroup F(p) and
+    local orbital table of ``bmtree``, and the suborbit table of the ball
+    walk in ``balloracle``.  Transversals and point stabilisers are made
+    afresh on every call.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
-                 "_element_set", "_stabilisers", "_transversals", "_suborbits",
-                 "_orbitals", "_derived")
+                 "_element_set", "_orbitals", "_derived")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -441,9 +439,6 @@ class PermGroup:
         self._order = None
         self._elements = None
         self._element_set = None
-        self._stabilisers = {}
-        self._transversals = {}
-        self._suborbits = {}
         self._orbitals = None
         self._derived = {}
 
@@ -552,29 +547,19 @@ class PermGroup:
     def _transversal(self, point: int) -> dict[int, Permutation]:
         """Orbit transversal: maps q to some u in G with u(point) = q."""
         self._check_point(point)
-        cached = self._transversals.get(point)
-        if cached is None:
-            cached = _orbit_transversal(self.degree, point, self.generators)
-            self._transversals[point] = cached
-        return cached
+        return _orbit_transversal(self.degree, point, self.generators)
 
     def point_stabiliser(self, point: int) -> "PermGroup":
         """Stabiliser of a point, generated by Schreier generators."""
-        self._check_point(point)
-        cached = self._stabilisers.get(point)
-        if cached is not None:
-            return cached
         trans = self._transversal(point)
-        stab = PermGroup(self.degree, _schreier_generators(
+        return PermGroup(self.degree, _schreier_generators(
             trans, self.generators, _InverseImages(trans), {}))
-        self._stabilisers[point] = stab
-        return stab
 
     def orbitals(self) -> Orbitals:
         """The orbital table: one breadth-first walk over ordered pairs per
         orbital, started at the least pair not yet reached.  It reads no
-        stabiliser or transversal, so it shares no code with
-        ``transporter_images``."""
+        stabiliser or transversal, so it shares no code with the ball
+        walk's suborbit table."""
         if self._orbitals is None:
             k = self.degree
             gens = [g.images for g in self.generators]
@@ -598,36 +583,6 @@ class PermGroup:
                                       tuple(labels), tuple(sizes))
         return self._orbitals
 
-    def transporter_images(self, a: int, b: int, c: int) -> set[int]:
-        """{f(c) : f in G, f(a) = b}; empty iff b is not in the orbit of a.
-
-        With r the least point of the orbit of a and u_q = _transversal(r)[q],
-        f(a) = b exactly when f = u_b h u_a^-1 with h in G_r, so the set is
-        u_b applied to the G_r-orbit of u_a^-1(c).  The transversal and the
-        orbits of G_r on points, found by uncached orbit walks under the
-        generators of ``point_stabiliser(r)``, are kept for every point of
-        the orbit: each orbit of G builds one stabiliser, and keeps no
-        transversal of it."""
-        self._check_point(a)
-        self._check_point(b)
-        self._check_point(c)
-        if a not in self._suborbits:
-            r = min(_orbit_transversal(self.degree, a, self.generators))
-            trans = self._transversal(r)
-            gens = self.point_stabiliser(r).generators
-            orbits: dict[int, list[int]] = {}
-            for x in range(1, self.degree + 1):
-                if x not in orbits:
-                    suborbit = list(_orbit_transversal(self.degree, x, gens))
-                    orbits.update(dict.fromkeys(suborbit, suborbit))
-            self._suborbits.update(dict.fromkeys(trans, (trans, orbits)))
-        trans, orbits = self._suborbits[a]
-        if b not in trans:
-            return set()
-        u_b = trans[b].images
-        # the index of c in u_a's images is u_a^-1(c) - 1
-        return {u_b[x - 1] for x in orbits[trans[a].images.index(c) + 1]}
-
     # -- predicates ----------------------------------------------------------
 
     def is_soluble(self) -> bool:
@@ -646,6 +601,8 @@ class PermGroup:
 
     def conjugate(self, g: Permutation) -> "PermGroup":
         """The conjugate g G g^-1; G itself when g is its identity."""
+        if g.degree != self.degree:
+            raise PreconditionError("degree mismatch in conjugation")
         if g.images == _IDENTITY[self.degree]:
             return self
         return PermGroup(self.degree, [h.conjugate(g) for h in self.generators])

@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import treescale
+from treescale.perm import PermGroup
 
 
 def defined_callables():
@@ -79,6 +80,12 @@ def test_each_bound_is_read_by_one_function():
 def test_every_exported_name_resolves():
     assert len(treescale.__all__) == len(set(treescale.__all__)) > 20
     assert [name for name in treescale.__all__ if not hasattr(treescale, name)] == []
+
+
+def test_benchmark_reads_chain_and_element_slots():
+    # the benchmark's tracer reads both with getattr(g, name, True), so a
+    # rename would silently zero its chain-build and enumeration counts
+    assert {"_chain", "_elements"} <= set(PermGroup.__slots__)
 
 
 def unused_imports(source: str) -> list[str]:
