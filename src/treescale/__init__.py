@@ -7,7 +7,7 @@ number helpers (primality, factorisation, valuations)."""
 
 from .bmtree import (AxisData, ScaleSpectrum, aggregate_scale, designated_sylow,
                      inverse_axis, localisation_scale, localized_scale, modular,
-                     scale, scale_spectrum, symscale_case, validate_axis)
+                     scale, scale_spectrum, symscale_case)
 from .perm import ENUMERATION_BOUND, PermGroup, Permutation
 from .sylow import (SylowBasis, basis_normaliser, core_commensurability_check,
                     fitting, p_core, pi_core, subgroup_index, sylow_basis,
@@ -22,5 +22,5 @@ __all__ = [
     "inverse_axis", "localisation_scale", "localized_scale", "modular",
     "p_core", "pi_core", "scale", "scale_spectrum", "subgroup_index",
     "sylow_basis", "sylow_of_symmetric", "sylow_subgroup", "symscale_case",
-    "validate_axis", "verify_hall_covering",
+    "verify_hall_covering",
 ]

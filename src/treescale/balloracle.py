@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .bmtree import AxisData, require_valid
+from .bmtree import AxisData
 from .errors import PreconditionError
 from .perm import PermGroup, Permutation, _orbit_transversal
 
@@ -66,7 +66,6 @@ def orbit_count(a: AxisData, power: int = 1) -> int:
     the one state c_0.  The walk depth len(word) * power is checked before
     the extended word is built.
     """
-    require_valid(a)
     if power < 1:
         raise PreconditionError("power must be at least 1")
     depth = len(a.word) * power
@@ -100,7 +99,6 @@ def exhaustive_applies(a: AxisData) -> bool:
 def explicit_sequences(a: AxisData) -> set[tuple[int, ...]]:
     """Image sequences from explicit tuples of local actions (f_0..f_{n-1})
     with f_0 fixing the seam colour and each f_i matching the previous image."""
-    require_valid(a)
     if not exhaustive_applies(a):
         raise PreconditionError(f"exhaustive oracle refuses group order {a.group.order()} "
                                 f"with word length {len(a.word)}")

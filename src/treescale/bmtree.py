@@ -40,7 +40,26 @@ class AxisData:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
+        """Check the invariants once, here: a proper word over 1..k, a twist
+        in F, and a seam colour that differs from the first colour.  An
+        invalid axis raises ``InvalidAxisError`` with every violation."""
+        word = tuple(self.word)
+        object.__setattr__(self, "word", word)
+        k = self.group.degree
+        if not word:
+            raise InvalidAxisError(["word is empty"])
+        violations = [f"colour {c} at position {pos} outside 1..{k}"
+                      for pos, c in enumerate(word, start=1) if not 1 <= c <= k]
+        violations += [f"repeated colour at positions {pos},{pos + 1}"
+                       for pos in range(1, len(word)) if word[pos - 1] == word[pos]]
+        if self.twist.degree != k:
+            violations.append("twist degree does not match the colour count")
+        elif self.twist not in self.group:
+            violations.append("twist is not a member of the local action group")
+        elif not violations and self.twist(word[-1]) == word[0]:
+            violations.append("seam colour equals the first word colour")
+        if violations:
+            raise InvalidAxisError(violations)
 
     @property
     def seam_colour(self) -> int:
@@ -49,35 +68,6 @@ class AxisData:
     def describe(self) -> str:
         twist = "id" if self.twist.is_identity() else self.twist.cycle_string()
         return f"twist={twist}; word={','.join(map(str, self.word))}"
-
-
-def validate_axis(a: AxisData) -> list[str]:
-    """All violated axis invariants, empty when the axis is realisable."""
-    violations = []
-    k = a.group.degree
-    if len(a.word) == 0:
-        violations.append("word is empty")
-        return violations
-    for pos, c in enumerate(a.word, start=1):
-        if not 1 <= c <= k:
-            violations.append(f"colour {c} at position {pos} outside 1..{k}")
-    for pos in range(len(a.word) - 1):
-        if a.word[pos] == a.word[pos + 1]:
-            violations.append(f"repeated colour at positions {pos + 1},{pos + 2}")
-    if a.twist.degree != k:
-        violations.append("twist degree does not match the colour count")
-        return violations
-    if a.twist not in a.group:
-        violations.append("twist is not a member of the local action group")
-    if not violations and a.twist(a.word[-1]) == a.word[0]:
-        violations.append("seam colour equals the first word colour")
-    return violations
-
-
-def require_valid(a: AxisData) -> None:
-    violations = validate_axis(a)
-    if violations:
-        raise InvalidAxisError(violations)
 
 
 def _word_product(a: AxisData, table: Orbitals) -> int:
@@ -94,13 +84,11 @@ def _word_product(a: AxisData, table: Orbitals) -> int:
 
 def scale(a: AxisData) -> int:
     """Product of suborbit sizes along the word, seam colour first."""
-    require_valid(a)
     return _word_product(a, a.group.orbitals())
 
 
 def inverse_axis(a: AxisData) -> AxisData:
     """Axis of the inverse element: twist tau^-1, word (tau c_n, ..., tau c_1)."""
-    require_valid(a)
     word = tuple(a.twist(c) for c in reversed(a.word))
     return AxisData(a.group, a.twist.inverse(), word)
 
@@ -179,7 +167,6 @@ def localisation_scale(a: AxisData, p: int) -> int:
     multiple of the p-part of the ambient factor |F_{c_{i-1}} . c_i|.
     """
     local = AxisData(designated_sylow(a.group, p), a.twist, a.word)
-    require_valid(local)
     return _word_product(local, _local_table(a.group, p))
 
 
@@ -189,7 +176,6 @@ def aggregate_scale(a: AxisData) -> int:
     Restricted to colour-preserving axes (identity twist): the identity lies
     in every F(p), so all localisations are simultaneously defined.
     """
-    require_valid(a)
     if not a.twist.is_identity():
         raise PreconditionError(
             "aggregate scale requires a colour-preserving axis (identity twist)")

@@ -134,7 +134,8 @@ def parse_group_file(text: str, source: str = "<group file>") -> PermGroup:
 
 
 def parse_axis(group: PermGroup, text: str) -> AxisData:
-    """Parse an axis literal against a known colour group."""
+    """Parse an axis literal against a known colour group; a well-formed
+    literal of an invalid axis raises ``InvalidAxisError`` from AxisData."""
     twist = None
     word = None
     seen = set()

@@ -1,9 +1,10 @@
 """The public surface: the enumeration bound and the walk-depth cap are
 module constants with no per-call override; the enumeration bound, the
 degree bound and the explicit-oracle cap are each read by exactly one
-function; every exported name resolves; no module imports a name it never
-uses, no module defines a private name that no module reads, and no public
-name is read only by the tests."""
+function; InvalidAxisError is read only where an axis is built; every
+exported name resolves; no module imports a name it never uses, no module
+defines a private name that no module reads, and no public name is read
+only by the tests."""
 
 import ast
 import importlib
@@ -75,6 +76,14 @@ def test_each_bound_is_read_by_one_function():
         "DEGREE_BOUND": ["groupspec._parse_degree"],
         "GROUP_CAP": ["balloracle.exhaustive_applies"],
     }
+
+
+def test_an_axis_is_checked_only_when_it_is_built():
+    # AxisData refuses an invalid axis, so no consumer checks one again
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
+    assert bound_readers(sources, ["InvalidAxisError"]) == {
+        "InvalidAxisError": ["bmtree.AxisData.__post_init__"]}
 
 
 def test_every_exported_name_resolves():

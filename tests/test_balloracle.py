@@ -6,7 +6,7 @@ from treescale import balloracle
 from treescale.acceptance import valid_axes
 from treescale.balloracle import (DEPTH_CAP, GROUP_CAP, exhaustive_orbit_count,
                                   explicit_sequences, extended_word, orbit_count)
-from treescale.bmtree import AxisData, require_valid
+from treescale.bmtree import AxisData
 from treescale.errors import PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation
@@ -27,7 +27,6 @@ def reachable_sequences(a, power=1):
     force over the elements of F: a step from colour prev to colour c
     extends a sequence ending at b by every f(c) with f(prev) = b, starting
     from the seam colour, which is then dropped."""
-    require_valid(a)
     elems = a.group.elements()
     prev = a.seam_colour
     seqs = {(prev,)}

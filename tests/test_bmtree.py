@@ -17,8 +17,7 @@ from treescale.acceptance import valid_axes
 from treescale.bmtree import (AxisData, _local_sylow_family, _local_table,
                               aggregate_scale, designated_sylow, inverse_axis,
                               localisation_scale, localized_scale, modular,
-                              scale, scale_spectrum, symscale_case,
-                              validate_axis)
+                              scale, scale_spectrum, symscale_case)
 from treescale.errors import InvalidAxisError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation
@@ -70,37 +69,53 @@ def random_valid_axes(group, count, max_len, seed):
             if c != word[-1]:
                 word.append(c)
         tau = elems[rng.randrange(len(elems))]
-        a = AxisData(group, tau, tuple(word))
-        if not validate_axis(a):
-            out.append(a)
+        try:
+            out.append(AxisData(group, tau, tuple(word)))
+        except InvalidAxisError:
+            pass
     return out
+
+
+def violations(group, twist, word):
+    """The violations that building the axis raises, [] when it builds."""
+    try:
+        axis(group, twist, word)
+    except InvalidAxisError as e:
+        return e.violations
+    return []
 
 
 class TestValidation:
     def test_ok(self):
-        assert validate_axis(axis(S4, "id", (1, 2))) == []
+        assert violations(S4, "id", (1, 2)) == []
 
     def test_repeated_colour(self):
-        problems = validate_axis(axis(S4, "id", (1, 1)))
-        assert any("repeated" in p for p in problems)
+        assert any("repeated" in p for p in violations(S4, "id", (1, 1)))
 
     def test_twisted_singleton_ok(self):
-        assert validate_axis(axis(C3_ON_5, "(1 2 3)", (3,))) == []
+        assert violations(C3_ON_5, "(1 2 3)", (3,)) == []
 
     def test_seam_violation(self):
-        problems = validate_axis(axis(S4, "id", (1, 2, 1)))
-        assert any("seam" in p for p in problems)
+        assert any("seam" in p for p in violations(S4, "id", (1, 2, 1)))
 
     def test_twist_membership(self):
-        problems = validate_axis(axis(C3_ON_5, "(1 2)", (3,)))
-        assert any("member" in p for p in problems)
+        assert any("member" in p for p in violations(C3_ON_5, "(1 2)", (3,)))
 
     def test_colour_range(self):
-        problems = validate_axis(axis(S4, "id", (1, 7)))
-        assert any("outside" in p for p in problems)
+        assert any("outside" in p for p in violations(S4, "id", (1, 7)))
 
     def test_empty_word(self):
-        assert validate_axis(AxisData(S4, Permutation.identity(4), ())) == ["word is empty"]
+        # the seam colour of an empty word does not exist
+        assert violations(S4, "id", ()) == ["word is empty"]
+
+    def test_every_violation_in_order(self):
+        assert violations(C3_ON_5, "(1 2)", (7, 7, 1)) == [
+            "colour 7 at position 1 outside 1..5", "colour 7 at position 2 outside 1..5",
+            "repeated colour at positions 1,2",
+            "twist is not a member of the local action group"]
+        with pytest.raises(InvalidAxisError) as info:
+            AxisData(S4, Permutation.identity(5), (1, 2))
+        assert info.value.violations == ["twist degree does not match the colour count"]
 
 
 class TestScale:
@@ -139,8 +154,8 @@ class TestInverse:
     def test_involution(self):
         for g in (S3, S4, C3_ON_5):
             for a in random_valid_axes(g, 25, 4, seed=7):
+                # inverse_axis returns, so the inverse axis passed AxisData's checks
                 assert inverse_axis(inverse_axis(a)) == a
-                assert validate_axis(inverse_axis(a)) == []
 
 
 class TestModular:

@@ -3,7 +3,7 @@
 import pytest
 
 from treescale import groupspec
-from treescale.errors import ParseError, PreconditionError
+from treescale.errors import InvalidAxisError, ParseError, PreconditionError
 from treescale.groupspec import (DEGREE_BOUND, parse_axis, parse_group_file,
                                  parse_group_spec)
 from treescale.perm import PermGroup
@@ -125,3 +125,14 @@ class TestAxisLiterals:
                     "twist=(1 2); word=1,2; word=1", "twist=id; twist=id; word=1,2"):
             with pytest.raises(ParseError):
                 parse_axis(g, bad)
+
+    @pytest.mark.parametrize("spec, literal, violation", [
+        ("sym:4", "twist=id; word=1,1", "repeated colour at positions 1,2"),
+        ("cyclic:3", "twist=(1 2); word=1", "twist is not a member of the local action group"),
+    ])
+    def test_invalid_axis_is_refused_when_parsed(self, spec, literal, violation):
+        # a well-formed literal of an invalid axis is refused by the parse,
+        # before any command reads the axis
+        with pytest.raises(InvalidAxisError) as info:
+            parse_axis(parse_group_spec(spec).group, literal)
+        assert info.value.violations == [violation]
