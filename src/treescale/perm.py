@@ -196,6 +196,21 @@ def _conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]
     return tuple(out)
 
 
+def _is_odd(images: tuple[int, ...]) -> bool:
+    """Whether the permutation with these images is odd: each step along a
+    cycle is one transposition."""
+    odd = False
+    left = set(images)
+    while left:
+        start = left.pop()
+        pt = images[start - 1]
+        while pt != start:
+            left.discard(pt)
+            odd = not odd
+            pt = images[pt - 1]
+    return odd
+
+
 def _orbit_transversal(degree: int, point: int, gens, trans=None) -> dict[int, Permutation]:
     """Breadth-first orbit of point under gens: maps each q in the orbit to
     a product u of generators with u(point) = q.  Given trans, the orbit
@@ -266,13 +281,26 @@ class _Chain:
     its inverse image tuples stays valid.  A level whose orbit has grown
     past one point also keeps, per orbit point, how many of its generators
     have had their Schreier generator sifted, so no (point, generator)
-    pair is sifted twice.  Each orbit lies in the true basic orbit, so the
-    orbit lengths multiply to at most |G|; the build stops once they reach
-    k!, or k!/2 with every strong generator even, the largest order a
-    group on k points (and an even one) can have.
+    pair is sifted twice.
+
+    Each orbit lies in the true basic orbit, so the orbit lengths of levels
+    j.. multiply to at most the order of the group H_j those levels
+    generate, a group on the k-j points j+1..k.  When they reach (k-j)!,
+    H_j is Sym(j+1..k); when they reach (k-j)!/2 and the generators of
+    level j-1 (of level 0 for j = 0) are all even, H_j is Alt(j+1..k) and
+    the group of level j-1 is even too.  Either way the orbits of levels
+    j.. are the true ones and H_j holds every Schreier generator of level
+    j-1, so that level needs no check, and for j = 0 the chain is complete
+    (``_full_from``).  As level m's orbit has at most k-m points, the first
+    case means that every level from j on is full, and the second, where
+    the orbits are those of Alt(j+1..k), that levels j..k-3 are full and
+    level k-2 is one point.  ``low`` is the least j from which levels
+    j..k-3 are all full, and ``odd`` the deepest level known to hold an
+    odd strong generator, -1 if none: it covers the first ``parities``
+    generators of level 0, whose parities are found on first need.
     """
 
-    __slots__ = ("degree", "gens", "orbits", "inverses", "done")
+    __slots__ = ("degree", "gens", "orbits", "inverses", "done", "low", "odd", "parities")
 
     def __init__(self, degree: int, generators):
         self.degree = degree
@@ -281,6 +309,9 @@ class _Chain:
         self.orbits: list[dict[int, Permutation]] = [{i + 1: identity} for i in range(degree)]
         self.inverses: list[_InverseImages | None] = [None] * degree
         self.done: list[dict[int, int] | None] = [None] * degree
+        self.low = max(degree - 2, 0)
+        self.odd = -1
+        self.parities = 0
         for g in generators:  # distinct and nontrivial, as PermGroup keeps them
             self._place(g)
         self._complete(degree - 1)
@@ -300,7 +331,7 @@ class _Chain:
 
     def _place(self, g: Permutation) -> int:
         """Append the strong generator g to levels 0..j, j+1 its least moved
-        point, extend their orbits and return j."""
+        point, extend their orbits and ``low`` and return j."""
         j = g.min_moved() - 1
         for i in range(j + 1):
             self.gens[i].append(g)
@@ -308,35 +339,48 @@ class _Chain:
             if self.done[i] is None and len(trans) > 1:
                 self.inverses[i] = _InverseImages(trans)
                 self.done[i] = {}
+        while self.low and len(self.orbits[self.low - 1]) == self.degree - self.low + 1:
+            self.low -= 1
         return j
 
-    def _at_bound(self) -> bool:
-        n = math.prod(map(len, self.orbits))
-        bound = math.factorial(self.degree)
-        return n == bound or (2 * n == bound and all(
-            sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in self.gens[0]))
+    def _full_from(self, j: int) -> bool:
+        """Whether the orbit lengths of levels j.. multiply to (k-j)!, or to
+        (k-j)!/2 while every strong generator of level j-1 (of level 0 for
+        j = 0) is even; read from ``low``, the orbit at level k-2 and
+        ``odd``, as the class docstring says."""
+        if j < self.low:
+            return False
+        if j >= self.degree - 1 or len(self.orbits[self.degree - 2]) == 2:
+            return True
+        for g in self.gens[0][self.parities:]:
+            if _is_odd(g.images):
+                self.odd = max(self.odd, g.min_moved() - 1)
+        self.parities = len(self.gens[0])
+        return self.odd < max(j - 1, 0)
 
     def _complete(self, i: int) -> None:
         """Sift the unsifted pairs of levels i, i-1, ..., 0, climbing back to
         the level of each new strong generator, until none is left or the
-        orbits reach the degree bound.  The orbits are then the true basic
-        orbits, so the chain is complete whatever pairs are left; the only
-        element add can still bring in is an odd one into Alt(k), and its
-        residue (k-1 k) lifts the product to k!."""
-        if self._at_bound():
+        whole chain is full (``_full_from(0)``).  A level whose next levels
+        are full is passed over and its pairs stay unmarked: their Schreier
+        generators lie in those levels already, and they are formed only if
+        an odd generator added later voids the alternating case."""
+        if self._full_from(0):
             return
         while i >= 0:
             j = self._verify_level(i)
-            if j is not None and self._at_bound():
+            if j is not None and self._full_from(0):
                 return
             i = i - 1 if j is None else j
 
     def _verify_level(self, i: int) -> int | None:
         """Sift the unsifted Schreier generators of level i through the
-        chain below; the level of a new strong generator, or None.  A
-        Schreier generator that is a deeper strong generator is not sifted,
-        and a level whose orbit is one point has no others."""
-        if self.done[i] is None:
+        chain below; the level of a new strong generator, or None.  None at
+        once when levels i+1.. are full, since they hold every Schreier
+        generator of level i.  A Schreier generator that is a deeper strong
+        generator is not sifted, and a level whose orbit is one point has
+        no others."""
+        if self.done[i] is None or self._full_from(i + 1):
             return None
         deeper = {g.images for g in self.gens[i + 1]}
         for sg in _schreier_generators(self.orbits[i], self.gens[i], self.inverses[i],

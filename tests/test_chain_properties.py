@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from treescale import perm
 from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation, _Chain
 from treescale.sylow import corpus
@@ -133,25 +134,73 @@ def degree_bound(group):
     return max(math.factorial(group.degree) // (2 if even else 1), 1)
 
 
-@pytest.mark.parametrize("k", range(1, 17))
-def test_build_sifts_nothing_once_the_orbits_reach_the_degree_bound(k, monkeypatch):
-    """The orbit lengths multiply to at most |G|, so once they reach k!
-    (sym:k), or k!/2 with even generators (alt:k), the chain is complete
-    and no Schreier generator is sifted any more."""
+def full_from(chain, j):
+    """Whether the orbit lengths of levels j.. multiply to (k-j)!, or to
+    (k-j)!/2 with every generator of level j-1 (of level 0 for j = 0)
+    even; recomputed from the orbits and generators."""
+    n = math.prod(map(len, chain.orbits[j:]))
+    bound = math.factorial(chain.degree - j)
+    return n == bound or (2 * n == bound and all(map(is_even, chain.gens[max(j - 1, 0)])))
+
+
+def record_schreier_generators(monkeypatch):
+    """Patch the chain so that every check of a level appends (whether
+    levels i+1.. were full, the number of nontrivial Schreier generators
+    it formed), and every sift appends whether the whole chain was full."""
+    checks, sifts = [], []
+    formed = [0]
+    schreier_generators = perm._schreier_generators
+    verify_level = _Chain._verify_level
+    sift_from = _Chain._sift_from
+
+    def counting(trans, gens, inverses, done):
+        for sg in schreier_generators(trans, gens, inverses, done):
+            formed[0] += 1
+            yield sg
+
+    def checking(chain, i):
+        full, before = full_from(chain, i + 1), formed[0]
+        result = verify_level(chain, i)
+        checks.append((full, formed[0] - before))
+        return result
+
+    def sifting(chain, start, g):
+        sifts.append(full_from(chain, 0))
+        return sift_from(chain, start, g)
+
+    monkeypatch.setattr(perm, "_schreier_generators", counting)
+    monkeypatch.setattr(_Chain, "_verify_level", checking)
+    monkeypatch.setattr(_Chain, "_sift_from", sifting)
+    return checks, sifts
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_build_forms_no_schreier_generator_below_a_full_suffix(k, monkeypatch):
+    """The orbit lengths of levels i+1.. multiply to at most the order of
+    the group they generate, so once they reach (k-i-1)!, or half of it
+    with the generators of level i even, those levels hold every Schreier
+    generator of level i and none is formed; once the whole chain reaches
+    k! (sym:k), or k!/2 with even generators (alt:k), nothing is sifted."""
     for group in (PermGroup.symmetric(k), PermGroup.alternating(k)):
-        bound = degree_bound(group)
-        products = []
-        original = _Chain._sift_from
-
-        def recording(chain, start, g):
-            products.append(math.prod(map(len, chain.orbits)))
-            return original(chain, start, g)
-
-        monkeypatch.setattr(_Chain, "_sift_from", recording)
+        checks, sifts = record_schreier_generators(monkeypatch)
         chain = _Chain(group.degree, group.generators)
         monkeypatch.undo()
-        assert chain.order() == bound
-        assert all(n < bound for n in products)
+        assert chain.order() == degree_bound(group)
+        assert all(n == 0 for full, n in checks if full)
+        assert not any(sifts)
+
+
+@pytest.mark.parametrize("k", range(5, 33))
+def test_symmetric_and_alternating_builds_form_few_schreier_generators(k, monkeypatch):
+    """sym:k forms at most 2k - 5 nontrivial Schreier generators, and
+    alt:k for even k at most 2k - 8."""
+    checks, _ = record_schreier_generators(monkeypatch)
+    PermGroup.symmetric(k).chain()
+    assert sum(n for _, n in checks) <= 2 * k - 5
+    if k % 2 == 0:
+        checks.clear()
+        PermGroup.alternating(k).chain()
+        assert sum(n for _, n in checks) <= 2 * k - 8
 
 
 def assert_transversals_valid(chain):

@@ -5,7 +5,11 @@ solubility, nilpotency, Sylow orders, derived-series lengths,
 lower-central-series orders, and the normality of p-cores and the Fitting
 subgroup; stabiliser-chain orders, bases and membership on structured
 generator sets, and the orders and elements of chains extended in place,
-and normal-closure orders.  Skipped when sympy is absent."""
+chains of groups whose lower levels generate a whole symmetric or
+alternating group before the levels above them are complete, and
+normal-closure orders.  Skipped when sympy is absent."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,8 @@ from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subg
 from treescale.supernat import prime_factors
 from treescale.sylow import fitting, p_core, sylow_subgroup
 
-from test_perm import chain_base, orbit
+from test_chain_properties import assert_transversals_valid
+from test_perm import brute_force_elements, chain_base, orbit
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -176,6 +181,105 @@ def test_extended_chain_agrees_with_sympy(case, rng):
     chain.add(odd)
     assert_chain_agrees(chain, sympy_group(degree, [g.images for g in gens + [odd]]),
                         degree, rng)
+
+
+def symmetric_on(degree, points):
+    """Generators of the symmetric group on points: a transposition and,
+    on three points or more, the cycle through all of them."""
+    gens = [Permutation.from_cycles(degree, [points[:2]])]
+    if len(points) > 2:
+        gens.append(Permutation.from_cycles(degree, [points]))
+    return gens
+
+
+def alternating_on(degree, points):
+    """Generators of the alternating group on at least three points, as
+    PermGroup.alternating gives them: a 3-cycle and a cycle of odd length."""
+    return [Permutation.from_cycles(degree, [points[:3]]),
+            Permutation.from_cycles(degree, [points[1 - len(points) % 2:]])]
+
+
+def fixes_blocks(blocks):
+    return lambda x: all({x[p - 1] for p in block} == set(block) for block in blocks)
+
+
+def permutes_blocks(blocks):
+    sets = {frozenset(block) for block in blocks}
+    return lambda x: {frozenset(x[p - 1] for p in block) for block in blocks} == sets
+
+
+def full_suffix_case(family, k):
+    """A group of degree k whose chain has levels that generate the whole
+    symmetric or alternating group on the points after them while the
+    levels above are incomplete: its generators, an element that add
+    extends their chain by (or None), and the membership test of the
+    resulting group on image tuples."""
+    points = list(range(1, k + 1))
+    odd = None
+    if family == "sym-fixing-1":
+        gens, member = symmetric_on(k, points[1:]), fixes_blocks([[1]])
+    elif family == "sym-times-sym":
+        blocks = [points[:k // 3 + 1], points[k // 3 + 1:]]
+        gens = symmetric_on(k, blocks[0]) + symmetric_on(k, blocks[1])
+        member = fixes_blocks(blocks)
+    elif family == "sym-odd-times-sym-even":
+        blocks = [points[::2], points[1::2]]
+        gens = symmetric_on(k, blocks[0]) + symmetric_on(k, blocks[1])
+        member = fixes_blocks(blocks)
+    elif family == "wreath":
+        blocks = [points[:k // 2], points[k // 2:]]
+        swap = Permutation.from_cycles(k, list(zip(*blocks)))
+        gens, member = symmetric_on(k, blocks[0]) + [swap], permutes_blocks(blocks)
+    elif family == "alt-fixing-1-and-transposition":
+        gens = alternating_on(k, points[1:]) + [Permutation.from_cycles(k, [[1, 2]])]
+        member = lambda x: True
+    elif family == "alt-fixing-1-and-double-transposition":
+        gens = alternating_on(k, points[1:]) + [Permutation.from_cycles(k, [[1, 2], [3, 4]])]
+        member = lambda x: is_even(Permutation._of(x))
+    else:
+        gens, member = PermGroup.alternating(k).generators, lambda x: True
+        odd = Permutation.from_cycles(k, {"alt-add-odd-moving-1": [[1, 2, 3, 4]],
+                                          "alt-add-odd-from-3": [[3, 4]],
+                                          "alt-add-odd-last": [[k - 1, k]]}[family])
+    return gens, odd, member
+
+
+FULL_SUFFIX_FAMILIES = {
+    "sym-fixing-1": range(3, 13), "sym-times-sym": range(4, 13),
+    "sym-odd-times-sym-even": range(4, 13), "wreath": range(4, 13, 2),
+    "alt-fixing-1-and-transposition": range(4, 13),
+    "alt-fixing-1-and-double-transposition": range(4, 13),
+    "alt-add-odd-moving-1": range(4, 13), "alt-add-odd-from-3": range(4, 13),
+    "alt-add-odd-last": range(4, 13)}
+
+
+@pytest.mark.parametrize("family, k", [(family, k) for family, degrees
+                                       in FULL_SUFFIX_FAMILIES.items() for k in degrees])
+def test_chain_with_a_full_suffix_agrees_with_sympy(family, k):
+    """Levels below a suffix that reaches (k-j)!, or (k-j)!/2 with even
+    generators above it, are passed over; the chain keeps sympy's order,
+    valid transversals and the membership of the group, and for k <= 7
+    its elements."""
+    gens, odd, member = full_suffix_case(family, k)
+    chain = PermGroup(k, gens).chain()
+    if odd is not None:
+        assert chain.add(odd)
+        gens = list(gens) + [odd]
+    theirs = sympy_group(k, [g.images for g in gens])
+    assert chain.order() == theirs.order()
+    assert_transversals_valid(chain)
+    if k <= 7:
+        assert set(chain.elements()) == brute_force_elements(k, gens)
+    rng = random.Random(k)
+    for _ in range(20):
+        product = Permutation.identity(k)
+        for _ in range(rng.randint(1, 8)):
+            product = rng.choice(gens) * product
+        images = list(range(1, k + 1))
+        rng.shuffle(images)
+        for x in (product, Permutation(images)):
+            expected = theirs.contains(sympy_permutation(x))
+            assert chain.contains(x) == member(x.images) == expected
 
 
 @settings(max_examples=60, deadline=None)
