@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 precondition error, 2 parse error, 3 verification
 failure.  Errors print one machine-parsable line on stderr in the form
-``<category>: <message>``.  Every command accepts ``--json``; JSON keys are
-emitted in the documented fixed order.
+``<category>: <message>``.  Every command accepts ``--json``; a JSON report
+lists its keys in the documented fixed order, ``command`` first and ``law``
+last.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from .supernat import prime_factors
 from .sylow import subgroup_index
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, text: str, law: str, **fields) -> None:
+    """Print the text, or with ``--json`` the report: ``command`` first,
+    then the fields in the order given, ``law`` last."""
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps({"command": args.command, **fields, "law": law}))
     else:
         print(text)
 
@@ -32,53 +35,30 @@ def _axis(args):
     return spec, parse_axis(spec.group, args.axis)
 
 
-def cmd_scale(args) -> int:
+# The commands that take one axis and report one value, printed as str(value):
+# name -> (help, value of an axis, JSON key of the value, law).
+_AXIS_COMMANDS = {
+    "scale": ("scale of an axis", lambda a, _: bmtree.scale(a), "value",
+              "scale is the product of suborbit sizes along the word"),
+    "inverse": ("axis of the inverse element", lambda a, _: bmtree.inverse_axis(a).describe(),
+                "inverse", "the inverse element reverses and twists the word"),
+    "modular": ("modular value of an axis", lambda a, _: str(bmtree.modular(a)), "value",
+                "the modular value is scale(x) / scale(x^-1)"),
+    "aggregate": ("product of local scales", lambda a, _: bmtree.aggregate_scale(a), "value",
+                  "aggregate scale is the product of the local scales"),
+    "localscale": ("scale over the Sylow restriction",
+                   lambda a, args: bmtree.localized_scale(a, args.prime), "value",
+                   "local scale is the scale of the word over the Sylow restriction"),
+}
+
+
+def cmd_axis(args) -> int:
+    _, value_of, key, law = _AXIS_COMMANDS[args.command]
     spec, a = _axis(args)
-    value = bmtree.scale(a)
-    _emit(args, {"command": "scale", "group": spec.canonical,
-                 "axis": a.describe(), "value": value,
-                 "law": "scale is the product of suborbit sizes along the word"},
-          str(value))
-    return 0
-
-
-def cmd_inverse(args) -> int:
-    spec, a = _axis(args)
-    inv = bmtree.inverse_axis(a)
-    _emit(args, {"command": "inverse", "group": spec.canonical,
-                 "axis": a.describe(), "inverse": inv.describe(),
-                 "law": "the inverse element reverses and twists the word"},
-          inv.describe())
-    return 0
-
-
-def cmd_modular(args) -> int:
-    spec, a = _axis(args)
-    delta = bmtree.modular(a)
-    _emit(args, {"command": "modular", "group": spec.canonical,
-                 "axis": a.describe(), "value": str(delta),
-                 "law": "the modular value is scale(x) / scale(x^-1)"},
-          str(delta))
-    return 0
-
-
-def cmd_localscale(args) -> int:
-    spec, a = _axis(args)
-    value = bmtree.localized_scale(a, args.prime)
-    _emit(args, {"command": "localscale", "group": spec.canonical,
-                 "prime": args.prime, "axis": a.describe(), "value": value,
-                 "law": "local scale is the scale of the word over the Sylow restriction"},
-          str(value))
-    return 0
-
-
-def cmd_aggregate(args) -> int:
-    spec, a = _axis(args)
-    value = bmtree.aggregate_scale(a)
-    _emit(args, {"command": "aggregate", "group": spec.canonical,
-                 "axis": a.describe(), "value": value,
-                 "law": "aggregate scale is the product of the local scales"},
-          str(value))
+    value = value_of(a, args)
+    prime = {"prime": args.prime} if "prime" in args else {}
+    _emit(args, str(value), law, group=spec.canonical, **prime, axis=a.describe(),
+          **{key: value})
     return 0
 
 
@@ -86,52 +66,52 @@ def cmd_spectrum(args) -> int:
     spec = parse_group_spec(args.group)
     sp = bmtree.scale_spectrum(spec.group, args.max_len, mode=args.mode,
                                prime=args.prime, cap=args.cap)
-    payload = {"command": "spectrum", "group": spec.canonical}
-    payload.update(sp.to_json_dict())
-    payload["law"] = "spectrum of achieved scale values over all valid axes"
-    _emit(args, payload, " ".join(map(str, sp.entries))
-          + (" (truncated)" if sp.truncated else ""))
+    _emit(args, " ".join(map(str, sp.entries)) + (" (truncated)" if sp.truncated else ""),
+          "spectrum of achieved scale values over all valid axes",
+          group=spec.canonical, **sp.to_json_dict())
     return 0
 
 
 def cmd_predict(args) -> int:
     pred = bmtree.symscale_case(args.k, args.prime)
-    text = f"T = {pred.local_text()}; S = {pred.ambient_text()}"
-    _emit(args, {"command": "predict", "k": args.k, "prime": args.prime,
-                 "local_exponents": pred.local_exponents,
-                 "ambient_step": pred.ambient_step,
-                 "law": "case split of the local and ambient exponent sets"},
-          text)
+    _emit(args, f"T = {pred.local_text()}; S = {pred.ambient_text()}",
+          "case split of the local and ambient exponent sets",
+          k=args.k, prime=args.prime, local_exponents=pred.local_exponents,
+          ambient_step=pred.ambient_step)
     return 0
+
+
+def _generators(sub) -> tuple[list[str], str]:
+    """The generators of a subgroup as cycle strings, and as one text field."""
+    gens = [g.cycle_string() for g in sub.generators]
+    return gens, ", ".join(gens) or "none"
 
 
 def cmd_sylow(args) -> int:
     spec = parse_group_spec(args.group)
-    p = args.prime
-    sub = bmtree.designated_sylow(spec.group, p)
+    sub = bmtree.designated_sylow(spec.group, args.prime)
     factors = prime_factors(subgroup_index(spec.group, sub))
     index = "*".join(str(q) if e == 1 else f"{q}^{e}" for q, e in factors.items()) or "1"
-    payload = {"command": "sylow", "group": spec.canonical, "prime": p,
-               "order": sub.order(), "index": index,
-               "generators": [g.cycle_string() for g in sub.generators],
-               "law": "Sylow subgroup order is the p-part of the group order"}
-    text = (f"order {sub.order()}, index {index}, generators "
-            + (", ".join(g.cycle_string() for g in sub.generators) or "none"))
-    _emit(args, payload, text)
+    gens, text = _generators(sub)
+    _emit(args, f"order {sub.order()}, index {index}, generators {text}",
+          "Sylow subgroup order is the p-part of the group order",
+          group=spec.canonical, prime=args.prime, order=sub.order(), index=index,
+          generators=gens)
     return 0
 
 
 def cmd_basis(args) -> int:
     spec = parse_group_spec(args.group)
     basis = sylow.sylow_basis(spec.group)
-    members = [{"prime": p, "order": basis.members[p].order(),
-                "generators": [g.cycle_string() for g in basis.members[p].generators]}
-               for p in basis.primes()]
-    payload = {"command": "basis", "group": spec.canonical, "members": members,
-               "law": "a soluble group has pairwise permutable Sylow subgroups"}
-    lines = [f"p={m['prime']}: order {m['order']}, generators "
-             + (", ".join(m["generators"]) or "none") for m in members]
-    _emit(args, payload, "\n".join(lines) or "trivial group: no primes, empty basis")
+    members, lines = [], []
+    for p in basis.primes():
+        sub = basis.members[p]
+        gens, text = _generators(sub)
+        members.append({"prime": p, "order": sub.order(), "generators": gens})
+        lines.append(f"p={p}: order {sub.order()}, generators {text}")
+    _emit(args, "\n".join(lines) or "trivial group: no primes, empty basis",
+          "a soluble group has pairwise permutable Sylow subgroups",
+          group=spec.canonical, members=members)
     return 0
 
 
@@ -139,17 +119,12 @@ def cmd_oracle(args) -> int:
     spec, a = _axis(args)
     m = args.power
     walk = balloracle.orbit_count(a, m)  # refuses a deep walk before scale ** m
-    formula = bmtree.scale(a) ** m
-    payload = {"command": "oracle", "group": spec.canonical,
-               "axis": a.describe(), "power": m,
-               "formula": formula, "walk": walk,
-               "law": "the orbit count equals the m-th power of the scale"}
-    lines = [f"formula:  {formula}", f"walk:     {walk}"]
+    counts = {"formula": bmtree.scale(a) ** m, "walk": walk}
     if m == 1 and balloracle.exhaustive_applies(a):
-        explicit = balloracle.exhaustive_orbit_count(a)
-        payload["explicit"] = explicit
-        lines.append(f"explicit: {explicit}")
-    _emit(args, payload, "\n".join(lines))
+        counts["explicit"] = balloracle.exhaustive_orbit_count(a)
+    _emit(args, "\n".join(f"{name + ':':9} {n}" for name, n in counts.items()),
+          "the orbit count equals the m-th power of the scale",
+          group=spec.canonical, axis=a.describe(), power=m, **counts)
     return 0
 
 
@@ -191,13 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         return p
 
-    for name, fn, help_ in (
-            ("scale", cmd_scale, "scale of an axis"),
-            ("inverse", cmd_inverse, "axis of the inverse element"),
-            ("modular", cmd_modular, "modular value of an axis"),
-            ("aggregate", cmd_aggregate, "product of local scales"),
-            ("oracle", cmd_oracle, "orbit-count oracles next to the formula"),
-            ("localscale", cmd_localscale, "scale over the Sylow restriction")):
+    axis_commands = [(name, cmd_axis, row[0]) for name, row in _AXIS_COMMANDS.items()]
+    # oracle keeps its place in the usage line, between aggregate and localscale
+    axis_commands.insert(4, ("oracle", cmd_oracle, "orbit-count oracles next to the formula"))
+    for name, fn, help_ in axis_commands:
         p = add(name, fn, help_)
         p.add_argument("--group", required=True, help="group spec, e.g. sym:4")
         p.add_argument("--axis", required=True,

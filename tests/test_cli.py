@@ -1,5 +1,6 @@
 """End-to-end CLI tests: outputs, JSON key order, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -33,13 +34,34 @@ def test_scale_command(capsys):
     assert code == 0 and out.strip() == "9" and err == ""
 
 
-def test_scale_json_key_order(capsys):
-    code, out, _ = run(capsys, "scale", "--group", "sym:4",
-                       "--axis", "twist=id; word=1,2", "--json")
+_S4_AXIS = ["--group", "sym:4", "--axis", "twist=id; word=1,2"]
+
+
+# Every report lists command first and law last.
+@pytest.mark.parametrize("argv, keys", [
+    (["scale", *_S4_AXIS], ["group", "axis", "value"]),
+    (["inverse", *_S4_AXIS], ["group", "axis", "inverse"]),
+    (["modular", *_S4_AXIS], ["group", "axis", "value"]),
+    (["aggregate", *_S4_AXIS], ["group", "axis", "value"]),
+    (["localscale", *_S4_AXIS, "--prime", "3"], ["group", "prime", "axis", "value"]),
+    (["oracle", *_S4_AXIS], ["group", "axis", "power", "formula", "walk", "explicit"]),
+    (["oracle", *_S4_AXIS, "--power", "2"], ["group", "axis", "power", "formula", "walk"]),
+    (["spectrum", "--group", "sym:3", "--max-len", "3"],
+     ["group", "mode", "max_len", "cap", "truncated", "entries"]),
+    (["spectrum", "--group", "sym:3", "--max-len", "3", "--mode", "exponents", "--prime", "2"],
+     ["group", "mode", "prime", "max_len", "cap", "truncated", "entries"]),
+    (["predict", "--k", "7", "--prime", "3"], ["k", "prime", "local_exponents", "ambient_step"]),
+    (["sylow", "--group", "sym:4", "--prime", "3"],
+     ["group", "prime", "order", "index", "generators"]),
+    (["basis", "--group", "sym:4"], ["group", "members"]),
+], ids=["scale", "inverse", "modular", "aggregate", "localscale", "oracle-explicit",
+        "oracle-power", "spectrum-values", "spectrum-exponents", "predict", "sylow", "basis"])
+def test_json_key_order(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     pairs = json.loads(out, object_pairs_hook=list)
-    assert [k for k, _ in pairs] == ["command", "group", "axis", "value", "law"]
-    assert dict(pairs)["value"] == 9
+    assert [k for k, _ in pairs] == ["command", *keys, "law"]
+    assert dict(pairs)["command"] == argv[0]
 
 
 def test_inverse_round_trip(capsys):
@@ -249,7 +271,19 @@ def test_verify_json_shape(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload[0]["name"] == "c13_spectrum_exponent_inclusion"
-    assert set(payload[0]) == {"name", "passed", "law", "detail"}
+    assert list(payload[0]) == ["name", "passed", "law", "detail"]
+
+
+# -- golden transcript ------------------------------------------------------
+
+# Each entry is one call of main: its argv and the exit code, stdout and
+# stderr that call gave.
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("call", GOLDEN, ids=[c["argv"][0] for c in GOLDEN])
+def test_golden_transcript(capsys, call):
+    assert run(capsys, *call["argv"]) == (call["code"], call["stdout"], call["stderr"])
 
 
 # -- one parser per process -------------------------------------------------
@@ -363,3 +397,13 @@ def test_fuzzed_argv_exits_cleanly(argv):
             code = exc.code
     assert code in {0, 1, 2, 3}, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_fuzzed_options_match_the_parser():
+    """Every subcommand and option the parser accepts is fuzzed."""
+    commands, = (a.choices for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: [opt for action in parser._actions for opt in action.option_strings
+                       if opt not in ("-h", "--help", "--json")]
+                for name, parser in commands.items()}
+    assert accepted == _OPTIONS
