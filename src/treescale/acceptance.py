@@ -126,36 +126,43 @@ def c01_two_transitive_spectrum() -> CheckResult:
     return CheckResult("c01_two_transitive_spectrum", law, not problems, detail)
 
 
+# c02-c05 compare exact exponent sets over every word length, up to this cap
+_EXACT_CAP = 40
+
+
+def _local_exponents(k: int, p: int) -> tuple[int, ...]:
+    """The p-exponents of sylow:p:sym:k over all word lengths, up to the cap."""
+    return bmtree.scale_spectrum(sylow.sylow_of_symmetric(k, p), 10 ** 9,
+                                 mode="exponents", prime=p, cap=_EXACT_CAP).entries
+
+
 def c02_at_most_p_colours() -> CheckResult:
     law = "local p-group with no suborbit above 1 is uniscalar (exponent set {0})"
     problems = []
     for k in (4, 5):
-        f = sylow.sylow_of_symmetric(k, 5)
-        sp = bmtree.scale_spectrum(f, 8, mode="exponents", prime=5)
-        if sp.entries != (0,):
-            problems.append(f"sylow:5:sym:{k}: got {sp.entries}")
-    detail = "; ".join(problems) if problems else "sylow:5:sym:4 and sylow:5:sym:5 give {0}"
+        entries = _local_exponents(k, 5)
+        if entries != (0,):
+            problems.append(f"sylow:5:sym:{k}: got {entries}")
+    detail = "; ".join(problems) if problems else \
+        f"sylow:5:sym:4 and sylow:5:sym:5 give exactly {{0}} over all lengths (cap {_EXACT_CAP})"
     return CheckResult("c02_at_most_p_colours", law, not problems, detail)
 
 
 def c03_two_block_even_exponents() -> CheckResult:
     law = "two p-blocks: achievable exponents are exactly the even naturals"
-    f = sylow.sylow_of_symmetric(6, 3)
-    sp = bmtree.scale_spectrum(f, 8, mode="exponents", prime=3)
-    expected = (0, 2, 4, 6, 8)
-    ok = sp.entries == expected
-    detail = (f"sylow:3:sym:6 at length 8 gives {sp.entries}"
-              + ("" if ok else f", expected {expected}"))
+    entries = _local_exponents(6, 3)
+    ok = entries == tuple(range(0, _EXACT_CAP + 1, 2))
+    detail = (f"sylow:3:sym:6 gives exactly the even exponents 0..{_EXACT_CAP} over all lengths"
+              if ok else f"sylow:3:sym:6 gives {entries}, not the even exponents 0..{_EXACT_CAP}")
     return CheckResult("c03_two_block_even_exponents", law, ok, detail)
 
 
 def c04_many_blocks_skip_one() -> CheckResult:
     law = "three or more p-blocks: achievable exponents are the naturals without 1"
-    f = sylow.sylow_of_symmetric(15, 5)
-    sp = bmtree.scale_spectrum(f, 6, mode="exponents", prime=5)
-    entries = set(sp.entries)
-    ok = {0, 2, 3, 4, 5, 6} <= entries and 1 not in entries
-    detail = f"sylow:5:sym:15 at length 6 gives {sp.entries}"
+    entries = _local_exponents(15, 5)
+    ok = entries == (0, *range(2, _EXACT_CAP + 1))
+    detail = (f"sylow:5:sym:15 gives exactly the exponents 0..{_EXACT_CAP} without 1 over all lengths"
+              if ok else f"sylow:5:sym:15 gives {entries}, not 0..{_EXACT_CAP} without 1")
     return CheckResult("c04_many_blocks_skip_one", law, ok, detail)
 
 
@@ -163,12 +170,11 @@ def c05_mixed_blocks_full() -> CheckResult:
     law = "mixed block structure: every exponent is achievable"
     problems = []
     for k in (4, 9):
-        f = sylow.sylow_of_symmetric(k, 3)
-        sp = bmtree.scale_spectrum(f, 6, mode="exponents", prime=3)
-        if not {0, 1, 2, 3} <= set(sp.entries):
-            problems.append(f"sylow:3:sym:{k}: got {sp.entries}")
+        entries = _local_exponents(k, 3)
+        if entries != tuple(range(_EXACT_CAP + 1)):
+            problems.append(f"sylow:3:sym:{k}: got {entries}")
     detail = "; ".join(problems) if problems else \
-        "sylow:3:sym:4 and sylow:3:sym:9 reach exponents 0..3 at length 6"
+        f"sylow:3:sym:4 and sylow:3:sym:9 give exactly the exponents 0..{_EXACT_CAP} over all lengths"
     return CheckResult("c05_mixed_blocks_full", law, not problems, detail)
 
 

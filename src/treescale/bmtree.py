@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidAxisError, PreconditionError
 from .perm import Orbitals, PermGroup, Permutation, meet_index
@@ -203,6 +204,56 @@ class ScaleSpectrum:
         return out
 
 
+class _SpectrumPlan(NamedTuple):
+    """The spectrum DP's tables for one weighting of F's orbitals.
+
+    ``moves`` are the distinct (source orbital, weight) pairs that extend a
+    word, sorted; ``into[t]`` numbers the moves that extend a word into
+    orbital t.  ``seams`` pairs each distinct seam weight w, ascending, with
+    the orbitals o whose words are finalised by a first factor of weight w.
+    """
+
+    moves: tuple[tuple[int, int], ...]
+    into: tuple[tuple[int, ...], ...]
+    seams: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _spectrum_plan(f: PermGroup, prime: int | None) -> _SpectrumPlan:
+    """The plan of the spectrum DP over F's suborbit sizes (prime None) or
+    their p-exponents.  Cached on f, write-once per prime; the cap is not
+    part of it."""
+    def make() -> _SpectrumPlan:
+        table = f.orbitals()
+        weights = (table.sizes if prime is None
+                   else [valuation(size, prime) for size in table.sizes])
+        # column[b][a - 1]: the weight of the orbital of (a, b), for the
+        # points b that start or end a label
+        column = {b: [weights[row[b - 1]] for row in table.index]
+                  for b in {b for label in table.labels for b in label}}
+        orbit: dict[int, list[int]] = {}  # F-orbits, keyed by their diagonal orbital
+        for c, row in enumerate(table.index):
+            orbit.setdefault(row[c], []).append(c)
+        # steps[t]: a word (s..n) of orbital t, labelled (s, n), extends a
+        # word (s..c), c != n, of the orbital of (s, c) by the weight of (c, n)
+        steps = []
+        for s, n in table.labels:
+            pairs = list(zip(table.index[s - 1], column[n]))
+            del pairs[n - 1]
+            steps.append(set(pairs))
+        moves = sorted(set().union(*steps))
+        number = {move: i for i, move in enumerate(moves)}
+        # a word of orbital o, labelled (s, c), has a seam colour x != s in
+        # the F-orbit of c, of first factor the weight of (x, s)
+        seams: dict[int, list[int]] = {}
+        for o, (s, c) in enumerate(table.labels):
+            for w in {column[s][x] for x in orbit[table.index[c - 1][c - 1]] if x != s - 1}:
+                seams.setdefault(w, []).append(o)
+        return _SpectrumPlan(tuple(moves),
+                             tuple(tuple(map(number.__getitem__, sources)) for sources in steps),
+                             tuple((w, tuple(seams[w])) for w in sorted(seams)))
+    return f._memo(("spectrum_plan", prime), make)
+
+
 def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
                    prime: int | None = None, cap: int | None = None) -> ScaleSpectrum:
     """All scale values (or their p-exponents) of valid axes with word length
@@ -223,6 +274,12 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     The reached sets only grow, within the values up to the cap, so the
     loop stops at max_len or at the first round that reaches nothing new,
     whatever max_len is.
+
+    A step multiplies by w >= 1 (a one-to-one map) or shifts, so it
+    distributes over union: a round advances each distinct move of the
+    ``_spectrum_plan`` once and each target unions its moves' results, and
+    the seam pass advances, per seam weight, the union of the reached sets
+    of the orbitals it finalises.
     """
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
@@ -243,57 +300,53 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
         if cap < 1:
             raise PreconditionError(f"value cap must be at least 1, got {cap}")
 
-    table = f.orbitals()
-    index = table.index
     if mode == "values":
-        weights = table.sizes
         start, empty = {1}, set()
 
         def advance(accs, w):
             kept = {acc * w for acc in accs if acc * w <= cap}
             return kept, len(kept) < len(accs)
     else:
-        weights = [valuation(size, prime) for size in table.sizes]
         start, empty = 1, 0
 
         def advance(mask, w):
             moved = mask << w
-            over = moved >> (cap + 1) << (cap + 1)
-            return moved ^ over, over > 0
+            if moved.bit_length() <= cap + 1:
+                return moved, False
+            return moved ^ (moved >> (cap + 1) << (cap + 1)), True
 
-    k = f.degree
-    diagonal = [index[c][c] for c in range(k)]
-    # steps[t]: the (source orbital, weight) pairs that extend a word into
-    # orbital t; seams[o]: the first-factor weights that finalise orbital o
-    steps = [{(index[s - 1][c], weights[index[c][n - 1]])
-              for c in range(k) if c != n - 1}
-             for s, n in table.labels]
-    seams = [{weights[index[x][s - 1]] for x in range(k)
-              if x != s - 1 and diagonal[x] == diagonal[c - 1]}
-             for s, c in table.labels]
-
+    moves, into, seams = _spectrum_plan(f, prime)
     truncated = False
-    reached = [start if s == n else empty for s, n in table.labels]
+    reached = [start if s == n else empty for s, n in f.orbitals().labels]
     fresh = reached
     for _ in range(1, max_len):
-        grown = list(reached)
-        for t, sources in enumerate(steps):
-            for o, w in sources:
-                if fresh[o]:
-                    kept, over = advance(fresh[o], w)
-                    truncated = truncated or over
-                    grown[t] = grown[t] | kept
+        kept = []
+        for o, w in moves:
+            accs = fresh[o]
+            if accs:
+                accs, over = advance(accs, w)
+                if over:
+                    truncated = True
+            kept.append(accs)
+        grown = []
+        for accs, numbers in zip(reached, into):
+            for i in numbers:
+                if kept[i]:
+                    accs = accs | kept[i]
+            grown.append(accs)
         # grown contains reached, so ^ leaves what this round added
         fresh = [g ^ r for g, r in zip(grown, reached)]
         if not any(fresh):
             break
         reached = grown
     found = start
-    for o, accs in enumerate(reached):
-        for w in seams[o]:
-            kept, over = advance(accs, w)
-            truncated = truncated or over
-            found = found | kept
+    for w, orbitals in seams:
+        accs = empty
+        for o in orbitals:
+            accs = accs | reached[o]
+        accs, over = advance(accs, w)
+        truncated = truncated or over
+        found = found | accs
     if mode == "values":
         entries = sorted(found)
     else:

@@ -454,9 +454,10 @@ class PermGroup:
     as a whole: ``is_soluble()``, the derived subgroup [G, G] (key
     ``derived``, shared by the derived and lower central series),
     ``nilpotent_residual``, per prime p ``sylow.sylow_subgroup`` (without
-    ``start``), ``sylow.p_core`` and the designated Sylow subgroup F(p) and
-    local orbital table of ``bmtree``, and the suborbit table of the ball
-    walk in ``balloracle``.  Transversals and point stabilisers are made
+    ``start``), ``sylow.p_core``, the designated Sylow subgroup F(p) and
+    local orbital table of ``bmtree``, the spectrum DP's plan of
+    ``bmtree`` (key ``("spectrum_plan", p)``, p None for values), and the
+    suborbit table of the ball walk in ``balloracle``.  Transversals and point stabilisers are made
     afresh on every call.
     """
 

@@ -478,7 +478,9 @@ SPECTRUM_SPECS = (["trivial:2", "sym:2", "alt:2", "cyclic:2"]
                   + [f"{kind}:{k}" for k in range(3, 8)
                      for kind in ("sym", "alt", "cyclic", "dihedral")]
                   + [f"sylow:{p}:sym:{k}" for k, p in
-                     ((4, 2), (5, 3), (6, 2), (6, 3), (8, 2), (9, 3), (10, 5))])
+                     ((4, 2), (5, 3), (6, 2), (6, 3), (8, 2), (9, 3), (10, 5))]
+                  # tables where many targets share a move
+                  + ["dihedral:20", "cyclic:16", "sylow:5:sym:15", "sylow:7:sym:14"])
 
 
 def spectrum_options():
@@ -512,6 +514,28 @@ class TestSpectrumMatchesThePerLengthLoop:
             huge = scale_spectrum(f, 10 ** 9, **kwargs)
             assert huge.max_len == 10 ** 9
             assert (huge.truncated, huge.entries) == reference_spectrum(f, 40, **kwargs)
+
+
+def test_truncation_in_the_seam_pass_alone_is_flagged():
+    # words of length <= 3 over sym:3 carry 1, 2 and 4, all within the cap;
+    # only the seam factor 2 takes 4 to 8
+    sp = scale_spectrum(S3, 3, cap=4)
+    assert sp.truncated and sp.entries == (1, 2, 4)
+    assert (sp.truncated, sp.entries) == reference_spectrum(S3, 3, cap=4)
+
+
+def test_one_plan_per_weight_kind_whatever_the_cap():
+    f = parse_group_spec("sylow:2:sym:6").group
+    calls = [(9, {}), (9, {"mode": "exponents", "prime": 2}),
+             (9, {"mode": "exponents", "prime": 3, "cap": 5}), (5, {"cap": 50})]
+    for n, kwargs in calls:
+        fresh = parse_group_spec("sylow:2:sym:6").group
+        assert scale_spectrum(f, n, **kwargs) == scale_spectrum(fresh, n, **kwargs)
+    plans = {key: value for key, value in f._derived.items() if key[0] == "spectrum_plan"}
+    assert set(plans) == {("spectrum_plan", None), ("spectrum_plan", 2), ("spectrum_plan", 3)}
+    for n, kwargs in calls:
+        scale_spectrum(f, n, **kwargs)
+    assert all(f._derived[key] is plan for key, plan in plans.items())
 
 
 def test_exponent_memory_follows_the_answer_not_the_cap():
