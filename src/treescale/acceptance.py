@@ -342,10 +342,6 @@ def c12_sylow_hall_battery() -> CheckResult:
     law = ("finite Sylow and Hall laws on the corpus: orders, conjugacy, "
            "cores, bases, covering, core intersection")
     problems = []
-
-    def note(msg: str) -> None:
-        problems.append(msg)
-
     for name, g in sylow.corpus():
         order = g.order()
         primes = list(prime_factors(order))
@@ -354,55 +350,56 @@ def c12_sylow_hall_battery() -> CheckResult:
             s = sylow.sylow_subgroup(g, p)
             sylows[p] = s
             if s.order() != sylow.p_part_of_order(g, p):
-                note(f"{name}: Sylow {p} has order {s.order()}")
+                problems.append(f"{name}: Sylow {p} has order {s.order()}")
             # conjugates of a Sylow are Sylow and reachable by the search
             for x in list(g.generators)[:2]:
                 conj = s.conjugate(x)
                 if next(g.conjugators([(s, conj)]), None) is None:
-                    note(f"{name}: no conjugator onto a conjugate Sylow {p}")
+                    problems.append(f"{name}: no conjugator onto a conjugate Sylow {p}")
         normals = normal_subgroups(g)
         for p in primes:
             core = sylow.p_core(g, p)
             cset = core.element_set()
             if not sylow.is_normal_in(core, g):
-                note(f"{name}: O_{p} not normal")
+                problems.append(f"{name}: O_{p} not normal")
             if set(prime_factors(core.order())) - {p}:
-                note(f"{name}: O_{p} is not a {p}-group")
+                problems.append(f"{name}: O_{p} is not a {p}-group")
             for sub in normals:
                 n = len(sub)
                 if n > 1 and n == p ** valuation(n, p) and not {x.images for x in sub} <= cset:
-                    note(f"{name}: normal {p}-subgroup of order {n} outside O_{p}")
+                    problems.append(f"{name}: normal {p}-subgroup of order {n} outside O_{p}")
         basis = sylow.sylow_basis(g)
         bad = basis.violations()
         if bad:
-            note(f"{name}: basis violations {bad}")
+            problems.append(f"{name}: basis violations {bad}")
         for x in list(g.generators)[:2]:
             other = basis.conjugate(x)
             pairs = [(basis.members[p], other.members[p]) for p in basis.members]
             if next(g.conjugators(pairs), None) is None:
-                note(f"{name}: Sylow bases not simultaneously conjugate")
+                problems.append(f"{name}: Sylow bases not simultaneously conjugate")
         for k_sub in _covering_kernels(g):
             try:
                 if not sylow.verify_hall_covering(g, basis, k_sub):
-                    note(f"{name}: Hall covering fails for |K|={k_sub.order()}")
+                    problems.append(f"{name}: Hall covering fails for |K|={k_sub.order()}")
             except PreconditionError:
-                note(f"{name}: unexpected precondition failure for |K|={k_sub.order()}")
+                problems.append(f"{name}: unexpected precondition failure for |K|={k_sub.order()}")
         for sub in normals:
             v = PermGroup(g.degree, sorted(sub))
             for prime_sets in ({frozenset({2})}, {frozenset({3})},
                                {frozenset({2}), frozenset({3})}):
                 if not sylow.core_commensurability_check(g, v, prime_sets):
-                    note(f"{name}: core intersection fails for |V|={v.order()}")
+                    problems.append(f"{name}: core intersection fails for |V|={v.order()}")
 
     # the one named covering instance with a proper kernel
     s4 = PermGroup.symmetric(4)
     b4 = sylow.sylow_basis(s4)
     if not sylow.verify_hall_covering(s4, b4, PermGroup.alternating(4)):
-        note("sym4: covering with the even-permutation kernel fails")
+        problems.append("sym4: covering with the even-permutation kernel fails")
     v4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
     try:
         sylow.verify_hall_covering(s4, b4, v4)
-        note("sym4: covering over the Klein kernel should refuse (quotient not nilpotent)")
+        problems.append(
+            "sym4: covering over the Klein kernel should refuse (quotient not nilpotent)")
     except PreconditionError:
         pass
     detail = "corpus battery clean" if not problems else "; ".join(problems[:5])
@@ -444,34 +441,19 @@ def c13_spectrum_exponent_inclusion() -> CheckResult:
 # ---------------------------------------------------------------------------
 # registry
 
-CHECKS = {
-    "c01_two_transitive_spectrum": c01_two_transitive_spectrum,
-    "c02_at_most_p_colours": c02_at_most_p_colours,
-    "c03_two_block_even_exponents": c03_two_block_even_exponents,
-    "c04_many_blocks_skip_one": c04_many_blocks_skip_one,
-    "c05_mixed_blocks_full": c05_mixed_blocks_full,
-    "c06_symmetric_p_part_lattice": c06_symmetric_p_part_lattice,
-    "c07_coprime_yet_locally_scaled": c07_coprime_yet_locally_scaled,
-    "c08_oracle_agreement": c08_oracle_agreement,
-    "c09_localised_sandwich": c09_localised_sandwich,
-    "c10_modular_p_parts": c10_modular_p_parts,
-    "c11_aggregate_divisibility": c11_aggregate_divisibility,
-    "c12_sylow_hall_battery": c12_sylow_hall_battery,
-    "c13_spectrum_exponent_inclusion": c13_spectrum_exponent_inclusion,
+_SUITES = {
+    "spectrum": (c01_two_transitive_spectrum, c02_at_most_p_colours,
+                 c03_two_block_even_exponents, c04_many_blocks_skip_one,
+                 c05_mixed_blocks_full, c06_symmetric_p_part_lattice,
+                 c07_coprime_yet_locally_scaled),
+    "oracle": (c08_oracle_agreement, c09_localised_sandwich, c10_modular_p_parts),
+    "aggregate": (c11_aggregate_divisibility,),
+    "sylow": (c12_sylow_hall_battery,),
+    "inclusion": (c13_spectrum_exponent_inclusion,),
 }
-
-SUITES = {
-    "all": sorted(CHECKS),
-    "spectrum": ["c01_two_transitive_spectrum", "c02_at_most_p_colours",
-                 "c03_two_block_even_exponents", "c04_many_blocks_skip_one",
-                 "c05_mixed_blocks_full", "c06_symmetric_p_part_lattice",
-                 "c07_coprime_yet_locally_scaled"],
-    "oracle": ["c08_oracle_agreement", "c09_localised_sandwich",
-               "c10_modular_p_parts"],
-    "aggregate": ["c11_aggregate_divisibility"],
-    "sylow": ["c12_sylow_hall_battery"],
-    "inclusion": ["c13_spectrum_exponent_inclusion"],
-}
+CHECKS = {check.__name__: check for items in _SUITES.values() for check in items}
+SUITES = {"all": sorted(CHECKS),
+          **{name: [check.__name__ for check in items] for name, items in _SUITES.items()}}
 
 
 def run_suite(name: str) -> list[CheckResult]:

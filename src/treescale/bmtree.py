@@ -11,8 +11,9 @@ Every scale is one product, seam colour first, of the weights of an
 orbital table at the pairs (c_{i-1}, c_i): for the scale, F's suborbit
 sizes |F_{c_{i-1}} . c_i|.  Two local counterparts for a prime p weight
 F(p)'s orbitals: by F(p)'s suborbit sizes, the scale over the Sylow
-restriction U(F(p)) (``localized_scale``); by the indices of a local Sylow
-family, the scale in the p-localisation (``localisation_scale``).
+restriction U(F(p)) (``localized_scale``); by the indices of a
+colour-indexed family of Sylow subgroups of point stabilisers, meant as the
+scale in the p-localisation (``localisation_scale``).
 """
 
 from __future__ import annotations
@@ -113,25 +114,24 @@ def localized_scale(a: AxisData, p: int) -> int:
     be valid over F(p), in particular the twist must lie in it.
 
     This is the scale over the Sylow restriction.  The vertex stabiliser of
-    U(F(p)) is pro-p but need not be a maximal pro-p subgroup of U(F)_v; the
-    scale in the p-localisation is ``localisation_scale``.
+    U(F(p)) is pro-p but need not be a maximal pro-p subgroup of U(F)_v;
+    ``localisation_scale`` is the index product meant for the
+    p-localisation.
     """
     fp = designated_sylow(a.group, p)
     return scale(AxisData(fp, a.twist, a.word))
 
 
 def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
-    """Q: with P = F(p), the local actions of a local Sylow p-subgroup S of
-    U(F)_v.
+    """Q: with P = F(p), a colour-indexed family of Sylow subgroups of point
+    stabilisers, Q_c a Sylow p-subgroup of F_c containing P_c.
 
-    S is the maximal pro-p subgroup of U(F)_v whose local action is in
-    P = F(p) at v and in Q_c at a vertex entered from v's side by colour c,
-    where Q_c is a Sylow p-subgroup of the point stabiliser F_c containing
-    P_c.  One Q_r is grown from P_r per P-orbit, r its least colour, and
-    carried along the orbit by conjugation, so Q_{pi c} = pi Q_c pi^-1 for
-    pi in P: every element whose twist lies in P then normalises S.  Growing
-    Q_r scans the elements of F_r, so it is refused above the enumeration
-    bound.
+    One Q_r is grown from P_r per P-orbit, r its least colour, and carried
+    along the orbit by conjugation, so Q_{pi c} = pi Q_c pi^-1 for pi in P.
+    Used at every depth, one such family does not in general define a local
+    Sylow subgroup of U(F)_v: the group it generates on a ball need not be a
+    p-group (ROADMAP item 17).  Growing Q_r scans the elements of F_r, so it
+    is refused above the enumeration bound.
     """
     root = designated_sylow(f, p)
     family: dict[int, PermGroup] = {}
@@ -158,14 +158,16 @@ def _local_table(f: PermGroup, p: int) -> Orbitals:
 
 
 def localisation_scale(a: AxisData, p: int) -> int:
-    """Scale in the p-localisation of U(F), the group in which the local
-    Sylow subgroup S of ``_local_sylow_family`` is compact open; the axis
-    must be valid over F(p), in particular the twist must lie in it.
+    """The product of the indices |Q_{c_{i-1}} : Q_{c_{i-1}} meet Q_{c_i}|
+    for i = 1..n, seam colour first, Q the family of
+    ``_local_sylow_family``, read from ``_local_table``; the axis must be
+    valid over F(p), in particular the twist must lie in it.
 
-    Moeller's limit formula with V = S gives the product of the indices
-    |Q_{c_{i-1}} : Q_{c_{i-1}} meet Q_{c_i}| for i = 1..n, seam colour
-    first, read from ``_local_table``.  Each factor is a power of p and a
-    multiple of the p-part of the ambient factor |F_{c_{i-1}} . c_i|.
+    It is what Moeller's limit formula would give for the scale in the
+    p-localisation if that family defined a local Sylow subgroup S of
+    U(F)_v, which it does not in general (ROADMAP item 17).  Each factor is
+    a power of p and a multiple of the p-part of the ambient factor
+    |F_{c_{i-1}} . c_i|.
     """
     local = AxisData(designated_sylow(a.group, p), a.twist, a.word)
     return _word_product(local, _local_table(a.group, p))

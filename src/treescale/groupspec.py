@@ -17,7 +17,7 @@ Axis literals: ``twist=(1 2 3); word=1,4,2`` or ``twist=id; word=1,2``.
 
 from __future__ import annotations
 
-import os
+from typing import NamedTuple
 
 from .bmtree import AxisData, designated_sylow
 from .errors import ParseError, PreconditionError
@@ -31,14 +31,11 @@ from .supernat import is_prime
 DEGREE_BOUND = 32
 
 
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A parsed group specification and its canonical text."""
 
-    __slots__ = ("canonical", "group")
-
-    def __init__(self, canonical: str, group: PermGroup):
-        self.canonical = canonical
-        self.group = group
+    canonical: str
+    group: PermGroup
 
 
 def _parse_count(token: str, what: str) -> int:
@@ -68,37 +65,40 @@ _SIMPLE_BUILTINS = {
 
 
 def parse_group_spec(text: str) -> GroupSpec:
+    """Parse a group spec.  The ``sylow:p:`` prefixes are read in a loop,
+    outermost first, and F(p) is then taken from the innermost prime out, so
+    any depth of nesting parses."""
     spec = text.strip()
-    if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        if not os.path.exists(path):
-            raise ParseError(f"group file not found: {path}")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read group file {path}: {exc}") from None
-        return GroupSpec(spec, parse_group_file(text, source=path))
-
+    primes = []
     head, _, rest = spec.partition(":")
-    head = head.lower()
-    if head in _SIMPLE_BUILTINS:
-        k = _parse_degree(rest, "point count")
-        try:
-            return GroupSpec(f"{head}:{k}", _SIMPLE_BUILTINS[head](k))
-        except PreconditionError as exc:
-            raise ParseError(f"cannot build {spec!r}: {exc}") from None
-    if head == "sylow":
+    while head.lower() == "sylow":
         ptext, _, inner = rest.partition(":")
         p = _parse_count(ptext, "prime")
         if not is_prime(p):
             raise ParseError(f"{p} is not prime in {spec!r}")
         if not inner:
             raise ParseError(f"sylow spec needs an inner group: {spec!r}")
-        inner_spec = parse_group_spec(inner)
-        group = designated_sylow(inner_spec.group, p)
-        return GroupSpec(f"sylow:{p}:{inner_spec.canonical}", group)
-    if head == "gens":
+        primes.append(p)
+        text, spec = inner, inner.strip()
+        head, _, rest = spec.partition(":")
+    head = head.lower()
+    if spec.startswith("file:"):
+        path = spec[len("file:"):]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                body = fh.read()
+        except FileNotFoundError:
+            raise ParseError(f"group file not found: {path}") from None
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot read group file {path}: {exc}") from None
+        canonical, group = spec, parse_group_file(body, source=path)
+    elif head in _SIMPLE_BUILTINS:
+        k = _parse_degree(rest, "point count")
+        try:
+            canonical, group = f"{head}:{k}", _SIMPLE_BUILTINS[head](k)
+        except PreconditionError as exc:
+            raise ParseError(f"cannot build {spec!r}: {exc}") from None
+    elif head == "gens":
         ktext, _, body = rest.partition(":")
         k = _parse_degree(ktext, "point count")
         gens = []
@@ -107,8 +107,11 @@ def parse_group_spec(text: str) -> GroupSpec:
                 gens.append(Permutation.parse(chunk, k))
         group = PermGroup(k, gens)
         canonical = f"gens:{k}:" + ";".join(g.cycle_string() for g in group.generators)
-        return GroupSpec(canonical, group)
-    raise ParseError(f"unknown group spec {text!r}")
+    else:
+        raise ParseError(f"unknown group spec {text!r}")
+    for p in reversed(primes):
+        group = designated_sylow(group, p)
+    return GroupSpec("".join(f"sylow:{p}:" for p in primes) + canonical, group)
 
 
 def parse_group_file(text: str, source: str = "<group file>") -> PermGroup:

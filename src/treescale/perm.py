@@ -81,9 +81,9 @@ class Permutation:
         return cls(images)
 
     @classmethod
-    def parse(cls, text: str, degree: int | None = None) -> "Permutation":
+    def parse(cls, text: str, degree: int) -> "Permutation":
         """Parse disjoint-cycle notation, e.g. ``(1 2 3)(4 5)``; ``()`` is the
-        identity.  With no explicit degree the largest point seen is used."""
+        identity."""
         stripped = text.strip()
         cycles = []
         consumed = 0
@@ -102,14 +102,8 @@ class Permutation:
                 raise ParseError(f"non-integer point in permutation: {text!r}") from None
         if stripped[consumed:].strip() or not matched_any:
             raise ParseError(f"malformed permutation: {text!r}")
-        if not cycles:
-            if degree is None:
-                raise ParseError("cannot infer degree of the identity")
-            return cls.identity(degree)
         if any(pt < 1 for cyc in cycles for pt in cyc):
             raise ParseError(f"points must be >= 1: {text!r}")
-        if degree is None:
-            degree = max(pt for cyc in cycles for pt in cyc)
         return cls.from_cycles(degree, cycles)
 
     def __call__(self, point: int) -> int:
@@ -194,21 +188,6 @@ def _conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]
     for xi, img in zip(x, y):
         out[xi - 1] = x[img - 1]
     return tuple(out)
-
-
-def _is_odd(images: tuple[int, ...]) -> bool:
-    """Whether the permutation with these images is odd: each step along a
-    cycle is one transposition."""
-    odd = False
-    left = set(images)
-    while left:
-        start = left.pop()
-        pt = images[start - 1]
-        while pt != start:
-            left.discard(pt)
-            odd = not odd
-            pt = images[pt - 1]
-    return odd
 
 
 def _orbit_transversal(degree: int, point: int, gens, trans=None) -> dict[int, Permutation]:
@@ -353,7 +332,7 @@ class _Chain:
         if j >= self.degree - 1 or len(self.orbits[self.degree - 2]) == 2:
             return True
         for g in self.gens[0][self.parities:]:
-            if _is_odd(g.images):
+            if sum(len(c) - 1 for c in g.cycles()) % 2:
                 self.odd = max(self.odd, g.min_moved() - 1)
         self.parities = len(self.gens[0])
         return self.odd < max(j - 1, 0)

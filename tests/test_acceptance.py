@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from treescale.acceptance import CHECKS
+from treescale.acceptance import CHECKS, SUITES
 
 GOLDEN = {item["name"]: item for item in json.loads(
     (Path(__file__).parent / "data" / "verify_all.json").read_text())}
@@ -37,3 +37,19 @@ def test_every_criterion_is_registered():
         "coprime_yet_locally_scaled", "oracle_agreement",
         "localised_sandwich", "modular_p_parts", "aggregate_divisibility",
         "sylow_hall_battery", "spectrum_exponent_inclusion"], start=1)]
+
+
+def test_suites_and_their_members():
+    assert SUITES == {
+        "all": sorted(CHECKS),
+        "spectrum": ["c01_two_transitive_spectrum", "c02_at_most_p_colours",
+                     "c03_two_block_even_exponents", "c04_many_blocks_skip_one",
+                     "c05_mixed_blocks_full", "c06_symmetric_p_part_lattice",
+                     "c07_coprime_yet_locally_scaled"],
+        "oracle": ["c08_oracle_agreement", "c09_localised_sandwich", "c10_modular_p_parts"],
+        "aggregate": ["c11_aggregate_divisibility"],
+        "sylow": ["c12_sylow_hall_battery"],
+        "inclusion": ["c13_spectrum_exponent_inclusion"],
+    }
+    assert list(SUITES) == ["all", "spectrum", "oracle", "aggregate", "sylow", "inclusion"]
+    assert all(CHECKS[name].__name__ == name for name in CHECKS)

@@ -55,6 +55,11 @@ def test_power_two():
     assert orbit_count(axis(S4, "id", (1, 2)), 2) == 81
 
 
+def test_power_zero_is_refused():
+    with pytest.raises(PreconditionError, match=r"^power must be at least 1$"):
+        orbit_count(axis(S4, "id", (1, 2)), 0)
+
+
 def test_depth_cap():
     with pytest.raises(PreconditionError):
         orbit_count(axis(S4, "id", (1, 2, 3, 4)), 4)

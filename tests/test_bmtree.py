@@ -338,6 +338,15 @@ class TestSpectrum:
     def test_trivial_group(self):
         assert scale_spectrum(PermGroup.trivial(4), 5).entries == (1,)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_len": 0}, "max_len must be at least 1"),
+        ({"max_len": 3, "mode": "other"}, "unknown spectrum mode 'other'"),
+    ])
+    def test_refusals(self, kwargs, message):
+        with pytest.raises(PreconditionError) as info:
+            scale_spectrum(S4, **kwargs)
+        assert str(info.value) == message
+
     def test_two_block_exponents(self):
         f = designated_sylow(PermGroup.symmetric(6), 3)
         sp = scale_spectrum(f, 6, mode="exponents", prime=3)

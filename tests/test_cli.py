@@ -123,6 +123,23 @@ def test_predict_full_case(capsys):
     assert code == 0 and out.strip() == "T = N0; S = N0"
 
 
+def test_deeply_nested_sylow_spec(capsys):
+    # sylow:p: prefixes are read in a loop, so the depth of nesting is not
+    # bounded by the interpreter's recursion limit
+    spec = "sylow:2:" * 5000 + "sym:4"
+    code, out, err = run(capsys, "scale", "--group", spec, "--axis", "twist=id; word=1,2")
+    assert (code, out.strip(), err) == (0, "1", "")
+    code, out, _ = run(capsys, "scale", "--group", spec.upper(), "--axis", "twist=id; word=1,2",
+                       "--json")
+    assert code == 0 and json.loads(out)["group"] == spec
+
+
+def test_predict_ambient_step_above_one(capsys):
+    # the one case whose ambient exponents print as eN0 with e >= 2
+    code, out, _ = run(capsys, "predict", "--k", "9", "--prime", "2")
+    assert code == 0 and out.strip() == "T = N0; S = 3N0"
+
+
 def test_sylow_command(capsys):
     code, out, _ = run(capsys, "sylow", "--group", "sym:6", "--prime", "3",
                        "--json")

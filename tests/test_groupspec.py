@@ -37,6 +37,21 @@ class TestBuiltins:
             with pytest.raises(ParseError):
                 parse_group_spec(bad)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("sylow", "bad prime ''"),
+        ("sylow:4:sym:3", "4 is not prime in 'sylow:4:sym:3'"),
+        ("sylow:2:sylow:4:sym:3", "4 is not prime in 'sylow:4:sym:3'"),
+        ("sylow:2:", "sylow spec needs an inner group: 'sylow:2:'"),
+        ("nope:3", "unknown group spec 'nope:3'"),
+        ("sylow:2: nope:3", "unknown group spec ' nope:3'"),
+        ("sylow:2:sylow:x:sym:4", "bad prime 'x'"),
+        ("file:/no/such/path", "group file not found: /no/such/path"),
+    ])
+    def test_error_messages(self, spec, message):
+        with pytest.raises(ParseError) as info:
+            parse_group_spec(spec)
+        assert str(info.value) == message
+
     def test_constructor_bug_is_not_a_parse_error(self, monkeypatch):
         def broken(k):
             raise RuntimeError("constructor bug")

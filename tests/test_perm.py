@@ -47,8 +47,8 @@ class TestPermutation:
         assert (p * p).is_identity()
 
     def test_inverse_pair(self):
-        p = Permutation.parse("(1 2 3)")
-        q = Permutation.parse("(1 3 2)")
+        p = Permutation.parse("(1 2 3)", 3)
+        q = Permutation.parse("(1 3 2)", 3)
         assert (p * q).is_identity()
 
     def test_right_factor_first(self):
@@ -82,6 +82,8 @@ class TestPermutation:
         assert Permutation.parse("(2 3 1)", 3).cycle_string() == "(1 2 3)"
         assert Permutation.parse("(4 5)(1 2 3)", 5).cycle_string() == "(1 2 3)(4 5)"
         assert Permutation.identity(4).cycle_string() == "()"
+        for text in ("()", " ( ) ", "()()"):
+            assert Permutation.parse(text, 3) == Permutation.identity(3)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -92,6 +94,21 @@ class TestPermutation:
             Permutation.parse("(1 2) junk", 3)
         with pytest.raises(ParseError):
             Permutation.parse("nonsense", 3)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(1 2) x (3 4)", "unexpected text in permutation: '(1 2) x (3 4)'"),
+        ("(1 a)", "non-integer point in permutation: '(1 a)'"),
+        ("(0 1)", "points must be >= 1: '(0 1)'"),
+    ])
+    def test_parse_refusals(self, text, message):
+        with pytest.raises(ParseError) as info:
+            Permutation.parse(text, 4)
+        assert str(info.value) == message
+
+    def test_point_zero_is_refused(self):
+        with pytest.raises(PreconditionError) as info:
+            Permutation.parse("(1 2)", 3)(0)
+        assert str(info.value) == "point 0 out of range 1..3"
 
     def test_order(self):
         assert Permutation.parse("(1 2 3)(4 5)", 5).order() == 6
@@ -183,6 +200,16 @@ class TestGenerators:
                           "(2 3 4)", "(1 3)"])
         assert [str(x) for x in g.generators] == ["(1 2)", "(2 3 4)", "(1 3)"]
         assert PermGroup(3, ["()", "()"]).generators == ()
+
+    def test_degree_zero_is_refused(self):
+        with pytest.raises(PreconditionError) as info:
+            PermGroup(0)
+        assert str(info.value) == "degree must be at least 1"
+
+    def test_generator_of_another_degree_is_refused(self):
+        with pytest.raises(PreconditionError) as info:
+            PermGroup(3, [Permutation.parse("(1 2)", 4)])
+        assert str(info.value) == "generator degree 4 does not match group degree 3"
 
 
 class TestGroupOrder:
@@ -698,6 +725,20 @@ class TestSubgroupAlgebra:
     def test_generated(self):
         g = generated([PermGroup(4, ["(1 2)"]), PermGroup(4, ["(3 4)"])])
         assert g.order() == 4
+
+    @pytest.mark.parametrize("groups, message", [
+        ([], "generated() needs at least one group"),
+        ([PermGroup.symmetric(3), PermGroup.symmetric(4)], "degree mismatch"),
+    ])
+    def test_generated_refusals(self, groups, message):
+        with pytest.raises(PreconditionError) as info:
+            generated(groups)
+        assert str(info.value) == message
+
+    def test_no_conjugator_between_groups_of_unequal_order(self):
+        s4 = PermGroup.symmetric(4)
+        pairs = [(PermGroup(4, ["(1 2)"]), PermGroup(4, ["(1 2 3)"]))]
+        assert list(s4.conjugators(pairs)) == []
 
     def test_normal_closure(self):
         s4 = PermGroup.symmetric(4)

@@ -55,3 +55,10 @@ def test_base_below_two_is_refused(p):
         valuation(4, p)
     with pytest.raises(PreconditionError):
         rational_p_part(Fraction(9, 2), p)
+
+
+def test_zero_is_refused():
+    with pytest.raises(PreconditionError, match=r"^cannot factor 0; need n >= 1$"):
+        prime_factors(0)
+    with pytest.raises(PreconditionError, match=r"^valuation needs n >= 1$"):
+        valuation(0, 2)

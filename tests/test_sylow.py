@@ -656,6 +656,25 @@ class TestHallCovering:
         with pytest.raises(PreconditionError):
             verify_hall_covering(s4, sylow_basis(s4), V4)
 
+    @pytest.mark.parametrize("case, message", [
+        ("insoluble", "hall covering requires a soluble group"),
+        ("kernel not normal", "hall covering requires K normal in U"),
+        ("member not Sylow", "hall covering requires a Sylow basis of U"),
+        ("prime without member", "hall covering requires one basis member per prime"),
+    ])
+    def test_refusals(self, case, message):
+        s3, s4, a5 = PermGroup.symmetric(3), PermGroup.symmetric(4), PermGroup.alternating(5)
+        u, basis, k = {
+            "insoluble": (a5, SylowBasis(a5, {}), a5),
+            "kernel not normal": (s4, sylow_basis(s4), PermGroup(4, ["(1 2)"])),
+            "member not Sylow": (s3, SylowBasis(s3, {2: PermGroup(3, ["(1 2)"]),
+                                                     3: PermGroup(3, ["(1 2)"])}), s3),
+            "prime without member": (s3, SylowBasis(s3, {2: PermGroup(3, ["(1 2)"])}), s3),
+        }[case]
+        with pytest.raises(PreconditionError) as info:
+            verify_hall_covering(u, basis, k)
+        assert str(info.value) == message
+
 
 class TestCoreCommensurability:
     def test_sym4_alt4(self):
