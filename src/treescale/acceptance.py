@@ -345,10 +345,8 @@ def c12_sylow_hall_battery() -> CheckResult:
     for name, g in sylow.corpus():
         order = g.order()
         primes = list(prime_factors(order))
-        sylows = {}
         for p in primes:
             s = sylow.sylow_subgroup(g, p)
-            sylows[p] = s
             if s.order() != sylow.p_part_of_order(g, p):
                 problems.append(f"{name}: Sylow {p} has order {s.order()}")
             # conjugates of a Sylow are Sylow and reachable by the search

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import InvalidAxisError, PreconditionError
 from .perm import Orbitals, PermGroup, Permutation, meet_index
 from .supernat import is_prime, prime_factors, valuation
-from .sylow import sylow_of_symmetric, sylow_subgroup
+from .sylow import _require_prime, sylow_of_symmetric, sylow_subgroup
 
 VALUE_CAP = 10 ** 6
 EXPONENT_CAP = 12
@@ -296,7 +296,8 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
         if cap < 0:
             raise PreconditionError(f"exponent cap must be at least 0, got {cap}")
     else:
-        prime = None
+        if prime is not None:
+            raise PreconditionError(f"values mode takes no prime, got {prime}")
         if cap is None:
             cap = VALUE_CAP
         if cap < 1:
@@ -360,8 +361,6 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
 class SymmetricScalePrediction:
     """Case prediction for the local and ambient exponent sets over Sym(k)."""
 
-    k: int
-    p: int
     local_exponents: str  # a key of local_text's table
     ambient_step: int     # ambient exponent set is {ambient_step * n : n >= 0}
 
@@ -391,8 +390,7 @@ def symscale_case(k: int, p: int) -> SymmetricScalePrediction:
     """
     if k < 3:
         raise PreconditionError("k must be at least 3")
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    _require_prime(p)
     if k <= p:
         kind = "zero-only"
     elif p > 2 and k == 2 * p:
@@ -401,4 +399,4 @@ def symscale_case(k: int, p: int) -> SymmetricScalePrediction:
         kind = "naturals-minus-one"
     else:
         kind = "all-naturals"
-    return SymmetricScalePrediction(k, p, kind, valuation(k - 1, p))
+    return SymmetricScalePrediction(kind, valuation(k - 1, p))

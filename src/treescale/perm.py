@@ -78,7 +78,7 @@ class Permutation:
                 images[a - 1] = b
             if cycle:
                 images[cycle[-1] - 1] = cycle[0]
-        return cls(images)
+        return cls._of(tuple(images))
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "Permutation":
@@ -371,7 +371,7 @@ class _Chain:
         return None
 
     def _sift_from(self, start: int, g: Permutation) -> Permutation | None:
-        """Divide g by transversal elements; None means membership."""
+        """Divide g, which fixes 1..start, by transversal elements; None means membership."""
         h = g.images
         identity = _IDENTITY[self.degree]
         for lvl in range(start, self.degree):
@@ -384,7 +384,7 @@ class _Chain:
                 return Permutation._of(h)
             inv = self.inverses[lvl][t]
             h = tuple([inv[x - 1] for x in h])
-        return None if h == identity else Permutation._of(h)
+        return None
 
     def contains(self, g: Permutation) -> bool:
         return self._sift_from(0, g) is None
@@ -493,7 +493,7 @@ class PermGroup:
     @classmethod
     def symmetric(cls, k: int) -> "PermGroup":
         if k < 2:
-            return cls.trivial(max(k, 1))
+            return cls.trivial(k)
         gens = [Permutation.from_cycles(k, [[1, 2]])]
         if k > 2:
             gens.append(Permutation.from_cycles(k, [list(range(1, k + 1))]))
@@ -502,7 +502,7 @@ class PermGroup:
     @classmethod
     def alternating(cls, k: int) -> "PermGroup":
         if k < 3:
-            return cls.trivial(max(k, 1))
+            return cls.trivial(k)
         # (1 2 3) and the long cycle of odd length: (1 ... k) or (2 ... k)
         return cls(k, [Permutation.from_cycles(k, [[1, 2, 3]]),
                        Permutation.from_cycles(k, [range(2 - k % 2, k + 1)])])
@@ -510,7 +510,7 @@ class PermGroup:
     @classmethod
     def cyclic(cls, k: int) -> "PermGroup":
         if k < 2:
-            return cls.trivial(max(k, 1))
+            return cls.trivial(k)
         return cls(k, [Permutation.from_cycles(k, [list(range(1, k + 1))])])
 
     @classmethod
@@ -564,13 +564,10 @@ class PermGroup:
 
     # -- orbits and stabilisers --------------------------------------------
 
-    def _check_point(self, point: int) -> None:
-        if not 1 <= point <= self.degree:
-            raise PreconditionError(f"point {point} out of range 1..{self.degree}")
-
     def _transversal(self, point: int) -> dict[int, Permutation]:
         """Orbit transversal: maps q to some u in G with u(point) = q."""
-        self._check_point(point)
+        if not 1 <= point <= self.degree:
+            raise PreconditionError(f"point {point} out of range 1..{self.degree}")
         return _orbit_transversal(self.degree, point, self.generators)
 
     def point_stabiliser(self, point: int) -> "PermGroup":

@@ -94,34 +94,22 @@ def sylow_of_symmetric(k: int, p: int) -> PermGroup:
     if k < 1:
         raise PreconditionError("k must be at least 1")
     _require_prime(p)
-    rest = k
-    j = 0
     width = 1
     while width * p <= k:
         width *= p
-        j += 1
     gens: list[Permutation] = []
     start = 1
-    while j >= 0:
-        count, rest = divmod(rest, width)
-        for _ in range(count):
-            gens.extend(_wreath_generators(k, start, p, j))
-            start += width
-        width //= p
-        j -= 1
+    while start <= k:
+        while start + width > k + 1:
+            width //= p
+        size = 1
+        while size < width:
+            # cycle the p sub-blocks of width `size` inside the first p*size points
+            gens.append(Permutation.from_cycles(
+                k, [[start + r + t * size for t in range(p)] for r in range(size)]))
+            size *= p
+        start += width
     return PermGroup(k, gens)
-
-
-def _wreath_generators(degree: int, start: int, p: int, j: int) -> list[Permutation]:
-    """Generators of the iterated wreath product on [start, start + p^j)."""
-    gens = []
-    size = 1
-    for _ in range(j):
-        # cycle the p sub-blocks of width `size` inside the first p*size points
-        cycles = [[start + r + t * size for t in range(p)] for r in range(size)]
-        gens.append(Permutation.from_cycles(degree, cycles))
-        size *= p
-    return gens
 
 
 def p_core(g: PermGroup, p: int) -> PermGroup:

@@ -341,6 +341,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_len": 0}, "max_len must be at least 1"),
         ({"max_len": 3, "mode": "other"}, "unknown spectrum mode 'other'"),
+        ({"max_len": 3, "prime": 3}, "values mode takes no prime, got 3"),
     ])
     def test_refusals(self, kwargs, message):
         with pytest.raises(PreconditionError) as info:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treescale
+from treescale import acceptance
 from treescale.cli import build_parser, main
 
 # A directory and a group file that is not UTF-8: neither can be read as a
@@ -259,6 +260,27 @@ def test_spectrum_cap_below_the_unit(capsys):
     assert code == 1 and out == "" and err.startswith("precondition-error:")
     code, _, err = run(capsys, "spectrum", "--group", "sym:3", "--cap", "0")
     assert code == 1 and "value cap" in err
+
+
+def test_verification_failure_exit_code(capsys, monkeypatch):
+    name = "c13_spectrum_exponent_inclusion"
+    monkeypatch.setitem(acceptance.CHECKS, name,
+                        lambda: acceptance.CheckResult(name, "law", False, "broken"))
+    code, out, err = run(capsys, "verify", "--suite", "inclusion")
+    assert code == 3
+    assert out == f"FAIL {name}: broken\n"
+    assert err == "verification-failure: 1 of 1 items failed\n"
+
+
+def test_predict_refuses_a_non_prime(capsys):
+    code, out, err = run(capsys, "predict", "--k", "5", "--prime", "4")
+    assert (code, out, err) == (1, "", "precondition-error: 4 is not prime\n")
+
+
+def test_values_spectrum_refuses_a_prime(capsys):
+    code, out, err = run(capsys, "spectrum", "--group", "sym:4", "--prime", "3",
+                         "--max-len", "3")
+    assert (code, out, err) == (1, "", "precondition-error: values mode takes no prime, got 3\n")
 
 
 def test_degree_bound_exit_code(capsys):

@@ -107,6 +107,12 @@ class TestGroupFile:
         with pytest.raises(ParseError):
             parse_group_file("(1 2)\n")
 
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n# and blanks\n"])
+    def test_no_degree_line(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_group_file(text)
+        assert str(info.value) == "<group file>: missing 'degree k' line"
+
     def test_file_spec(self, tmp_path):
         path = tmp_path / "group.txt"
         path.write_text("degree 5\n(1 2 3)\n", encoding="utf-8")
@@ -118,6 +124,10 @@ class TestAxisLiterals:
     def test_identity_twist(self):
         a = parse_axis(PermGroup.symmetric(4), "twist=id; word=1,2")
         assert a.twist.is_identity() and a.word == (1, 2)
+
+    def test_empty_clause_is_skipped(self):
+        g = PermGroup.symmetric(4)
+        assert parse_axis(g, "twist=id;; word=1,2") == parse_axis(g, "twist=id; word=1,2")
 
     def test_cycle_twist(self):
         g = PermGroup(5, ["(1 2 3)"])

@@ -63,6 +63,14 @@ class TestPermutation:
         with pytest.raises(PreconditionError):
             Permutation.parse("(1 2)", 2) * Permutation.parse("(1 2)", 3)
 
+    def test_identity_moves_no_point(self):
+        assert Permutation.identity(3).min_moved() is None
+        assert Permutation.parse("(2 3)", 3).min_moved() == 2
+
+    def test_repr(self):
+        assert repr(Permutation.identity(3)) == "Permutation('()', degree=3)"
+        assert repr(Permutation.parse("(3 1)(2 4)", 4)) == "Permutation('(1 3)(2 4)', degree=4)"
+
     def test_not_bijection(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
@@ -205,6 +213,20 @@ class TestGenerators:
         with pytest.raises(PreconditionError) as info:
             PermGroup(0)
         assert str(info.value) == "degree must be at least 1"
+
+    @pytest.mark.parametrize("build, k", [
+        (PermGroup.symmetric, 0), (PermGroup.alternating, 0), (PermGroup.cyclic, 0),
+        (PermGroup.symmetric, -2), (PermGroup.alternating, -1), (PermGroup.cyclic, -1),
+    ])
+    def test_builtins_refuse_k_below_one(self, build, k):
+        with pytest.raises(PreconditionError) as info:
+            build(k)
+        assert str(info.value) == "degree must be at least 1"
+
+    def test_builtins_of_degree_one_are_trivial(self):
+        for build in (PermGroup.symmetric, PermGroup.alternating, PermGroup.cyclic):
+            g = build(1)
+            assert g.degree == 1 and g.order() == 1
 
     def test_generator_of_another_degree_is_refused(self):
         with pytest.raises(PreconditionError) as info:

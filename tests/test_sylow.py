@@ -352,7 +352,46 @@ class TestPiCorePinnedToClosureScan:
         assert pi_core(g, pi).generators == reference_pi_core(g, pi).generators
 
 
+def two_function_sylow_generators(k, p):
+    """The generators of the standard Sylow p-subgroup of Sym(k) as an
+    earlier version built them: count the base-p digits of k, take each by
+    divmod, and give each block of width p^j its j sub-block cycles."""
+
+    def wreath_generators(start, j):
+        gens, size = [], 1
+        for _ in range(j):
+            cycles = [[start + r + t * size for t in range(p)] for r in range(size)]
+            gens.append(Permutation.from_cycles(k, cycles))
+            size *= p
+        return gens
+
+    rest, j, width = k, 0, 1
+    while width * p <= k:
+        width *= p
+        j += 1
+    gens, start = [], 1
+    while j >= 0:
+        count, rest = divmod(rest, width)
+        for _ in range(count):
+            gens.extend(wreath_generators(start, j))
+            start += width
+        width //= p
+        j -= 1
+    return gens
+
+
 class TestSylowOfSymmetric:
+    def test_generators_match_the_two_function_layout(self):
+        for k in range(1, 33):
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                built = [g.images for g in sylow_of_symmetric(k, p).generators]
+                assert built == [g.images for g in two_function_sylow_generators(k, p)], (k, p)
+
+    def test_k_below_one_is_refused(self):
+        with pytest.raises(PreconditionError) as info:
+            sylow_of_symmetric(0, 2)
+        assert str(info.value) == "k must be at least 1"
+
     def test_two_blocks(self):
         f = sylow_of_symmetric(6, 3)
         assert {g.cycle_string() for g in f.generators} == {"(1 2 3)", "(4 5 6)"}
@@ -586,6 +625,17 @@ class TestBasisPinnedToBacktracking:
 
 
 class TestBasis:
+    def test_violations_name_a_member_that_is_not_sylow(self):
+        s4 = PermGroup.symmetric(4)
+        basis = SylowBasis(s4, {2: PermGroup(4, ["(1 2)"]), 3: PermGroup(4, ["(1 2 3)"])})
+        assert basis.violations() == ["member at 2 is not Sylow"]
+
+    def test_violations_name_a_pair_that_does_not_permute(self):
+        # D8 on 1..4 and (3 4 5) generate Sym(5), larger than 8 * 3
+        basis = SylowBasis(PermGroup.symmetric(5), {2: PermGroup(5, ["(1 2 3 4)", "(1 3)"]),
+                                                    3: PermGroup(5, ["(3 4 5)"])})
+        assert basis.violations() == ["members at 2 and 3 do not permute"]
+
     def test_sym4_basis(self):
         basis = sylow_basis(PermGroup.symmetric(4))
         assert {p: m.order() for p, m in basis.members.items()} == {2: 8, 3: 3}
