@@ -101,12 +101,15 @@ def modular(a: AxisData) -> Fraction:
 
 
 def designated_sylow(f: PermGroup, p: int) -> PermGroup:
-    """F(p): the block constructor on full symmetric groups, the generic
-    algorithm otherwise, so that F(p) is then ``sylow_subgroup(f, p)``.
-    Cached on f, write-once per prime."""
-    return f._memo(("designated_sylow", p), lambda: (
-        sylow_of_symmetric(f.degree, p) if f.order() == math.factorial(f.degree)
-        else sylow_subgroup(f, p)))
+    """F(p): the block constructor on full symmetric groups, f itself when
+    |f| is a power of p (U(F)_v is then pro-p already), and
+    ``sylow_subgroup(f, p)`` otherwise.  Cached on f, write-once per prime."""
+    def make() -> PermGroup:
+        if f.order() == math.factorial(f.degree):
+            return sylow_of_symmetric(f.degree, p)
+        _require_prime(p)
+        return f if f.order() == p ** valuation(f.order(), p) else sylow_subgroup(f, p)
+    return f._memo(("designated_sylow", p), make)
 
 
 def localized_scale(a: AxisData, p: int) -> int:

@@ -437,7 +437,9 @@ class PermGroup:
     local orbital table of ``bmtree``, the spectrum DP's plan of
     ``bmtree`` (key ``("spectrum_plan", p)``, p None for values), and the
     suborbit table of the ball walk in ``balloracle``.  Transversals and point stabilisers are made
-    afresh on every call.
+    afresh on every call.  A group built with its element set (the trivial
+    group, and every Sylow subgroup that ``sylow`` grows) tests membership
+    and lists its elements from that set, with no chain.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
@@ -470,8 +472,11 @@ class PermGroup:
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        """The trivial group; its order and element set start filled in."""
-        return cls._with_element_set(degree, (), frozenset([_IDENTITY[degree]]))
+        """The trivial group; its order and element set start filled in,
+        once ``__init__`` has checked the degree."""
+        group = cls(degree)
+        group._element_set, group._order = frozenset([_IDENTITY[degree]]), 1
+        return group
 
     @classmethod
     def _with_element_set(cls, degree: int, generators,
@@ -544,6 +549,8 @@ class PermGroup:
         return self._order
 
     def __contains__(self, g: Permutation) -> bool:
+        if self._element_set is not None:
+            return g.images in self._element_set
         return g.degree == self.degree and self.chain().contains(g)
 
     def elements(self) -> tuple[Permutation, ...]:
@@ -553,7 +560,8 @@ class PermGroup:
             if self.order() > ENUMERATION_BOUND:
                 raise EnumerationBoundError(f"group order {self.order()} exceeds "
                                             f"enumeration bound {ENUMERATION_BOUND}")
-            self._elements = tuple(map(Permutation._of, sorted(self.chain().elements())))
+            self._elements = tuple(map(Permutation._of, sorted(
+                self._element_set or self.chain().elements())))
         return self._elements
 
     def element_set(self) -> frozenset[tuple[int, ...]]:

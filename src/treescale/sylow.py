@@ -37,9 +37,9 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     such an x multiplies the order by exactly p, as <H, x> is the union of
     the cosets H x^i for i < p, so the steps grow a set of image tuples by
     multiplication and only the result is built as a ``PermGroup``, its
-    element set and order already known.  Such an element exists while H
-    is not Sylow, since H is then a proper normal subgroup of a p-subgroup
-    of its normaliser.
+    element set and order already known, so that membership and listing on
+    it need no chain.  Such an element exists while H is not Sylow, since H
+    is then a proper normal subgroup of a p-subgroup of its normaliser.
     """
     _require_prime(p)
     if start is None:

@@ -22,7 +22,7 @@ from treescale.errors import InvalidAxisError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation
 from treescale.supernat import is_prime, prime_factors, rational_p_part, valuation
-from treescale.sylow import sylow_of_symmetric
+from treescale.sylow import sylow_of_symmetric, sylow_subgroup
 
 S3 = PermGroup.symmetric(3)
 S4 = PermGroup.symmetric(4)
@@ -327,6 +327,24 @@ class TestAggregate:
     def test_rejects_nontrivial_twist(self):
         with pytest.raises(PreconditionError):
             aggregate_scale(axis(S3, "(1 2 3)", (1,)))
+
+
+@pytest.mark.parametrize("spec, p", [
+    ("sylow:2:sym:8", 2), ("cyclic:9", 3), ("dihedral:4", 2),
+    ("gens:8:(1 2);(1 3 5 7)(2 4 6 8)", 2),  # C2 wr C4
+])
+class TestPGroupIsItsOwnDesignatedSylow:
+    def test_designated_sylow_is_the_group(self, spec, p):
+        f = parse_group_spec(spec).group
+        assert designated_sylow(f, p) is f
+        assert f.element_set() == sylow_subgroup(f, p).element_set()
+
+    def test_local_and_aggregate_scales_are_the_scale(self, spec, p):
+        f = parse_group_spec(spec).group
+        for a in valid_axes(f, 3):
+            assert localized_scale(a, p) == scale(a)
+            if a.twist.is_identity():
+                assert aggregate_scale(a) == scale(a)
 
 
 class TestSpectrum:

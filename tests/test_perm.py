@@ -18,7 +18,21 @@ from treescale.perm import (Orbitals, PermGroup, Permutation,
                             generated, is_subgroup, lower_central_series,
                             nilpotent_residual, normal_closure,
                             spanning_generators)
-from treescale.sylow import corpus, sylow_of_symmetric
+from treescale.supernat import prime_factors
+from treescale.sylow import corpus, sylow_of_symmetric, sylow_subgroup
+
+
+def chain_builds(monkeypatch):
+    """The list of every ``_Chain`` built from now on, until the test ends."""
+    built = []
+    original = perm._Chain.__init__
+
+    def counting(chain, *args):
+        built.append(chain)
+        original(chain, *args)
+
+    monkeypatch.setattr(perm._Chain, "__init__", counting)
+    return built
 
 
 def brute_force_elements(degree, gens):
@@ -223,6 +237,13 @@ class TestGenerators:
             build(k)
         assert str(info.value) == "degree must be at least 1"
 
+    def test_refused_degrees_leave_no_identity_behind(self, monkeypatch):
+        monkeypatch.setattr(perm, "_IDENTITY", perm._IdentityImages())
+        for k in (0, -1, -7):
+            with pytest.raises(PreconditionError):
+                PermGroup.cyclic(k)
+        assert [k for k in perm._IDENTITY if k < 1] == []
+
     def test_builtins_of_degree_one_are_trivial(self):
         for build in (PermGroup.symmetric, PermGroup.alternating, PermGroup.cyclic):
             g = build(1)
@@ -243,14 +264,7 @@ class TestGroupOrder:
         assert PermGroup.trivial(5).order() == 1
 
     def test_trivial_group_builds_no_chain(self, monkeypatch):
-        built = []
-        original = perm._Chain.__init__
-
-        def counting(chain, *args):
-            built.append(chain)
-            original(chain, *args)
-
-        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        built = chain_builds(monkeypatch)
         for degree in (1, 2, 5):
             g = PermGroup.trivial(degree)
             assert g.order() == 1 and g.element_set() == {tuple(range(1, degree + 1))}
@@ -259,6 +273,25 @@ class TestGroupOrder:
         chain = PermGroup.trivial(3).chain()
         assert chain.order() == 1 and chain.add(Permutation.parse("(1 2)", 3))
         assert len(built) == 1 and chain.order() == 2
+
+    @pytest.mark.parametrize("name, g", corpus())
+    def test_grown_sylow_answers_as_its_chain_does(self, name, g):
+        for p in prime_factors(g.order()):
+            grown = sylow_subgroup(g, p)
+            chained = PermGroup(grown.degree, grown.generators)
+            assert [x in grown for x in g.elements()] == [x in chained for x in g.elements()]
+            assert grown.elements() == chained.elements()
+            assert Permutation.identity(g.degree + 1) not in grown
+
+    def test_grown_sylow_builds_no_chain(self, monkeypatch):
+        g = PermGroup.symmetric(5)
+        elements = g.elements()
+        built = chain_builds(monkeypatch)
+        for p in (2, 3, 5):
+            grown = sylow_subgroup(g, p)
+            members = [x for x in elements if x in grown]
+            assert grown.elements() == tuple(members) and len(members) == grown.order()
+        assert built == []
 
     def test_two_cycles(self):
         g = PermGroup(6, ["(1 2 3)", "(4 5 6)"])

@@ -6,8 +6,9 @@ lower-central-series orders, and the normality of p-cores and the Fitting
 subgroup; stabiliser-chain orders, bases and membership on structured
 generator sets, and the orders and elements of chains extended in place,
 chains of groups whose lower levels generate a whole symmetric or
-alternating group before the levels above them are complete, and
-normal-closure orders.  Skipped when sympy is absent."""
+alternating group before the levels above them are complete,
+normal-closure orders, and membership in the Sylow subgroups grown over
+the built-in corpus.  Skipped when sympy is absent."""
 
 import random
 
@@ -18,7 +19,7 @@ from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subgroup,
                             lower_central_series, normal_closure)
 from treescale.supernat import prime_factors
-from treescale.sylow import fitting, p_core, sylow_subgroup
+from treescale.sylow import corpus, fitting, p_core, sylow_subgroup
 
 from test_chain_properties import assert_transversals_valid
 from test_perm import brute_force_elements, chain_base, orbit
@@ -345,3 +346,13 @@ def test_cores_are_normal_according_to_sympy(case):
         core = sympy_subgroup(p_core(ours, p))
         assert core.is_normal(theirs)
         assert core.is_subgroup(theirs.sylow_subgroup(p))
+
+
+@pytest.mark.parametrize("name, group", corpus())
+def test_grown_sylow_membership_agrees_with_sympy(name, group):
+    # a grown Sylow subgroup answers from its element set, not from a chain
+    for p in prime_factors(group.order()):
+        sylow = sylow_subgroup(group, p)
+        theirs = sympy_subgroup(sylow)
+        for x in group.elements():
+            assert (x in sylow) == theirs.contains(sympy_permutation(x))
