@@ -272,13 +272,13 @@ def c09_localised_sandwich() -> CheckResult:
     ambients = {k: PermGroup.symmetric(k) for k in (3, 4, 5)}
     for k in (3, 4):
         for p in [q for q in (2, 3) if q <= k]:
-            for a in valid_axes(bmtree.designated_sylow(ambients[k], p), 3):
+            for a in valid_axes(sylow.sylow_subgroup(ambients[k], p), 3):
                 check(a, ambients[k], p)
     rng = random.Random(_SEED + 9)
     for _ in range(200):
         k = rng.choice((3, 4, 5))
         p = rng.choice([q for q in (2, 3, 5) if q <= k])
-        check(random_axis(rng, bmtree.designated_sylow(ambients[k], p), 4), ambients[k], p)
+        check(random_axis(rng, sylow.sylow_subgroup(ambients[k], p), 4), ambients[k], p)
     # smallest counterexamples (shortest word, then least local scale) first
     shown = [text for _, text in sorted(problems)[:3]]
     detail = f"{checked} axes satisfy the sandwich" if not problems else \
@@ -304,7 +304,7 @@ def c10_modular_p_parts() -> CheckResult:
                     problems.append(f"{f.degree}/{a.describe()}: p-parts multiply to "
                                     f"{product} != {delta}")
                 for p in primes:
-                    if a.twist in bmtree.designated_sylow(f, p):
+                    if a.twist in sylow.sylow_subgroup(f, p):
                         local_delta = Fraction(localisation_scale(a, p),
                                                localisation_scale(inverse_axis(a), p))
                         if rational_p_part(delta, p) != local_delta:

@@ -18,7 +18,6 @@ scale in the p-localisation (``localisation_scale``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -26,7 +25,7 @@ from typing import NamedTuple
 from .errors import InvalidAxisError, PreconditionError
 from .perm import Orbitals, PermGroup, Permutation, meet_index
 from .supernat import is_prime, prime_factors, valuation
-from .sylow import _require_prime, sylow_of_symmetric, sylow_subgroup
+from .sylow import _require_prime, sylow_subgroup
 
 VALUE_CAP = 10 ** 6
 EXPONENT_CAP = 12
@@ -100,18 +99,6 @@ def modular(a: AxisData) -> Fraction:
     return Fraction(scale(a), scale(inverse_axis(a)))
 
 
-def designated_sylow(f: PermGroup, p: int) -> PermGroup:
-    """F(p): the block constructor on full symmetric groups, f itself when
-    |f| is a power of p (U(F)_v is then pro-p already), and
-    ``sylow_subgroup(f, p)`` otherwise.  Cached on f, write-once per prime."""
-    def make() -> PermGroup:
-        if f.order() == math.factorial(f.degree):
-            return sylow_of_symmetric(f.degree, p)
-        _require_prime(p)
-        return f if f.order() == p ** valuation(f.order(), p) else sylow_subgroup(f, p)
-    return f._memo(("designated_sylow", p), make)
-
-
 def localized_scale(a: AxisData, p: int) -> int:
     """Scale of the same word over F(p), that is in U(F(p)); the axis must
     be valid over F(p), in particular the twist must lie in it.
@@ -121,7 +108,7 @@ def localized_scale(a: AxisData, p: int) -> int:
     ``localisation_scale`` is the index product meant for the
     p-localisation.
     """
-    fp = designated_sylow(a.group, p)
+    fp = sylow_subgroup(a.group, p)
     return scale(AxisData(fp, a.twist, a.word))
 
 
@@ -136,7 +123,7 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     p-group (ROADMAP item 17).  Growing Q_r scans the elements of F_r, so it
     is refused above the enumeration bound.
     """
-    root = designated_sylow(f, p)
+    root = sylow_subgroup(f, p)
     family: dict[int, PermGroup] = {}
     for r in range(1, f.degree + 1):
         if r in family:
@@ -154,7 +141,7 @@ def _local_table(f: PermGroup, p: int) -> Orbitals:
     F(p).  Cached on f, write-once per prime."""
     def make() -> Orbitals:
         family = _local_sylow_family(f, p)
-        table = designated_sylow(f, p).orbitals()
+        table = sylow_subgroup(f, p).orbitals()
         return table._replace(sizes=tuple(meet_index(family[r], family[m])
                                           for r, m in table.labels))
     return f._memo(("local_table", p), make)
@@ -172,7 +159,7 @@ def localisation_scale(a: AxisData, p: int) -> int:
     a power of p and a multiple of the p-part of the ambient factor
     |F_{c_{i-1}} . c_i|.
     """
-    local = AxisData(designated_sylow(a.group, p), a.twist, a.word)
+    local = AxisData(sylow_subgroup(a.group, p), a.twist, a.word)
     return _word_product(local, _local_table(a.group, p))
 
 

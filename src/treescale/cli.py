@@ -18,7 +18,6 @@ from . import acceptance, balloracle, bmtree, sylow
 from .errors import ParseError, PreconditionError
 from .groupspec import parse_axis, parse_group_spec
 from .supernat import prime_factors
-from .sylow import subgroup_index
 
 
 def _emit(args, text: str, law: str, **fields) -> None:
@@ -89,8 +88,8 @@ def _generators(sub) -> tuple[list[str], str]:
 
 def cmd_sylow(args) -> int:
     spec = parse_group_spec(args.group)
-    sub = bmtree.designated_sylow(spec.group, args.prime)
-    factors = prime_factors(subgroup_index(spec.group, sub))
+    sub = sylow.sylow_subgroup(spec.group, args.prime)
+    factors = prime_factors(spec.group.order() // sub.order())
     index = "*".join(str(q) if e == 1 else f"{q}^{e}" for q, e in factors.items()) or "1"
     gens, text = _generators(sub)
     _emit(args, f"order {sub.order()}, index {index}, generators {text}",

@@ -2,7 +2,8 @@
 
 Builtin grammar:
     sym:k  alt:k  cyclic:k  dihedral:k  trivial:k
-    sylow:p:<spec>      (sylow:p:sym:k uses the block constructor)
+    sylow:p:<spec>      sylow_subgroup of <spec> at p: the block subgroup
+                        on sym:k, <spec> itself on a p-group
     gens:k:(..);(..)    inline generators, ';'-separated cycle notation
     file:<path>         group file, see parse_group_file
 
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bmtree import AxisData, designated_sylow
+from .bmtree import AxisData
 from .errors import ParseError, PreconditionError
 from .perm import PermGroup, Permutation
 from .supernat import is_prime
+from .sylow import sylow_subgroup
 
 # The largest degree a group spec may have.  The cost of stabiliser chains
 # and of the orbital table grows as a power of the degree, so a spec like
@@ -110,7 +112,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     else:
         raise ParseError(f"unknown group spec {text!r}")
     for p in reversed(primes):
-        group = designated_sylow(group, p)
+        group = sylow_subgroup(group, p)
     return GroupSpec("".join(f"sylow:{p}:" for p in primes) + canonical, group)
 
 

@@ -432,14 +432,15 @@ class PermGroup:
     caches.  So are, through ``_memo``, the values derived from the group
     as a whole: ``is_soluble()``, the derived subgroup [G, G] (key
     ``derived``, shared by the derived and lower central series),
-    ``nilpotent_residual``, per prime p ``sylow.sylow_subgroup`` (without
-    ``start``), ``sylow.p_core``, the designated Sylow subgroup F(p) and
-    local orbital table of ``bmtree``, the spectrum DP's plan of
-    ``bmtree`` (key ``("spectrum_plan", p)``, p None for values), and the
-    suborbit table of the ball walk in ``balloracle``.  Transversals and point stabilisers are made
-    afresh on every call.  A group built with its element set (the trivial
-    group, and every Sylow subgroup that ``sylow`` grows) tests membership
-    and lists its elements from that set, with no chain.
+    ``nilpotent_residual``, per prime p ``sylow.sylow_subgroup`` without
+    ``start`` (key ``("sylow", p)``, the designated Sylow subgroup F(p)),
+    ``sylow.p_core`` and the local orbital table of ``bmtree``, the
+    spectrum DP's plan of ``bmtree`` (key ``("spectrum_plan", p)``, p None
+    for values), and the suborbit table of the ball walk in
+    ``balloracle``.  Transversals and point stabilisers are made afresh on
+    every call.  A group built with its element set (the trivial group,
+    and every Sylow subgroup that ``sylow`` grows) tests membership and
+    lists its elements from that set, with no chain.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",

@@ -9,6 +9,7 @@ increasing order, the first conjugate that fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from operator import itemgetter
 
 from .errors import PreconditionError
@@ -27,9 +28,11 @@ def p_part_of_order(g: PermGroup, p: int) -> int:
 
 
 def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> PermGroup:
-    """A Sylow p-subgroup of g containing the p-subgroup ``start`` (trivial
-    by default), grown one p-step at a time.  Without ``start`` it is
-    cached on g, write-once per prime.
+    """A Sylow p-subgroup of g containing the p-subgroup ``start``, grown
+    one p-step at a time.  Without ``start`` it is the designated one, F(p)
+    of ``bmtree``, cached on g, write-once per prime: the block subgroup
+    ``sylow_of_symmetric`` when |g| = k! on k points, g itself when |g| is
+    a power of p, and otherwise grown from the trivial group.
 
     At each step the elements of g are scanned in canonical element order
     for the first one outside the current p-subgroup H that normalises H
@@ -43,10 +46,18 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     """
     _require_prime(p)
     if start is None:
-        return g._memo(("sylow", p), lambda: _grow_sylow(g, p, PermGroup.trivial(g.degree)))
+        return g._memo(("sylow", p), lambda: _default_sylow(g, p))
     if not is_subgroup(start, g) or start.order() != p ** valuation(start.order(), p):
         raise PreconditionError(f"start must be a {p}-subgroup of the group")
     return _grow_sylow(g, p, start)
+
+
+def _default_sylow(g: PermGroup, p: int) -> PermGroup:
+    if g.order() == factorial(g.degree):
+        return sylow_of_symmetric(g.degree, p)
+    if g.order() == p_part_of_order(g, p):
+        return g
+    return _grow_sylow(g, p, PermGroup.trivial(g.degree))
 
 
 def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
@@ -220,15 +231,16 @@ def are_permutable(a: PermGroup, b: PermGroup) -> bool:
 def sylow_basis(g: PermGroup) -> SylowBasis:
     """A Sylow basis of a soluble group, by first fit over conjugates.
 
-    Primes are visited in increasing order; for each, with P the canonical
-    Sylow p-subgroup, the first x P x^-1 over x in canonical element order
-    that permutes with every member already chosen is taken.  The identity
-    comes first, so P itself is tried first, and it fits whenever |g| has
-    at most two prime divisors: |PQ| = |P||Q| = |g| makes PQ = g = QP.  A
-    conjugate that several x give is tried again.  The first x whose
-    conjugate fits is the first x giving that conjugate, since an earlier
-    one would have fitted too, so the member is also the first fit among
-    the distinct conjugates, listed in the order this scan first meets them.
+    Primes are visited in increasing order; for each, with P the
+    designated Sylow p-subgroup ``sylow_subgroup(g, p)``, the first
+    x P x^-1 over x in canonical element order that permutes with every
+    member already chosen is taken.  The identity comes first, so P itself
+    is tried first, and it fits whenever |g| has at most two prime
+    divisors: |PQ| = |P||Q| = |g| makes PQ = g = QP.  A conjugate that
+    several x give is tried again.  The first x whose conjugate fits is the
+    first x giving that conjugate, since an earlier one would have fitted
+    too, so the member is also the first fit among the distinct conjugates,
+    listed in the order this scan first meets them.
 
     The first fit never meets a dead end (P. Hall, 1937): the members
     chosen so far multiply to a Hall subgroup H; Hall subgroups for one
@@ -293,17 +305,12 @@ def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets) -> bool:
                 raise PreconditionError("prime sets must be pairwise disjoint")
     if not is_normal_in(v, u):
         raise PreconditionError("core commensurability requires V normal in U")
+    if not sets:
+        return True  # both sides are the trivial group
     o_u = generated([pi_core(u, s) for s in sets])
     o_v = generated([pi_core(v, s) for s in sets])
     # O_pi(V) is characteristic in V, so normal in U: o_v <= o_u meet v, equal iff orders are
     return o_u.order() == o_v.order() * meet_index(o_u, v)
-
-
-def subgroup_index(g: PermGroup, h: PermGroup) -> int:
-    """|G : H| for a subgroup H of G."""
-    if not is_subgroup(h, g):
-        raise PreconditionError("index requires H <= G")
-    return g.order() // h.order()
 
 
 def corpus() -> list[tuple[str, PermGroup]]:

@@ -7,8 +7,9 @@ import pytest
 
 from treescale import acceptance
 from treescale.bmtree import (AxisData, _local_sylow_family, _word_product,
-                              designated_sylow, localized_scale, scale)
+                              localized_scale, scale)
 from treescale.supernat import valuation
+from treescale.sylow import sylow_subgroup
 
 LOCAL_ITEMS = ("c09_localised_sandwich", "c10_modular_p_parts", "c11_aggregate_divisibility")
 
@@ -30,10 +31,10 @@ def orbit_size_weights(a, p):
 
     def make():
         family = _local_sylow_family(f, p)
-        table = designated_sylow(f, p).orbitals()
+        table = sylow_subgroup(f, p).orbitals()
         return table._replace(sizes=tuple(len({g(m) for g in family[r].elements()})
                                           for r, m in table.labels))
-    local = AxisData(designated_sylow(f, p), a.twist, a.word)
+    local = AxisData(sylow_subgroup(f, p), a.twist, a.word)
     return _word_product(local, f._memo(("orbit_size_weights", p), make))
 
 

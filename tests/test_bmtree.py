@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from treescale import balloracle
 from treescale.acceptance import valid_axes
 from treescale.bmtree import (AxisData, _local_sylow_family, _local_table,
-                              aggregate_scale, designated_sylow, inverse_axis,
-                              localisation_scale, localized_scale, modular,
-                              scale, scale_spectrum, symscale_case)
+                              aggregate_scale, inverse_axis, localisation_scale,
+                              localized_scale, modular, scale, scale_spectrum,
+                              symscale_case)
 from treescale.errors import InvalidAxisError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation
@@ -192,7 +192,7 @@ class TestLocalisation:
         # the walk oracle agrees (exponent parity also forces an even power)
         a = axis(PermGroup.symmetric(6), "id", (1, 4))
         assert localized_scale(a, 3) == 9
-        f = designated_sylow(PermGroup.symmetric(6), 3)
+        f = sylow_subgroup(PermGroup.symmetric(6), 3)
         assert balloracle.orbit_count(AxisData(f, a.twist, a.word)) == 9
 
     def test_twist_outside_restriction(self):
@@ -200,8 +200,8 @@ class TestLocalisation:
         with pytest.raises(InvalidAxisError):
             localized_scale(a, 3)
 
-    def test_designated_sylow_of_non_symmetric(self):
-        f = designated_sylow(PermGroup.alternating(4), 2)
+    def test_sylow_subgroup_of_non_symmetric(self):
+        f = sylow_subgroup(PermGroup.alternating(4), 2)
         assert f.order() == 4
 
 
@@ -229,7 +229,7 @@ class TestLocalisationScale:
     def test_open_local_sylow_gives_the_ambient_scale(self):
         # over sym:3 every F_c has order 2, so S has index |F : F(2)| = 3 in
         # U(F)_v and is open: both scales agree wherever the local one exists
-        fp = designated_sylow(S3, 2)
+        fp = sylow_subgroup(S3, 2)
         checked = 0
         for a in valid_axes(fp, 4):
             amb = AxisData(S3, a.twist, a.word)
@@ -238,12 +238,12 @@ class TestLocalisationScale:
         assert checked > 40
 
     def test_p_group_gives_the_scale(self):
-        for f, p in ((designated_sylow(S4, 2), 2), (C3_ON_5, 3),
-                     (designated_sylow(PermGroup.symmetric(6), 3), 3)):
+        for f, p in ((sylow_subgroup(S4, 2), 2), (C3_ON_5, 3),
+                     (sylow_subgroup(PermGroup.symmetric(6), 3), 3)):
             for a in random_valid_axes(f, 20, 4, seed=19):
                 assert localisation_scale(a, p) == scale(a)
 
-    def test_twist_outside_designated_sylow(self):
+    def test_twist_outside_the_sylow_subgroup(self):
         with pytest.raises(InvalidAxisError):
             localisation_scale(axis(S5, "(4 5)", (1, 2)), 3)
 
@@ -263,8 +263,8 @@ class TestLocalisationScale:
     def test_local_sylow_family(self):
         f = PermGroup.symmetric(5)
         for p in (2, 3, 5):
-            root, family = designated_sylow(f, p), _local_sylow_family(f, p)
-            assert designated_sylow(f, p) is root
+            root, family = sylow_subgroup(f, p), _local_sylow_family(f, p)
+            assert sylow_subgroup(f, p) is root
             for c in range(1, 6):
                 fc, q = f.point_stabiliser(c), family[c]
                 assert all(x in fc for x in q.generators)
@@ -301,14 +301,14 @@ class TestLocalisationScale:
         f = parse_group_spec(spec).group
         for p in prime_factors(f.order()):
             family = _local_sylow_family(f, p)
-            for a in valid_axes(designated_sylow(f, p), 3):
+            for a in valid_axes(sylow_subgroup(f, p), 3):
                 amb = AxisData(f, a.twist, a.word)
                 assert localisation_scale(amb, p) == reference_localisation_scale(amb, family)
 
     def test_p_powers_bounded_below_by_ambient_p_parts(self):
         for f in (S4, S5, PermGroup.alternating(5)):
             for p in prime_factors(f.order()):
-                fp = designated_sylow(f, p)
+                fp = sylow_subgroup(f, p)
                 for a in random_valid_axes(fp, 15, 5, seed=23):
                     amb = AxisData(f, a.twist, a.word)
                     local = localisation_scale(amb, p)
@@ -334,10 +334,9 @@ class TestAggregate:
     ("gens:8:(1 2);(1 3 5 7)(2 4 6 8)", 2),  # C2 wr C4
 ])
 class TestPGroupIsItsOwnDesignatedSylow:
-    def test_designated_sylow_is_the_group(self, spec, p):
+    def test_sylow_subgroup_is_the_group(self, spec, p):
         f = parse_group_spec(spec).group
-        assert designated_sylow(f, p) is f
-        assert f.element_set() == sylow_subgroup(f, p).element_set()
+        assert sylow_subgroup(f, p) is f
 
     def test_local_and_aggregate_scales_are_the_scale(self, spec, p):
         f = parse_group_spec(spec).group
@@ -367,7 +366,7 @@ class TestSpectrum:
         assert str(info.value) == message
 
     def test_two_block_exponents(self):
-        f = designated_sylow(PermGroup.symmetric(6), 3)
+        f = sylow_subgroup(PermGroup.symmetric(6), 3)
         sp = scale_spectrum(f, 6, mode="exponents", prime=3)
         assert sp.entries == (0, 2, 4, 6)
 
@@ -400,7 +399,7 @@ class TestSpectrum:
     def test_small_exponent_inclusion(self):
         # p-exponents of ambient values sit inside the local exponent spectrum
         ambient = scale_spectrum(S4, 3)
-        local = scale_spectrum(designated_sylow(S4, 3), 9, mode="exponents",
+        local = scale_spectrum(sylow_subgroup(S4, 3), 9, mode="exponents",
                                prime=3, cap=8)
         for v in ambient.entries:
             assert valuation(v, 3) in local.entries
@@ -417,7 +416,7 @@ class TestSpectrum:
 
     def test_relabelled_group_has_the_same_spectrum(self):
         rng = random.Random(5)
-        for f, p in ((designated_sylow(PermGroup.symmetric(9), 3), 3),
+        for f, p in ((sylow_subgroup(PermGroup.symmetric(9), 3), 3),
                      (PermGroup(7, ["(1 2)(3 4)", "(5 6 7)"]), 2),
                      (PermGroup.dihedral(6), 2)):
             images = list(range(1, f.degree + 1))

@@ -197,6 +197,19 @@ def test_basis_command(capsys):
     assert [(m["prime"], m["order"]) for m in payload["members"]] == [(2, 8), (3, 3)]
 
 
+# Both commands start from sylow_subgroup, and a group with at most two
+# prime divisors keeps it as its basis member at each prime.
+@pytest.mark.parametrize("group", ["sym:4", "dihedral:4"])
+def test_basis_members_are_the_sylow_subgroups(capsys, group):
+    code, out, _ = run(capsys, "basis", "--group", group, "--json")
+    members = json.loads(out)["members"]
+    assert code == 0 and members
+    for member in members:
+        code, out, _ = run(capsys, "sylow", "--group", group,
+                           "--prime", str(member["prime"]), "--json")
+        assert code == 0 and json.loads(out)["generators"] == member["generators"]
+
+
 def test_basis_command_on_a_two_group(capsys):
     code, out, _ = run(capsys, "basis", "--group", "sylow:2:sym:8", "--json")
     payload = json.loads(out)

@@ -284,7 +284,7 @@ class TestGroupOrder:
             assert Permutation.identity(g.degree + 1) not in grown
 
     def test_grown_sylow_builds_no_chain(self, monkeypatch):
-        g = PermGroup.symmetric(5)
+        g = PermGroup.alternating(5)
         elements = g.elements()
         built = chain_builds(monkeypatch)
         for p in (2, 3, 5):
@@ -292,6 +292,10 @@ class TestGroupOrder:
             members = [x for x in elements if x in grown]
             assert grown.elements() == tuple(members) and len(members) == grown.order()
         assert built == []
+        # a full symmetric group takes the block subgroups instead of growing
+        s5 = PermGroup.symmetric(5)
+        for p in (2, 3, 5):
+            assert sylow_subgroup(s5, p).generators == sylow_of_symmetric(5, p).generators
 
     def test_two_cycles(self):
         g = PermGroup(6, ["(1 2 3)", "(4 5 6)"])

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from treescale import perm, sylow
 from treescale.acceptance import normal_subgroups
-from treescale.bmtree import designated_sylow
 from treescale.errors import EnumerationBoundError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
@@ -18,8 +17,8 @@ from treescale.supernat import prime_factors, valuation
 from treescale.sylow import (SylowBasis, are_permutable,
                              basis_normaliser, core_commensurability_check,
                              corpus, fitting, is_normal_in, p_core,
-                             p_part_of_order, pi_core, subgroup_index,
-                             sylow_basis, sylow_of_symmetric, sylow_subgroup,
+                             p_part_of_order, pi_core, sylow_basis,
+                             sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
 from test_perm import brute_force_elements, normaliser, orbit, tuple_power
@@ -120,7 +119,26 @@ class TestSylowSubgroup:
 
     def test_generic_algorithm_refuses_huge_groups(self):
         with pytest.raises(EnumerationBoundError):
-            sylow_subgroup(PermGroup.symmetric(15), 2)
+            sylow_subgroup(PermGroup.alternating(15), 2)
+
+    @pytest.mark.parametrize("k", [9, 15, 16])
+    def test_symmetric_groups_take_the_block_subgroup(self, k):
+        g = PermGroup.symmetric(k)
+        for p in prime_factors(math.factorial(k)):
+            s = sylow_subgroup(g, p)
+            assert s.generators == sylow_of_symmetric(k, p).generators
+            assert s.order() == p ** valuation(math.factorial(k), p)
+
+    def test_cores_of_a_symmetric_group_above_the_bound(self):
+        g = PermGroup.symmetric(15)
+        for p in prime_factors(g.order()):
+            assert p_core(g, p).order() == 1
+        assert fitting(g).order() == 1
+
+    def test_p_core_refuses_a_block_subgroup_above_the_bound(self):
+        # the block Sylow 2-subgroup of Sym(20) has 2^18 > ENUMERATION_BOUND elements
+        with pytest.raises(EnumerationBoundError):
+            p_core(PermGroup.symmetric(20), 2)
 
 
 def reference_sylow(g, p, start=None):
@@ -148,7 +166,7 @@ def intersect(h, k):
 def reference_p_core(g, p):
     """Intersect the Sylow subgroup with its conjugates by the generators,
     as groups, until stable; ``p_core`` must give the same generators."""
-    core = reference_sylow(g, p)
+    core = sylow_subgroup(g, p)
     while True:
         stable = True
         for x in g.generators:
@@ -173,7 +191,13 @@ small_groups = st.integers(1, 6).flatmap(lambda d: st.lists(
 
 def assert_pinned(g, index):
     for p in prime_factors(g.order()):
-        assert sylow_subgroup(g, p).generators == reference_sylow(g, p).generators
+        chosen = sylow_subgroup(g, p)
+        if g.order() == math.factorial(g.degree):
+            assert chosen.generators == sylow_of_symmetric(g.degree, p).generators
+        elif g.order() == p_part_of_order(g, p):
+            assert chosen is g
+        else:
+            assert chosen.generators == reference_sylow(g, p).generators
         start = p_subgroup_of(g, p, index)
         assert (sylow_subgroup(g, p, start=start).generators
                 == reference_sylow(g, p, start).generators)
@@ -208,7 +232,9 @@ class TestGrowthOnElementSets:
     def test_corpus(self, name):
         g = dict(corpus())[name]
         for p in (2, 3, 5, 7):
-            assert_filled_in_as_built(g, sylow_subgroup(g, p))
+            # full symmetric groups and p-groups take no growth step
+            if g.order() not in (math.factorial(g.degree), p_part_of_order(g, p)):
+                assert_filled_in_as_built(g, sylow_subgroup(g, p))
             for index in range(0, g.order(), 5):
                 start = p_subgroup_of(g, p, index)
                 assert_filled_in_as_built(g, sylow_subgroup(g, p, start=start))
@@ -216,9 +242,7 @@ class TestGrowthOnElementSets:
     @pytest.mark.parametrize("k, p", [(8, 2), (9, 3)])
     def test_p_groups(self, k, p):
         g = sylow_of_symmetric(k, p)
-        s = sylow_subgroup(g, p)
-        assert s.order() == g.order()
-        assert_filled_in_as_built(g, s)
+        assert sylow_subgroup(g, p) is g
 
     @pytest.mark.parametrize("name", sorted(GROUPS))
     def test_p_core_element_set(self, name):
@@ -229,7 +253,7 @@ class TestGrowthOnElementSets:
             assert core.element_set() == frozenset(x.images for x in built.elements())
 
     def test_no_chain_per_p_step(self, monkeypatch):
-        g = parse_group_spec("sylow:2:sym:12").group
+        g = PermGroup.alternating(8)
         built = []
         original = perm._Chain.__init__
 
@@ -239,7 +263,7 @@ class TestGrowthOnElementSets:
 
         monkeypatch.setattr(perm._Chain, "__init__", counting)
         s = sylow_subgroup(g, 2)
-        assert s.order() == 2 ** valuation(math.factorial(12), 2)
+        assert s.order() == 2 ** valuation(math.factorial(8) // 2, 2)
         # g's chain and the trivial start group's; none per p-step
         assert len(built) <= 2
 
@@ -418,7 +442,7 @@ class TestSylowOfSymmetric:
         g = PermGroup.symmetric(k)
         for p in prime_factors(math.factorial(k)):
             built = sylow_of_symmetric(k, p)
-            generic = sylow_subgroup(g, p)
+            generic = sylow_subgroup(g, p, start=PermGroup.trivial(k))
             assert next(g.conjugators([(built, generic)]), None) is not None
 
 
@@ -511,15 +535,9 @@ class TestDerivedOncePerGroup:
                     assert call(g, p) is cached
             assert nilpotent_residual(g) is nilpotent_residual(g)
 
-    def test_designated_sylow_is_the_cached_sylow_subgroup(self):
-        for f in (PermGroup.alternating(4), PermGroup.dihedral(6), GROUPS["sym3xc3"],
-                  PermGroup(5, ["(1 2 3)", "(3 4 5)"])):
-            for p in prime_factors(f.order()):
-                assert designated_sylow(f, p) is sylow_subgroup(f, p)
-
     def test_refused_call_keeps_nothing(self):
         for p in (2, 3):
-            g = PermGroup.symmetric(15)
+            g = PermGroup.alternating(15)
             with pytest.raises(EnumerationBoundError):
                 sylow_subgroup(g, p)
             with pytest.raises(EnumerationBoundError):
@@ -743,22 +761,16 @@ class TestCoreCommensurability:
             core_commensurability_check(
                 PermGroup.symmetric(4), PermGroup(4, ["(1 2)"]), [{2}])
 
+    def test_no_prime_sets(self):
+        # both sides are the trivial group, as with the one empty set
+        s4 = PermGroup.symmetric(4)
+        assert core_commensurability_check(s4, V4, [])
+        assert core_commensurability_check(s4, V4, [set()])
+
     def test_rejects_overlapping_sets(self):
         s4 = PermGroup.symmetric(4)
         with pytest.raises(PreconditionError):
             core_commensurability_check(s4, s4, [{2, 3}, {3}])
-
-
-class TestIndex:
-    def test_examples(self):
-        s4 = PermGroup.symmetric(4)
-        assert subgroup_index(s4, PermGroup.alternating(4)) == 2
-        assert subgroup_index(s4, s4) == 1
-        assert subgroup_index(s4, PermGroup(4, ["(1 2 3)"])) == 8
-
-    def test_rejects_non_subgroup(self):
-        with pytest.raises(PreconditionError):
-            subgroup_index(PermGroup.alternating(4), PermGroup(4, ["(1 2)"]))
 
 
 def test_corpus_orders_and_solubility():
