@@ -1,9 +1,10 @@
 """Finite permutations of {1..k} and permutation groups.
 
-Groups are given by generators and carry a deterministic stabiliser chain
-(base points 1, 2, ..., k in order; points fixed by the relevant stabiliser
-contribute trivial levels).  The chain provides order, membership, element
-enumeration and the orbit machinery everything else here is built from.
+Groups are given by generators.  A deterministic stabiliser chain (base
+points 1, 2, ..., k in order; points fixed by the relevant stabiliser
+contribute trivial levels) answers membership and lists elements, and gives
+the order where the group's construction does not already prove it.  It is
+built on first need, so a group asked only for its order may build none.
 
 Composition convention: the right factor applies first, (p * q)(i) = p(q(i)).
 Points are 1-based throughout.
@@ -438,9 +439,16 @@ class PermGroup:
     spectrum DP's plan of ``bmtree`` (key ``("spectrum_plan", p)``, p None
     for values), and the suborbit table of the ball walk in
     ``balloracle``.  Transversals and point stabilisers are made afresh on
-    every call.  A group built with its element set (the trivial group,
-    and every Sylow subgroup that ``sylow`` grows) tests membership and
-    lists its elements from that set, with no chain.
+    every call.
+
+    The chain is built on first need: by membership, by listing elements
+    or by ``chain()`` itself, and by ``order()`` only when the order is not
+    known.  ``symmetric``, ``alternating``, ``cyclic``, ``dihedral`` and
+    ``trivial``, and ``sylow.sylow_of_symmetric``, start with their order
+    (k!, k!/2, k, 2k, 1 and the p-part of k!).  A group built with its
+    element set (every group of order one, and every Sylow subgroup that
+    ``sylow`` grows) tests membership and lists its elements from that set,
+    with no chain.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
@@ -472,29 +480,22 @@ class PermGroup:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _known(cls, degree: int, generators=(), *, order: int | None = None,
+               elements: frozenset[tuple[int, ...]] | None = None,
+               chain: _Chain | None = None) -> "PermGroup":
+        """The group generated by generators, with what its construction
+        proves filled in: its order, its element set of image tuples (which
+        gives the order; order one gives the set) or its chain."""
+        group = cls(degree, generators)
+        if order == 1:
+            elements = frozenset([_IDENTITY[degree]])
+        group._order = order if elements is None else len(elements)
+        group._element_set, group._chain = elements, chain
+        return group
+
+    @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        """The trivial group; its order and element set start filled in,
-        once ``__init__`` has checked the degree."""
-        group = cls(degree)
-        group._element_set, group._order = frozenset([_IDENTITY[degree]]), 1
-        return group
-
-    @classmethod
-    def _with_element_set(cls, degree: int, generators,
-                          elements: frozenset[tuple[int, ...]]) -> "PermGroup":
-        """The group generated by generators, whose image tuples are already
-        known to be elements; its order and element set start filled in."""
-        group = cls(degree, generators)
-        group._element_set = elements
-        group._order = len(elements)
-        return group
-
-    @classmethod
-    def _with_chain(cls, degree: int, generators, chain: _Chain) -> "PermGroup":
-        """The group generated by generators, whose chain is chain."""
-        group = cls(degree, generators)
-        group._chain = chain
-        return group
+        return cls._known(degree, order=1)
 
     @classmethod
     def symmetric(cls, k: int) -> "PermGroup":
@@ -503,21 +504,22 @@ class PermGroup:
         gens = [Permutation.from_cycles(k, [[1, 2]])]
         if k > 2:
             gens.append(Permutation.from_cycles(k, [list(range(1, k + 1))]))
-        return cls(k, gens)
+        return cls._known(k, gens, order=math.factorial(k))
 
     @classmethod
     def alternating(cls, k: int) -> "PermGroup":
         if k < 3:
             return cls.trivial(k)
         # (1 2 3) and the long cycle of odd length: (1 ... k) or (2 ... k)
-        return cls(k, [Permutation.from_cycles(k, [[1, 2, 3]]),
-                       Permutation.from_cycles(k, [range(2 - k % 2, k + 1)])])
+        return cls._known(k, [Permutation.from_cycles(k, [[1, 2, 3]]),
+                              Permutation.from_cycles(k, [range(2 - k % 2, k + 1)])],
+                          order=math.factorial(k) // 2)
 
     @classmethod
     def cyclic(cls, k: int) -> "PermGroup":
         if k < 2:
             return cls.trivial(k)
-        return cls(k, [Permutation.from_cycles(k, [list(range(1, k + 1))])])
+        return cls._known(k, [Permutation.from_cycles(k, [list(range(1, k + 1))])], order=k)
 
     @classmethod
     def dihedral(cls, k: int) -> "PermGroup":
@@ -526,7 +528,7 @@ class PermGroup:
             raise PreconditionError("dihedral group needs at least 3 points")
         rot = Permutation.from_cycles(k, [list(range(1, k + 1))])
         refl = Permutation([1] + [k + 2 - i for i in range(2, k + 1)])
-        return cls(k, [rot, refl])
+        return cls._known(k, [rot, refl], order=2 * k)
 
     def _memo(self, key, make):
         """The value derived under key, made by make() on first use and kept;
@@ -655,7 +657,7 @@ def spanning_generators(degree: int, elements) -> PermGroup:
     each element outside the group of those taken before it, found on one
     chain extended in place, which the group keeps."""
     chain = PermGroup.trivial(degree).chain()
-    return PermGroup._with_chain(degree, [x for x in elements if chain.add(x)], chain)
+    return PermGroup._known(degree, [x for x in elements if chain.add(x)], chain=chain)
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
@@ -692,7 +694,7 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
             y = x.conjugate(c)
             if chain.add(y):
                 gens.append(y)
-    return PermGroup._with_chain(g.degree, gens, chain)
+    return PermGroup._known(g.degree, gens, chain=chain)
 
 
 def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:

@@ -78,7 +78,7 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
         for _ in range(p - 1):
             coset = {times(h) for h in coset}  # H x^i from H x^(i-1)
             members |= coset
-    return PermGroup._with_element_set(g.degree, gens, frozenset(members))
+    return PermGroup._known(g.degree, gens, elements=frozenset(members))
 
 
 def _times(xs: tuple[int, ...]) -> itemgetter:
@@ -100,7 +100,9 @@ def sylow_of_symmetric(k: int, p: int) -> PermGroup:
 
     {1..k} splits into consecutive blocks, largest power of p first; each
     block of size p^j carries an iterated wreath product generated by the
-    sub-block cycles.  The result's order is the p-part of k!.
+    sub-block cycles, of order p^(1 + p + ... + p^(j-1)).  Their product,
+    the p-part of k!, is the result's order and starts filled in, so the
+    result builds no chain until membership or its elements are asked.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
@@ -109,10 +111,11 @@ def sylow_of_symmetric(k: int, p: int) -> PermGroup:
     while width * p <= k:
         width *= p
     gens: list[Permutation] = []
-    start = 1
+    start, exponent = 1, 0
     while start <= k:
         while start + width > k + 1:
             width //= p
+        exponent += (width - 1) // (p - 1)
         size = 1
         while size < width:
             # cycle the p sub-blocks of width `size` inside the first p*size points
@@ -120,7 +123,7 @@ def sylow_of_symmetric(k: int, p: int) -> PermGroup:
                 k, [[start + r + t * size for t in range(p)] for r in range(size)]))
             size *= p
         start += width
-    return PermGroup(k, gens)
+    return PermGroup._known(k, gens, order=p ** exponent)
 
 
 def p_core(g: PermGroup, p: int) -> PermGroup:
@@ -170,7 +173,7 @@ def pi_core(g: PermGroup, pi) -> PermGroup:
             gens.append(x)
         else:
             failed |= _conjugacy_class(g, x.images)
-    return PermGroup._with_chain(g.degree, gens, chain)
+    return PermGroup._known(g.degree, gens, chain=chain)
 
 
 def _conjugacy_class(g: PermGroup, x: tuple[int, ...]) -> set[tuple[int, ...]]:

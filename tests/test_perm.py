@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treescale import balloracle, perm
+from treescale import balloracle, bmtree, cli, perm
 from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (Orbitals, PermGroup, Permutation,
@@ -257,8 +257,9 @@ class TestGenerators:
 
 class TestGroupOrder:
     def test_symmetric(self):
-        assert PermGroup.symmetric(3).order() == 6
-        assert PermGroup.symmetric(4).order() == 24
+        # the chain's order, not the one the group starts with
+        assert PermGroup.symmetric(3).chain().order() == 6
+        assert PermGroup.symmetric(4).chain().order() == 24
 
     def test_trivial(self):
         assert PermGroup.trivial(5).order() == 1
@@ -273,6 +274,30 @@ class TestGroupOrder:
         chain = PermGroup.trivial(3).chain()
         assert chain.order() == 1 and chain.add(Permutation.parse("(1 2)", 3))
         assert len(built) == 1 and chain.order() == 2
+
+    def test_block_sylow_spectrum_builds_no_chain(self, monkeypatch):
+        built = chain_builds(monkeypatch)
+        f = parse_group_spec("sylow:3:sym:27").group
+        bmtree.scale_spectrum(f, 15, mode="exponents", prime=3)
+        assert f.order() == 3 ** 13 and built == []
+
+    def test_sylow_report_on_a_symmetric_group_builds_no_chain(self, monkeypatch, capsys):
+        built = chain_builds(monkeypatch)
+        assert cli.main(["sylow", "--group", "sym:32", "--prime", "2", "--json"]) == 0
+        assert built == []
+        halves = ["(1 2)"] + ["".join(f"({i} {i + h})" for i in range(1, h + 1))
+                              for h in (2, 4, 8, 16)]
+        assert capsys.readouterr().out == (
+            '{"command": "sylow", "group": "sym:32", "prime": 2, "order": 2147483648, '
+            '"index": "3^14*5^7*7^4*11^2*13^2*17*19*23*29*31", "generators": ['
+            + ", ".join(f'"{c}"' for c in halves)
+            + '], "law": "Sylow subgroup order is the p-part of the group order"}\n')
+
+    def test_membership_builds_the_chain_once(self, monkeypatch):
+        g = PermGroup.symmetric(6)
+        built = chain_builds(monkeypatch)
+        assert Permutation.parse("(1 2)", 6) in g and Permutation.parse("(1 6)", 6) in g
+        assert len(built) == 1
 
     @pytest.mark.parametrize("name, g", corpus())
     def test_grown_sylow_answers_as_its_chain_does(self, name, g):
@@ -303,13 +328,22 @@ class TestGroupOrder:
         assert g.order() == len(brute_force_elements(6, g.generators))
 
     def test_large_degree_without_enumeration(self):
-        assert PermGroup.symmetric(15).order() == math.factorial(15)
+        assert PermGroup.symmetric(15).chain().order() == math.factorial(15)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_chain_matches_brute_force(self, k):
         for g in (PermGroup.symmetric(k), PermGroup.alternating(k),
                   PermGroup.cyclic(k), PermGroup.dihedral(k)):
-            assert g.order() == len(brute_force_elements(k, g.generators))
+            assert g.chain().order() == len(brute_force_elements(k, g.generators))
+
+    @pytest.mark.parametrize("g", [
+        *(build(k) for build in (PermGroup.symmetric, PermGroup.alternating, PermGroup.cyclic)
+          for k in range(1, 13)),
+        *(PermGroup.dihedral(k) for k in range(3, 13)),
+        *(sylow_of_symmetric(k, p) for k in range(1, 17) for p in prime_factors(math.factorial(k))),
+    ])
+    def test_stated_order_is_the_chain_order(self, g):
+        assert g.order() == perm._Chain(g.degree, g.generators).order()
 
     def test_element_list_matches_brute_force(self):
         g = PermGroup.dihedral(6)

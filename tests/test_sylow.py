@@ -435,7 +435,7 @@ class TestSylowOfSymmetric:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_order_is_p_part_of_factorial(self, k, p):
         expected = p ** valuation(math.factorial(k), p)
-        assert sylow_of_symmetric(k, p).order() == expected
+        assert sylow_of_symmetric(k, p).chain().order() == expected
 
     @pytest.mark.parametrize("k", range(3, 8))
     def test_conjugate_to_generic_sylow(self, k):

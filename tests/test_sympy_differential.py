@@ -7,8 +7,9 @@ subgroup; stabiliser-chain orders, bases and membership on structured
 generator sets, and the orders and elements of chains extended in place,
 chains of groups whose lower levels generate a whole symmetric or
 alternating group before the levels above them are complete,
-normal-closure orders, and membership in the Sylow subgroups grown over
-the built-in corpus.  Skipped when sympy is absent."""
+normal-closure orders, the orders that builtin groups start with, and
+membership in the Sylow subgroups grown over the built-in corpus.  Skipped
+when sympy is absent."""
 
 import random
 
@@ -333,6 +334,14 @@ def test_commutator_series_agree_with_sympy(case):
 
 def sympy_subgroup(group):
     return sympy_group(group.degree, [x.images for x in group.generators])
+
+
+@pytest.mark.parametrize("build", [PermGroup.symmetric, PermGroup.alternating,
+                                   PermGroup.dihedral])
+@pytest.mark.parametrize("k", [5, 8])
+def test_stated_builtin_orders_agree_with_sympy(build, k):
+    g = build(k)
+    assert g.order() == sympy_subgroup(g).order()
 
 
 @settings(max_examples=40, deadline=None)
