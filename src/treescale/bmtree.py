@@ -275,9 +275,19 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     """
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
-    if mode not in ("values", "exponents"):
-        raise PreconditionError(f"unknown spectrum mode {mode!r}")
-    if mode == "exponents":
+    if mode == "values":
+        if prime is not None:
+            raise PreconditionError(f"values mode takes no prime, got {prime}")
+        if cap is None:
+            cap = VALUE_CAP
+        if cap < 1:
+            raise PreconditionError(f"value cap must be at least 1, got {cap}")
+        start, empty = {1}, set()
+
+        def advance(accs, w):
+            kept = {acc * w for acc in accs if acc * w <= cap}
+            return kept, len(kept) < len(accs)
+    elif mode == "exponents":
         if prime is None or not is_prime(prime):
             raise PreconditionError(
                 f"exponent mode needs a prime, got {'none' if prime is None else prime}")
@@ -285,21 +295,6 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
             cap = EXPONENT_CAP
         if cap < 0:
             raise PreconditionError(f"exponent cap must be at least 0, got {cap}")
-    else:
-        if prime is not None:
-            raise PreconditionError(f"values mode takes no prime, got {prime}")
-        if cap is None:
-            cap = VALUE_CAP
-        if cap < 1:
-            raise PreconditionError(f"value cap must be at least 1, got {cap}")
-
-    if mode == "values":
-        start, empty = {1}, set()
-
-        def advance(accs, w):
-            kept = {acc * w for acc in accs if acc * w <= cap}
-            return kept, len(kept) < len(accs)
-    else:
         start, empty = 1, 0
 
         def advance(mask, w):
@@ -307,6 +302,8 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
             if moved.bit_length() <= cap + 1:
                 return moved, False
             return moved ^ (moved >> (cap + 1) << (cap + 1)), True
+    else:
+        raise PreconditionError(f"unknown spectrum mode {mode!r}")
 
     moves, into, seams = _spectrum_plan(f, prime)
     truncated = False

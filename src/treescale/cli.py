@@ -103,7 +103,7 @@ def cmd_basis(args) -> int:
     spec = parse_group_spec(args.group)
     basis = sylow.sylow_basis(spec.group)
     members, lines = [], []
-    for p in basis.primes():
+    for p in sorted(basis.members):
         sub = basis.members[p]
         gens, text = _generators(sub)
         members.append({"prime": p, "order": sub.order(), "generators": gens})

@@ -84,16 +84,15 @@ def parse_group_spec(text: str) -> GroupSpec:
         text, spec = inner, inner.strip()
         head, _, rest = spec.partition(":")
     head = head.lower()
-    if spec.startswith("file:"):
-        path = spec[len("file:"):]
+    if head == "file":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(rest, encoding="utf-8") as fh:
                 body = fh.read()
         except FileNotFoundError:
-            raise ParseError(f"group file not found: {path}") from None
+            raise ParseError(f"group file not found: {rest}") from None
         except (OSError, ValueError) as exc:
-            raise ParseError(f"cannot read group file {path}: {exc}") from None
-        canonical, group = spec, parse_group_file(body, source=path)
+            raise ParseError(f"cannot read group file {rest}: {exc}") from None
+        canonical, group = f"file:{rest}", parse_group_file(body, source=rest)
     elif head in _SIMPLE_BUILTINS:
         k = _parse_degree(rest, "point count")
         try:

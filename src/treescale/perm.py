@@ -88,12 +88,10 @@ class Permutation:
         stripped = text.strip()
         cycles = []
         consumed = 0
-        matched_any = False
         for m in _CYCLE_RE.finditer(stripped):
             if stripped[consumed:m.start()].strip():
                 raise ParseError(f"unexpected text in permutation: {text!r}")
             consumed = m.end()
-            matched_any = True
             body = m.group(1).replace(",", " ").split()
             if not body:
                 continue
@@ -101,7 +99,7 @@ class Permutation:
                 cycles.append([int(tok) for tok in body])
             except ValueError:
                 raise ParseError(f"non-integer point in permutation: {text!r}") from None
-        if stripped[consumed:].strip() or not matched_any:
+        if stripped[consumed:].strip() or not consumed:
             raise ParseError(f"malformed permutation: {text!r}")
         if any(pt < 1 for cyc in cycles for pt in cyc):
             raise ParseError(f"points must be >= 1: {text!r}")
@@ -267,14 +265,13 @@ class _Chain:
     j.. multiply to at most the order of the group H_j those levels
     generate, a group on the k-j points j+1..k.  When they reach (k-j)!,
     H_j is Sym(j+1..k); when they reach (k-j)!/2 and the generators of
-    level j-1 (of level 0 for j = 0) are all even, H_j is Alt(j+1..k) and
-    the group of level j-1 is even too.  Either way the orbits of levels
-    j.. are the true ones and H_j holds every Schreier generator of level
-    j-1, so that level needs no check, and for j = 0 the chain is complete
-    (``_full_from``).  As level m's orbit has at most k-m points, the first
-    case means that every level from j on is full, and the second, where
-    the orbits are those of Alt(j+1..k), that levels j..k-3 are full and
-    level k-2 is one point.  ``low`` is the least j from which levels
+    level j-1 are all even, H_j is Alt(j+1..k) and the group of level j-1
+    is even too.  Either way the orbits of levels j.. are the true ones and
+    H_j holds every Schreier generator of level j-1, so that level needs no
+    check (``_full_from``).  As level m's orbit has at most k-m points, the
+    first case means that every level from j on is full, and the second,
+    where the orbits are those of Alt(j+1..k), that levels j..k-3 are full
+    and level k-2 is one point.  ``low`` is the least j from which levels
     j..k-3 are all full, and ``odd`` the deepest level known to hold an
     odd strong generator, -1 if none: it covers the first ``parities``
     generators of level 0, whose parities are found on first need.
@@ -325,9 +322,9 @@ class _Chain:
 
     def _full_from(self, j: int) -> bool:
         """Whether the orbit lengths of levels j.. multiply to (k-j)!, or to
-        (k-j)!/2 while every strong generator of level j-1 (of level 0 for
-        j = 0) is even; read from ``low``, the orbit at level k-2 and
-        ``odd``, as the class docstring says."""
+        (k-j)!/2 while every strong generator of level j-1 is even; read
+        from ``low``, the orbit at level k-2 and ``odd``, as the class
+        docstring says."""
         if j < self.low:
             return False
         if j >= self.degree - 1 or len(self.orbits[self.degree - 2]) == 2:
@@ -336,21 +333,17 @@ class _Chain:
             if sum(len(c) - 1 for c in g.cycles()) % 2:
                 self.odd = max(self.odd, g.min_moved() - 1)
         self.parities = len(self.gens[0])
-        return self.odd < max(j - 1, 0)
+        return self.odd < j - 1
 
     def _complete(self, i: int) -> None:
         """Sift the unsifted pairs of levels i, i-1, ..., 0, climbing back to
-        the level of each new strong generator, until none is left or the
-        whole chain is full (``_full_from(0)``).  A level whose next levels
-        are full is passed over and its pairs stay unmarked: their Schreier
-        generators lie in those levels already, and they are formed only if
-        an odd generator added later voids the alternating case."""
-        if self._full_from(0):
-            return
+        the level of each new strong generator, until none is left.  A level
+        whose next levels are full is passed over and its pairs stay
+        unmarked: their Schreier generators lie in those levels already, and
+        they are formed only if an odd generator added later voids the
+        alternating case."""
         while i >= 0:
             j = self._verify_level(i)
-            if j is not None and self._full_from(0):
-                return
             i = i - 1 if j is None else j
 
     def _verify_level(self, i: int) -> int | None:
@@ -501,10 +494,10 @@ class PermGroup:
     def symmetric(cls, k: int) -> "PermGroup":
         if k < 2:
             return cls.trivial(k)
-        gens = [Permutation.from_cycles(k, [[1, 2]])]
-        if k > 2:
-            gens.append(Permutation.from_cycles(k, [list(range(1, k + 1))]))
-        return cls._known(k, gens, order=math.factorial(k))
+        # for k = 2 the long cycle is the transposition, dropped as a repeat
+        return cls._known(k, [Permutation.from_cycles(k, [[1, 2]]),
+                              Permutation.from_cycles(k, [range(1, k + 1)])],
+                          order=math.factorial(k))
 
     @classmethod
     def alternating(cls, k: int) -> "PermGroup":
@@ -517,9 +510,7 @@ class PermGroup:
 
     @classmethod
     def cyclic(cls, k: int) -> "PermGroup":
-        if k < 2:
-            return cls.trivial(k)
-        return cls._known(k, [Permutation.from_cycles(k, [list(range(1, k + 1))])], order=k)
+        return cls._known(k, [Permutation.from_cycles(k, [range(1, k + 1)])], order=k)
 
     @classmethod
     def dihedral(cls, k: int) -> "PermGroup":

@@ -130,7 +130,6 @@ def p_core(g: PermGroup, p: int) -> PermGroup:
     """O_p(g): intersect the element set of one Sylow p-subgroup with its
     conjugates by the generators of g until stable, then build one group.
     Cached on g, write-once per prime."""
-    _require_prime(p)
     return g._memo(("p_core", p), lambda: _p_core(g, p))
 
 
@@ -207,9 +206,6 @@ class SylowBasis:
     parent: PermGroup
     members: dict[int, PermGroup]
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
     def conjugate(self, g: Permutation) -> "SylowBasis":
         return SylowBasis(self.parent, {p: m.conjugate(g) for p, m in self.members.items()})
 
@@ -218,7 +214,7 @@ class SylowBasis:
         for p, m in self.members.items():
             if m.order() != p_part_of_order(self.parent, p):
                 out.append(f"member at {p} is not Sylow")
-        primes = self.primes()
+        primes = sorted(self.members)
         for i, p in enumerate(primes):
             for q in primes[i + 1:]:
                 if not are_permutable(self.members[p], self.members[q]):

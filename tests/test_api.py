@@ -4,7 +4,8 @@ degree bound and the explicit-oracle cap are each read by exactly one
 function; InvalidAxisError is read only where an axis is built; every
 exported name resolves; no module imports a name it never uses, no module
 defines a private name that no module reads, and no public name is read
-only by the tests."""
+only by the tests; and no two helper functions of the tests share a
+body."""
 
 import ast
 import importlib
@@ -218,3 +219,36 @@ def test_no_public_name_is_read_only_by_tests():
     sources["acceptance"] += "\n\ndef all_subgroups(g):\n    return {g}\n"
     assert unread_public_names(sources, readers, treescale.__all__) == [
         "acceptance.all_subgroups"]
+
+
+def duplicate_helpers(sources: dict[str, str]) -> list[list[str]]:
+    """The groups of module-level helpers (functions not named ``test_*``)
+    with the same arguments, decorators and body once the docstring is
+    stripped, compared by their AST dumps."""
+    found: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("test_")):
+                continue
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            key = "\n".join(map(ast.dump, [*node.decorator_list, node.args, *body]))
+            found.setdefault(key, []).append(f"{module}.{node.name}")
+    return [names for names in found.values() if len(names) > 1]
+
+
+def test_duplicate_helper_finder():
+    assert duplicate_helpers({"a": "def f(x):\n    \"\"\"One.\"\"\"\n    return x + 1",
+                              "b": "def g(x):\n    \"\"\"Two.\"\"\"\n    return x + 1\n"
+                                   "def h(y):\n    return y + 1"}) == [["a.f", "b.g"]]
+    assert duplicate_helpers({"a": "def test_f():\n    pass\ndef test_g():\n    pass"}) == []
+    assert duplicate_helpers({"a": "@d\ndef f():\n    pass\ndef g():\n    pass"}) == []
+
+
+def test_no_test_helper_is_defined_twice():
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(__file__).parent.glob("*.py"))}
+    assert len(sources) >= 10
+    assert duplicate_helpers(sources) == []

@@ -24,16 +24,12 @@ from treescale.perm import PermGroup, Permutation
 from treescale.supernat import is_prime, prime_factors, rational_p_part, valuation
 from treescale.sylow import sylow_of_symmetric, sylow_subgroup
 
+from test_perm import same_subgroup
+
 S3 = PermGroup.symmetric(3)
 S4 = PermGroup.symmetric(4)
 S5 = PermGroup.symmetric(5)
 C3_ON_5 = PermGroup(5, ["(1 2 3)"])
-
-
-def same_subgroup(h, k):
-    """H = K: equal degrees and orders, and H's generators lie in K."""
-    return (h.degree == k.degree and h.order() == k.order()
-            and all(x in k for x in h.generators))
 
 
 @st.composite

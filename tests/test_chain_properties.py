@@ -203,6 +203,25 @@ def test_symmetric_and_alternating_builds_form_few_schreier_generators(k, monkey
         assert sum(n for _, n in checks) <= 2 * k - 8
 
 
+# Nontrivial Schreier generators formed by a chain build of sym:k and of
+# alt:k from their builtin generators, for k = 1..32: 12,161 in all.
+FORMED = {
+    "sym": (0, 0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27,
+            29, 31, 33, 35, 37, 39, 41, 43, 45, 47, 49, 51, 53, 55, 57, 59),
+    "alt": (0, 0, 0, 0, 3, 4, 7, 8, 11, 12, 23, 16, 27, 20, 49, 24,
+            110, 28, 211, 32, 450, 36, 776, 40, 1149, 44, 1867, 48, 2365, 52, 3793, 56),
+}
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_builds_form_the_pinned_number_of_schreier_generators(k, monkeypatch):
+    for family, group in (("sym", PermGroup.symmetric(k)), ("alt", PermGroup.alternating(k))):
+        checks, _ = record_schreier_generators(monkeypatch)
+        _Chain(group.degree, group.generators)
+        monkeypatch.undo()
+        assert sum(n for _, n in checks) == FORMED[family][k - 1]
+
+
 def assert_transversals_valid(chain):
     """Level i's transversal maps i+1 to each orbit point and fixes 1..i."""
     for i, trans in enumerate(chain.orbits):

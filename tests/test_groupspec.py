@@ -46,6 +46,7 @@ class TestBuiltins:
         ("sylow:2: nope:3", "unknown group spec ' nope:3'"),
         ("sylow:2:sylow:x:sym:4", "bad prime 'x'"),
         ("file:/no/such/path", "group file not found: /no/such/path"),
+        ("file", "group file not found: "),
     ])
     def test_error_messages(self, spec, message):
         with pytest.raises(ParseError) as info:
@@ -118,6 +119,16 @@ class TestGroupFile:
         path.write_text("degree 5\n(1 2 3)\n", encoding="utf-8")
         spec = parse_group_spec(f"file:{path}")
         assert spec.group.order() == 3
+
+    def test_file_head_is_case_insensitive(self, tmp_path):
+        path = tmp_path / "group.txt"
+        path.write_text("degree 5\n(1 2 3)\n", encoding="utf-8")
+        lower = parse_group_spec(f"file:{path}")
+        for head in ("FILE", "File"):
+            spec = parse_group_spec(f"{head}:{path}")
+            assert spec.canonical == lower.canonical == f"file:{path}"
+            assert spec.group.generators == lower.group.generators
+            assert spec.group.order() == lower.group.order() == 3
 
 
 class TestAxisLiterals:

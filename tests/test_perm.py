@@ -249,6 +249,13 @@ class TestGenerators:
             g = build(1)
             assert g.degree == 1 and g.order() == 1
 
+    def test_builtins_drop_repeated_and_trivial_generators(self):
+        # the long cycle of Sym(2) is its transposition, that of C_1 the identity
+        assert PermGroup.symmetric(2).generators == (Permutation.parse("(1 2)", 2),)
+        c1 = PermGroup.cyclic(1)
+        assert c1.generators == () and c1.order() == 1
+        assert c1.element_set() == {(1,)}
+
     def test_generator_of_another_degree_is_refused(self):
         with pytest.raises(PreconditionError) as info:
             PermGroup(3, [Permutation.parse("(1 2)", 4)])
@@ -800,14 +807,7 @@ class TestSubgroupAlgebra:
     def test_spanned_group_builds_no_second_chain(self, monkeypatch):
         g = PermGroup.symmetric(5)
         elements = g.elements()
-        built = []
-        original = perm._Chain.__init__
-
-        def counting(chain, *args):
-            built.append(chain)
-            original(chain, *args)
-
-        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        built = chain_builds(monkeypatch)
         spanned = spanning_generators(5, elements[::-1])
         assert spanned.order() == 120
         assert all(x in spanned for x in elements)

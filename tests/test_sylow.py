@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treescale import perm, sylow
+from treescale import sylow
 from treescale.acceptance import normal_subgroups
 from treescale.errors import EnumerationBoundError, PreconditionError
 from treescale.groupspec import parse_group_spec
@@ -21,17 +21,12 @@ from treescale.sylow import (SylowBasis, are_permutable,
                              sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
-from test_perm import brute_force_elements, normaliser, orbit, tuple_power
+from test_perm import (brute_force_elements, chain_builds, normaliser, orbit,
+                       same_subgroup, tuple_power)
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
               sylow2sym8=sylow_of_symmetric(8, 2))
-
-
-def same_subgroup(h, k):
-    """H = K: equal degrees and orders, and H's generators lie in K."""
-    return (h.degree == k.degree and h.order() == k.order()
-            and all(x in k for x in h.generators))
 
 
 def all_subgroups(g):
@@ -254,14 +249,7 @@ class TestGrowthOnElementSets:
 
     def test_no_chain_per_p_step(self, monkeypatch):
         g = PermGroup.alternating(8)
-        built = []
-        original = perm._Chain.__init__
-
-        def counting(chain, *args):
-            built.append(chain)
-            original(chain, *args)
-
-        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        built = chain_builds(monkeypatch)
         s = sylow_subgroup(g, 2)
         assert s.order() == 2 ** valuation(math.factorial(8) // 2, 2)
         # g's chain and the trivial start group's; none per p-step
@@ -340,14 +328,7 @@ class TestClosuresPinnedToRebuilding:
     def test_one_chain_per_closure(self, monkeypatch):
         g = PermGroup.symmetric(6)
         g.elements()
-        built = []
-        original = perm._Chain.__init__
-
-        def counting(chain, *args):
-            built.append(chain)
-            original(chain, *args)
-
-        monkeypatch.setattr(perm._Chain, "__init__", counting)
+        built = chain_builds(monkeypatch)
         closure = normal_closure(g, [Permutation.parse("(1 2 3)", 6)])
         assert closure.order() == 360 and len(built) == 1
         spanning_generators(6, g.elements())
@@ -454,6 +435,13 @@ class TestCores:
     def test_p_core_of_p_group(self):
         d8 = PermGroup.dihedral(4)
         assert same_subgroup(p_core(d8, 2), d8)
+
+    def test_p_core_refuses_a_non_prime_and_keeps_nothing(self):
+        g = PermGroup.symmetric(4)
+        with pytest.raises(PreconditionError) as info:
+            p_core(g, 4)
+        assert str(info.value) == "4 is not prime"
+        assert ("p_core", 4) not in g._derived
 
     def test_p_core_contains_all_normal_p_subgroups(self):
         for _, g in corpus():

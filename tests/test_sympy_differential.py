@@ -22,7 +22,7 @@ from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subg
 from treescale.supernat import prime_factors
 from treescale.sylow import corpus, fitting, p_core, sylow_subgroup
 
-from test_chain_properties import assert_transversals_valid
+from test_chain_properties import assert_transversals_valid, is_even
 from test_perm import brute_force_elements, chain_base, orbit
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -119,10 +119,6 @@ def structured_generators(draw):
         gens = [g if is_even(g) else g * transposition
                 for g in (moving(points) for _ in range(draw(st.integers(1, 3))))]
     return degree, gens
-
-
-def is_even(g):
-    return sum(len(c) - 1 for c in g.cycles()) % 2 == 0
 
 
 def sympy_base(group, degree):
