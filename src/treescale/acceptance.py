@@ -130,52 +130,50 @@ def c01_two_transitive_spectrum() -> CheckResult:
 _EXACT_CAP = 40
 
 
-def _local_exponents(k: int, p: int) -> tuple[int, ...]:
-    """The p-exponents of sylow:p:sym:k over all word lengths, up to the cap."""
-    return bmtree.scale_spectrum(sylow.sylow_of_symmetric(k, p), 10 ** 9,
-                                 mode="exponents", prime=p, cap=_EXACT_CAP).entries
+def _exact_exponents(name: str, law: str, cases, expected: tuple[int, ...],
+                     passed: str) -> CheckResult:
+    """The check that the p-exponents of sylow:p:sym:k over all word
+    lengths, up to the cap, are exactly ``expected`` for each (k, p) in
+    cases; ``passed`` is the detail when they are."""
+    problems = []
+    for k, p in cases:
+        entries = bmtree.scale_spectrum(sylow.sylow_of_symmetric(k, p), 10 ** 9,
+                                        mode="exponents", prime=p, cap=_EXACT_CAP).entries
+        if entries != expected:
+            problems.append(f"sylow:{p}:sym:{k}: got {entries}")
+    return CheckResult(name, law, not problems, "; ".join(problems) or passed)
 
 
 def c02_at_most_p_colours() -> CheckResult:
-    law = "local p-group with no suborbit above 1 is uniscalar (exponent set {0})"
-    problems = []
-    for k in (4, 5):
-        entries = _local_exponents(k, 5)
-        if entries != (0,):
-            problems.append(f"sylow:5:sym:{k}: got {entries}")
-    detail = "; ".join(problems) if problems else \
-        f"sylow:5:sym:4 and sylow:5:sym:5 give exactly {{0}} over all lengths (cap {_EXACT_CAP})"
-    return CheckResult("c02_at_most_p_colours", law, not problems, detail)
+    return _exact_exponents(
+        "c02_at_most_p_colours",
+        "local p-group with no suborbit above 1 is uniscalar (exponent set {0})",
+        [(4, 5), (5, 5)], (0,),
+        f"sylow:5:sym:4 and sylow:5:sym:5 give exactly {{0}} over all lengths (cap {_EXACT_CAP})")
 
 
 def c03_two_block_even_exponents() -> CheckResult:
-    law = "two p-blocks: achievable exponents are exactly the even naturals"
-    entries = _local_exponents(6, 3)
-    ok = entries == tuple(range(0, _EXACT_CAP + 1, 2))
-    detail = (f"sylow:3:sym:6 gives exactly the even exponents 0..{_EXACT_CAP} over all lengths"
-              if ok else f"sylow:3:sym:6 gives {entries}, not the even exponents 0..{_EXACT_CAP}")
-    return CheckResult("c03_two_block_even_exponents", law, ok, detail)
+    return _exact_exponents(
+        "c03_two_block_even_exponents",
+        "two p-blocks: achievable exponents are exactly the even naturals",
+        [(6, 3)], tuple(range(0, _EXACT_CAP + 1, 2)),
+        f"sylow:3:sym:6 gives exactly the even exponents 0..{_EXACT_CAP} over all lengths")
 
 
 def c04_many_blocks_skip_one() -> CheckResult:
-    law = "three or more p-blocks: achievable exponents are the naturals without 1"
-    entries = _local_exponents(15, 5)
-    ok = entries == (0, *range(2, _EXACT_CAP + 1))
-    detail = (f"sylow:5:sym:15 gives exactly the exponents 0..{_EXACT_CAP} without 1 over all lengths"
-              if ok else f"sylow:5:sym:15 gives {entries}, not 0..{_EXACT_CAP} without 1")
-    return CheckResult("c04_many_blocks_skip_one", law, ok, detail)
+    return _exact_exponents(
+        "c04_many_blocks_skip_one",
+        "three or more p-blocks: achievable exponents are the naturals without 1",
+        [(15, 5)], (0, *range(2, _EXACT_CAP + 1)),
+        f"sylow:5:sym:15 gives exactly the exponents 0..{_EXACT_CAP} without 1 over all lengths")
 
 
 def c05_mixed_blocks_full() -> CheckResult:
-    law = "mixed block structure: every exponent is achievable"
-    problems = []
-    for k in (4, 9):
-        entries = _local_exponents(k, 3)
-        if entries != tuple(range(_EXACT_CAP + 1)):
-            problems.append(f"sylow:3:sym:{k}: got {entries}")
-    detail = "; ".join(problems) if problems else \
-        f"sylow:3:sym:4 and sylow:3:sym:9 give exactly the exponents 0..{_EXACT_CAP} over all lengths"
-    return CheckResult("c05_mixed_blocks_full", law, not problems, detail)
+    return _exact_exponents(
+        "c05_mixed_blocks_full",
+        "mixed block structure: every exponent is achievable",
+        [(4, 3), (9, 3)], tuple(range(_EXACT_CAP + 1)),
+        f"sylow:3:sym:4 and sylow:3:sym:9 give exactly the exponents 0..{_EXACT_CAP} over all lengths")
 
 
 def c06_symmetric_p_part_lattice() -> CheckResult:
@@ -371,8 +369,7 @@ def c12_sylow_hall_battery() -> CheckResult:
         if bad:
             problems.append(f"{name}: basis violations {bad}")
         for x in list(g.generators)[:2]:
-            other = basis.conjugate(x)
-            pairs = [(basis.members[p], other.members[p]) for p in basis.members]
+            pairs = [(m, m.conjugate(x)) for m in basis.members.values()]
             if next(g.conjugators(pairs), None) is None:
                 problems.append(f"{name}: Sylow bases not simultaneously conjugate")
         # kernels K with G/K nilpotent: G itself and the nilpotent residual
@@ -414,7 +411,7 @@ def c13_spectrum_exponent_inclusion() -> CheckResult:
         amb = bmtree.scale_spectrum(PermGroup.symmetric(k), 5)
         for p in (2, 3, 5):
             fp = sylow.sylow_of_symmetric(k, p)
-            max_order = max((x.order() for x in fp.elements()), default=1)
+            max_order = max(x.order() for x in fp.elements())
             local = bmtree.scale_spectrum(fp, 5 * max_order, mode="exponents",
                                           prime=p, cap=cap)
             wanted = {valuation(v, p) for v in amb.entries}

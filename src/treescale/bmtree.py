@@ -67,7 +67,7 @@ class AxisData:
         return self.twist(self.word[-1])
 
     def describe(self) -> str:
-        twist = "id" if self.twist.is_identity() else self.twist.cycle_string()
+        twist = "id" if self.twist.is_identity() else str(self.twist)
         return f"twist={twist}; word={','.join(map(str, self.word))}"
 
 

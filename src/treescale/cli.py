@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 precondition error, 2 parse error, 3 verification
 failure.  Errors print one machine-parsable line on stderr in the form
 ``<category>: <message>``.  Every command accepts ``--json``; a JSON report
 lists its keys in the documented fixed order, ``command`` first and ``law``
-last.
+last, except that ``verify`` prints a list with one ``name, passed, law,
+detail`` object per item.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def cmd_predict(args) -> int:
 
 def _generators(sub) -> tuple[list[str], str]:
     """The generators of a subgroup as cycle strings, and as one text field."""
-    gens = [g.cycle_string() for g in sub.generators]
+    gens = [str(g) for g in sub.generators]
     return gens, ", ".join(gens) or "none"
 
 

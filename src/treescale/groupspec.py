@@ -107,7 +107,7 @@ def parse_group_spec(text: str) -> GroupSpec:
             for chunk in body.split(";"):
                 gens.append(Permutation.parse(chunk, k))
         group = PermGroup(k, gens)
-        canonical = f"gens:{k}:" + ";".join(g.cycle_string() for g in group.generators)
+        canonical = f"gens:{k}:" + ";".join(map(str, group.generators))
     else:
         raise ParseError(f"unknown group spec {text!r}")
     for p in reversed(primes):

@@ -101,8 +101,6 @@ class Permutation:
                 raise ParseError(f"non-integer point in permutation: {text!r}") from None
         if stripped[consumed:].strip() or not consumed:
             raise ParseError(f"malformed permutation: {text!r}")
-        if any(pt < 1 for cyc in cycles for pt in cyc):
-            raise ParseError(f"points must be >= 1: {text!r}")
         return cls.from_cycles(degree, cycles)
 
     def __call__(self, point: int) -> int:
@@ -157,17 +155,12 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-
     def __str__(self) -> str:
-        return self.cycle_string()
+        """Disjoint-cycle notation, ``()`` for the identity."""
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles()) or "()"
 
     def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+        return f"Permutation({str(self)!r}, degree={self.degree})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -610,7 +603,7 @@ class PermGroup:
 
     def is_soluble(self) -> bool:
         return self._memo("soluble", lambda: _series(
-            self, PermGroup._derived_subgroup)[-1].order() == 1)
+            self, PermGroup._derived_subgroup).order() == 1)
 
     def is_nilpotent(self) -> bool:
         return nilpotent_residual(self).order() == 1
@@ -664,17 +657,6 @@ def meet_index(h: PermGroup, k: PermGroup) -> int:
     return h.order() // sum(1 for x in small.elements() if x in big)
 
 
-def generated(groups) -> PermGroup:
-    groups = list(groups)
-    if not groups:
-        raise PreconditionError("generated() needs at least one group")
-    degree = groups[0].degree
-    if any(g.degree != degree for g in groups):
-        raise PreconditionError("degree mismatch")
-    gens = [x for g in groups for x in g.generators]
-    return PermGroup(degree, gens)
-
-
 def normal_closure(g: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and normalised by G."""
     closure = PermGroup(g.degree, seeds)
@@ -696,25 +678,21 @@ def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
     return normal_closure(g, comms)
 
 
-def _series(g: PermGroup, step) -> list[PermGroup]:
-    """g, step(g), step(step(g)), ... up to the trivial group, or up to the
-    last term before the first one whose order equals the one before.  Each
-    step gives a subgroup of its argument, so the orders fall until then."""
-    series = [g]
-    while series[-1].order() > 1:
-        nxt = step(series[-1])
-        if nxt.order() == series[-1].order():
+def _series(g: PermGroup, step) -> PermGroup:
+    """The last term of g, step(g), step(step(g)), ...: the trivial group,
+    or the term before the first one whose order equals the one before.
+    Each step gives a subgroup of its argument, so the orders fall until
+    then."""
+    while g.order() > 1:
+        nxt = step(g)
+        if nxt.order() == g.order():
             break
-        series.append(nxt)
-    return series
-
-
-def lower_central_series(g: PermGroup) -> list[PermGroup]:
-    return _series(g, lambda h: g._derived_subgroup() if h is g
-                   else commutator_subgroup(g, h))
+        g = nxt
+    return g
 
 
 def nilpotent_residual(g: PermGroup) -> PermGroup:
     """Last term of the lower central series; G/residual is nilpotent.
     Cached on g."""
-    return g._memo("nilpotent_residual", lambda: lower_central_series(g)[-1])
+    return g._memo("nilpotent_residual", lambda: _series(
+        g, lambda h: g._derived_subgroup() if h is g else commutator_subgroup(g, h)))

@@ -13,8 +13,8 @@ from math import factorial
 from operator import itemgetter
 
 from .errors import PreconditionError
-from .perm import (PermGroup, Permutation, _conjugate_images, generated, is_subgroup,
-                   meet_index, nilpotent_residual, normal_closure, spanning_generators)
+from .perm import (PermGroup, Permutation, _conjugate_images, is_subgroup, meet_index,
+                   nilpotent_residual, normal_closure, spanning_generators)
 from .supernat import is_prime, prime_factors, valuation
 
 
@@ -47,7 +47,7 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     _require_prime(p)
     if start is None:
         return g._memo(("sylow", p), lambda: _default_sylow(g, p))
-    if not is_subgroup(start, g) or start.order() != p ** valuation(start.order(), p):
+    if not is_subgroup(start, g) or start.order() != p_part_of_order(start, p):
         raise PreconditionError(f"start must be a {p}-subgroup of the group")
     return _grow_sylow(g, p, start)
 
@@ -192,10 +192,8 @@ def _conjugacy_class(g: PermGroup, x: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 def fitting(g: PermGroup) -> PermGroup:
     """The Fitting subgroup, generated by the p-cores over p dividing |g|."""
-    cores = [p_core(g, p) for p in prime_factors(g.order())]
-    if not cores:
-        return PermGroup.trivial(g.degree)
-    return generated(cores)
+    return PermGroup(g.degree, [x for p in prime_factors(g.order())
+                                for x in p_core(g, p).generators])
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +203,6 @@ class SylowBasis:
 
     parent: PermGroup
     members: dict[int, PermGroup]
-
-    def conjugate(self, g: Permutation) -> "SylowBasis":
-        return SylowBasis(self.parent, {p: m.conjugate(g) for p, m in self.members.items()})
 
     def violations(self) -> list[str]:
         out = []
@@ -224,7 +219,7 @@ class SylowBasis:
 
 def are_permutable(a: PermGroup, b: PermGroup) -> bool:
     """True iff AB = BA, tested via |<A,B>| = |AB| = |B| |A : A meet B|."""
-    return generated([a, b]).order() == b.order() * meet_index(a, b)
+    return PermGroup(a.degree, a.generators + b.generators).order() == b.order() * meet_index(a, b)
 
 
 def sylow_basis(g: PermGroup) -> SylowBasis:
@@ -304,10 +299,8 @@ def core_commensurability_check(u: PermGroup, v: PermGroup, prime_sets) -> bool:
                 raise PreconditionError("prime sets must be pairwise disjoint")
     if not is_normal_in(v, u):
         raise PreconditionError("core commensurability requires V normal in U")
-    if not sets:
-        return True  # both sides are the trivial group
-    o_u = generated([pi_core(u, s) for s in sets])
-    o_v = generated([pi_core(v, s) for s in sets])
+    o_u = PermGroup(u.degree, [x for s in sets for x in pi_core(u, s).generators])
+    o_v = PermGroup(v.degree, [x for s in sets for x in pi_core(v, s).generators])
     # O_pi(V) is characteristic in V, so normal in U: o_v <= o_u meet v, equal iff orders are
     return o_u.order() == o_v.order() * meet_index(o_u, v)
 

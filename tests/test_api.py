@@ -2,10 +2,10 @@
 module constants with no per-call override; the enumeration bound, the
 degree bound and the explicit-oracle cap are each read by exactly one
 function; InvalidAxisError is read only where an axis is built; every
-exported name resolves; no module imports a name it never uses, no module
-defines a private name that no module reads, and no public name is read
-only by the tests; and no two helper functions of the tests share a
-body."""
+exported name resolves; no module or test file imports a name it never
+uses, no module defines a private name that no module reads, and no
+public name is read only by the tests; and no two helper functions of
+the tests share a body."""
 
 import ast
 import importlib
@@ -122,9 +122,11 @@ def test_unused_import_finder():
 
 
 def test_no_module_imports_an_unused_name():
-    sources = sorted(Path(treescale.__file__).parent.glob("*.py"))
-    assert len(sources) >= 9
-    found = {path.name: unused_imports(path.read_text()) for path in sources}
+    modules = sorted(Path(treescale.__file__).parent.glob("*.py"))
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(modules) >= 9 and len(tests) >= 12
+    found = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text())
+             for path in modules + tests}
     assert {name: names for name, names in found.items() if names} == {}
 
 

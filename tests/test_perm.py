@@ -15,8 +15,7 @@ from treescale.errors import EnumerationBoundError, ParseError, PreconditionErro
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (Orbitals, PermGroup, Permutation,
                             _orbit_transversal, commutator_subgroup,
-                            generated, is_subgroup, lower_central_series,
-                            nilpotent_residual, normal_closure,
+                            is_subgroup, nilpotent_residual, normal_closure,
                             spanning_generators)
 from treescale.supernat import prime_factors
 from treescale.sylow import corpus, sylow_of_symmetric, sylow_subgroup
@@ -98,12 +97,20 @@ class TestPermutation:
 
     @given(perms)
     def test_cycle_round_trip(self, p):
-        assert Permutation.parse(p.cycle_string(), p.degree) == p
+        assert Permutation.parse(str(p), p.degree) == p
 
     def test_canonical_form(self):
-        assert Permutation.parse("(2 3 1)", 3).cycle_string() == "(1 2 3)"
-        assert Permutation.parse("(4 5)(1 2 3)", 5).cycle_string() == "(1 2 3)(4 5)"
-        assert Permutation.identity(4).cycle_string() == "()"
+        assert str(Permutation.parse("(2 3 1)", 3)) == "(1 2 3)"
+        assert str(Permutation.parse("(4 5)(1 2 3)", 5)) == "(1 2 3)(4 5)"
+        assert str(Permutation.identity(4)) == "()"
+        assert str(Permutation.identity(1)) == "()"
+
+    def test_rendering_matches_a_reference_walk(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            images = list(range(1, rng.randint(1, 10) + 1))
+            rng.shuffle(images)
+            assert str(Permutation(images)) == reference_cycle_string(images)
         for text in ("()", " ( ) ", "()()"):
             assert Permutation.parse(text, 3) == Permutation.identity(3)
 
@@ -120,7 +127,8 @@ class TestPermutation:
     @pytest.mark.parametrize("text, message", [
         ("(1 2) x (3 4)", "unexpected text in permutation: '(1 2) x (3 4)'"),
         ("(1 a)", "non-integer point in permutation: '(1 a)'"),
-        ("(0 1)", "points must be >= 1: '(0 1)'"),
+        ("(0 1)", "point 0 out of range 1..4"),
+        ("(-1 2)", "point -1 out of range 1..4"),
     ])
     def test_parse_refusals(self, text, message):
         with pytest.raises(ParseError) as info:
@@ -462,7 +470,7 @@ def gens_groups(draw):
     """A ``gens:`` group of degree at most 8 with up to three generators."""
     degree = draw(st.integers(1, 8))
     images = draw(st.lists(st.permutations(list(range(1, degree + 1))), max_size=3))
-    cycles = ";".join(Permutation(im).cycle_string() for im in images)
+    cycles = ";".join(str(Permutation(im)) for im in images)
     return parse_group_spec(f"gens:{degree}:{cycles}").group
 
 
@@ -679,6 +687,35 @@ def normaliser(g, h):
     return spanning_generators(g.degree, g.conjugators([(h, h)]))
 
 
+def lower_central_series(g):
+    """G, [G, G], [G, [G, G]], ... from the public ``commutator_subgroup``,
+    up to the trivial group or the last term before the first repeated
+    order, where sympy's ``lower_central_series`` also stops."""
+    series = [g]
+    while series[-1].order() > 1:
+        nxt = commutator_subgroup(g, series[-1])
+        if nxt.order() == series[-1].order():
+            break
+        series.append(nxt)
+    return series
+
+
+def reference_cycle_string(images):
+    """Disjoint-cycle notation of an image list, each cycle from its least
+    point, ``()`` for the identity, walked on the list itself."""
+    seen = set()
+    out = []
+    for start in range(1, len(images) + 1):
+        if start in seen or images[start - 1] == start:
+            continue
+        cycle = [start]
+        while images[cycle[-1] - 1] != start:
+            cycle.append(images[cycle[-1] - 1])
+        seen.update(cycle)
+        out.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(out) or "()"
+
+
 class TestNormaliser:
     def test_self_normalising_sylow(self):
         s4 = PermGroup.symmetric(4)
@@ -732,8 +769,10 @@ class TestPredicates:
         assert orders == [24, 12, 4, 1]
 
     def test_lower_central_stalls_for_sym3(self):
-        series = lower_central_series(PermGroup.symmetric(3))
-        assert [g.order() for g in series] == [6, 3]
+        g = PermGroup.symmetric(3)
+        assert [h.order() for h in lower_central_series(g)] == [6, 3]
+        assert nilpotent_residual(g).order() == 3
+        assert nilpotent_residual(g) is g._derived["derived"]
 
     def test_solubility_and_residual_are_derived_once(self):
         for g, soluble, residual_order in ((PermGroup.symmetric(4), True, 12),
@@ -758,7 +797,7 @@ class TestPredicates:
         monkeypatch.setattr(perm, "commutator_subgroup", counting)
         g = PermGroup.symmetric(4)
         assert g.is_soluble()
-        assert lower_central_series(g)[1] is g._derived["derived"]
+        assert nilpotent_residual(g) is g._derived["derived"]
         assert [(a, b) for a, b in calls if a is g and b is g] == [(g, g)]
 
 
@@ -815,18 +854,6 @@ class TestSubgroupAlgebra:
         # one chain per spanning set, extended in place and kept by the group
         assert len(built) == 2
 
-    def test_generated(self):
-        g = generated([PermGroup(4, ["(1 2)"]), PermGroup(4, ["(3 4)"])])
-        assert g.order() == 4
-
-    @pytest.mark.parametrize("groups, message", [
-        ([], "generated() needs at least one group"),
-        ([PermGroup.symmetric(3), PermGroup.symmetric(4)], "degree mismatch"),
-    ])
-    def test_generated_refusals(self, groups, message):
-        with pytest.raises(PreconditionError) as info:
-            generated(groups)
-        assert str(info.value) == message
 
     def test_no_conjugator_between_groups_of_unequal_order(self):
         s4 = PermGroup.symmetric(4)

@@ -10,9 +10,8 @@ from treescale.acceptance import normal_subgroups
 from treescale.errors import EnumerationBoundError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
-                            generated, is_subgroup, lower_central_series,
-                            meet_index, nilpotent_residual, normal_closure,
-                            spanning_generators)
+                            is_subgroup, meet_index, nilpotent_residual,
+                            normal_closure, spanning_generators)
 from treescale.supernat import prime_factors, valuation
 from treescale.sylow import (SylowBasis, are_permutable,
                              basis_normaliser, core_commensurability_check,
@@ -21,8 +20,8 @@ from treescale.sylow import (SylowBasis, are_permutable,
                              sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
-from test_perm import (brute_force_elements, chain_builds, normaliser, orbit,
-                       same_subgroup, tuple_power)
+from test_perm import (brute_force_elements, chain_builds, lower_central_series,
+                       normaliser, orbit, same_subgroup, tuple_power)
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
@@ -399,7 +398,7 @@ class TestSylowOfSymmetric:
 
     def test_two_blocks(self):
         f = sylow_of_symmetric(6, 3)
-        assert {g.cycle_string() for g in f.generators} == {"(1 2 3)", "(4 5 6)"}
+        assert {str(g) for g in f.generators} == {"(1 2 3)", "(4 5 6)"}
         assert f.order() == 9
         # elementary abelian: commuting generators, exponent 3
         assert all(x.order() in (1, 3) for x in f.elements())
@@ -458,6 +457,11 @@ class TestCores:
 
     def test_fitting_sym4(self):
         assert fitting(PermGroup.symmetric(4)).element_set() == V4.element_set()
+
+    def test_fitting_of_the_trivial_group(self):
+        for k in (1, 3):
+            f = fitting(PermGroup.trivial(k))
+            assert f.degree == k and f.generators == () and f.order() == 1
 
     def test_fitting_of_nilpotent(self):
         for g in (PermGroup.dihedral(4), PermGroup.cyclic(6)):
@@ -668,10 +672,17 @@ class TestBasis:
         basis = sylow_basis(s4)
         assert are_permutable(basis.members[2], basis.members[3])
 
+    def test_permutability_needs_one_degree(self):
+        a, b = PermGroup(3, ["(1 2)"]), PermGroup(4, ["(1 2 3)"])
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(PreconditionError):
+                are_permutable(x, y)
+
     def test_equality_is_identity(self):
         s4 = PermGroup.symmetric(4)
         basis = sylow_basis(s4)
-        other = basis.conjugate(Permutation.parse("(1 2 3)", 4))
+        x = Permutation.parse("(1 2 3)", 4)
+        other = SylowBasis(s4, {p: m.conjugate(x) for p, m in basis.members.items()})
         assert other.members[2].generators != basis.members[2].generators
         assert basis != other and basis == basis
         assert len({basis, other}) == 2
@@ -754,6 +765,8 @@ class TestCoreCommensurability:
         s4 = PermGroup.symmetric(4)
         assert core_commensurability_check(s4, V4, [])
         assert core_commensurability_check(s4, V4, [set()])
+        trivial = PermGroup.trivial(3)
+        assert core_commensurability_check(trivial, trivial, [])
 
     def test_rejects_overlapping_sets(self):
         s4 = PermGroup.symmetric(4)
@@ -777,7 +790,7 @@ def test_corpus_orders_and_solubility():
 # verdicts without building them.
 
 def reference_are_permutable(a, b):
-    joined = generated([a, b])
+    joined = PermGroup(a.degree, a.generators + b.generators)
     meet = intersect(a, b)
     return joined.order() * meet.order() == a.order() * b.order()
 
@@ -792,7 +805,7 @@ def reference_quotient_is_nilpotent(u, k):
     term = u
     for _ in range(int(u.degree * math.log2(math.factorial(u.degree))) + 2):
         step = commutator_subgroup(u, term)
-        nxt = generated([step, k])
+        nxt = PermGroup(u.degree, step.generators + k.generators)
         if nxt.order() == k.order():
             return True
         if nxt.order() == term.order():
@@ -819,8 +832,8 @@ def reference_core_commensurability_check(u, v, prime_sets):
                 raise PreconditionError("prime sets must be pairwise disjoint")
     if not reference_is_normal_in(v, u):
         raise PreconditionError("core commensurability requires V normal in U")
-    o_u = generated([pi_core(u, s) for s in sets])
-    o_v = generated([pi_core(v, s) for s in sets])
+    o_u = PermGroup(u.degree, [x for s in sets for x in pi_core(u, s).generators])
+    o_v = PermGroup(v.degree, [x for s in sets for x in pi_core(v, s).generators])
     return same_subgroup(intersect(o_u, v), o_v)
 
 

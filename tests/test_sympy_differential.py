@@ -18,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subgroup,
-                            lower_central_series, normal_closure)
+                            nilpotent_residual, normal_closure)
 from treescale.supernat import prime_factors
 from treescale.sylow import corpus, fitting, p_core, sylow_subgroup
 
 from test_chain_properties import assert_transversals_valid, is_even
-from test_perm import brute_force_elements, chain_base, orbit
+from test_perm import brute_force_elements, chain_base, lower_central_series, orbit
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -61,7 +61,7 @@ def gens_specs(draw):
     """A random ``gens:`` group of degree at most 7 and its generator images."""
     degree = draw(st.integers(1, 7))
     images = draw(st.lists(st.permutations(list(range(1, degree + 1))), max_size=3))
-    cycles = ";".join(Permutation(im).cycle_string() for im in images)
+    cycles = ";".join(str(Permutation(im)) for im in images)
     return f"gens:{degree}:{cycles}", degree, images
 
 
@@ -323,8 +323,10 @@ def test_commutator_series_agree_with_sympy(case):
     spec, degree, images = case
     ours = parse_group_spec(spec).group
     theirs = sympy_group(degree, images)
+    their_series = theirs.lower_central_series()
     assert ([term.order() for term in lower_central_series(ours)]
-            == [term.order() for term in theirs.lower_central_series()])
+            == [term.order() for term in their_series])
+    assert nilpotent_residual(ours).order() == their_series[-1].order()
     assert ours.is_soluble() == theirs.is_solvable
 
 
