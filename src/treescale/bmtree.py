@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidAxisError, PreconditionError
-from .perm import Orbitals, PermGroup, Permutation, meet_index
+from .perm import Orbitals, PermGroup, Permutation, _conjugate_images, meet_index
 from .supernat import is_prime, prime_factors, valuation
 from .sylow import _require_prime, sylow_subgroup
 
@@ -34,7 +34,14 @@ LENGTH_CAP = 8
 
 @dataclass(frozen=True)
 class AxisData:
-    """Axis of a single-twist hyperbolic element: (F, tau, colour word)."""
+    """Axis of a single-twist hyperbolic element: (F, tau, colour word).
+
+    Building one checks it; only ``inverse_axis`` builds its result
+    unchecked, through ``_derived``, since the inverse of a valid axis is
+    valid: tau^-1 lies in F, tau maps a proper word over 1..k to a proper
+    word, and the inverse's seam colour tau^-1(tau c_1) = c_1 differs from
+    its first colour tau c_n = c_0.
+    """
 
     group: PermGroup
     twist: Permutation
@@ -43,7 +50,8 @@ class AxisData:
     def __post_init__(self):
         """Check the invariants once, here: a proper word over 1..k, a twist
         in F, and a seam colour that differs from the first colour.  An
-        invalid axis raises ``InvalidAxisError`` with every violation."""
+        invalid axis raises ``InvalidAxisError`` with every violation.  The
+        identity lies in every group, so an identity twist builds no chain."""
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
         k = self.group.degree
@@ -55,12 +63,20 @@ class AxisData:
                        for pos in range(1, len(word)) if word[pos - 1] == word[pos]]
         if self.twist.degree != k:
             violations.append("twist degree does not match the colour count")
-        elif self.twist not in self.group:
+        elif not (self.twist.is_identity() or self.twist in self.group):
             violations.append("twist is not a member of the local action group")
         elif not violations and self.twist(word[-1]) == word[0]:
             violations.append("seam colour equals the first word colour")
         if violations:
             raise InvalidAxisError(violations)
+
+    @classmethod
+    def _derived(cls, group: PermGroup, twist: Permutation,
+                 word: tuple[int, ...]) -> "AxisData":
+        """Wrap an axis known valid by its derivation, unchecked."""
+        axis = object.__new__(cls)
+        axis.__dict__.update(group=group, twist=twist, word=word)
+        return axis
 
     @property
     def seam_colour(self) -> int:
@@ -89,9 +105,11 @@ def scale(a: AxisData) -> int:
 
 
 def inverse_axis(a: AxisData) -> AxisData:
-    """Axis of the inverse element: twist tau^-1, word (tau c_n, ..., tau c_1)."""
-    word = tuple(a.twist(c) for c in reversed(a.word))
-    return AxisData(a.group, a.twist.inverse(), word)
+    """Axis of the inverse element: twist tau^-1, word (tau c_n, ..., tau c_1),
+    valid because a is (see ``AxisData``)."""
+    images = a.twist.images
+    return AxisData._derived(a.group, a.twist.inverse(),
+                             tuple([images[c - 1] for c in reversed(a.word)]))
 
 
 def modular(a: AxisData) -> Fraction:
@@ -117,7 +135,9 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     stabilisers, Q_c a Sylow p-subgroup of F_c containing P_c.
 
     One Q_r is grown from P_r per P-orbit, r its least colour, and carried
-    along the orbit by conjugation, so Q_{pi c} = pi Q_c pi^-1 for pi in P.
+    along the orbit by conjugation, so Q_{pi c} = pi Q_c pi^-1 for pi in P;
+    each conjugate keeps the conjugated element set, so meets of the family
+    build no chain.  When P = F, P_r is F_r and serves as both.
     Used at every depth, one such family does not in general define a local
     Sylow subgroup of U(F)_v: the group it generates on a ball need not be a
     p-group (ROADMAP item 17).  Growing Q_r scans the elements of F_r, so it
@@ -128,9 +148,14 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     for r in range(1, f.degree + 1):
         if r in family:
             continue
-        q = sylow_subgroup(f.point_stabiliser(r), p, start=root.point_stabiliser(r))
+        fr = f.point_stabiliser(r)
+        q = sylow_subgroup(fr, p, start=fr if root is f else root.point_stabiliser(r))
+        members = q.element_set()
         for c, t in root._transversal(r).items():
-            family[c] = q.conjugate(t)
+            ts = t.images
+            family[c] = PermGroup._known(
+                f.degree, [h.conjugate(t) for h in q.generators],
+                elements=frozenset([_conjugate_images(x, ts) for x in members]))
     return family
 
 

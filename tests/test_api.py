@@ -1,11 +1,11 @@
 """The public surface: the enumeration bound and the walk-depth cap are
 module constants with no per-call override; the enumeration bound, the
 degree bound and the explicit-oracle cap are each read by exactly one
-function; InvalidAxisError is read only where an axis is built; every
-exported name resolves; no module or test file imports a name it never
-uses, no module defines a private name that no module reads, and no
-public name is read only by the tests; and no two helper functions of
-the tests share a body."""
+function; InvalidAxisError is read only where an axis is built, and only
+the inverse axis is built unchecked; every exported name resolves; no
+module or test file imports a name it never uses, no module defines a
+private name that no module reads, and no public name is read only by
+the tests; and no two helper functions of the tests share a body."""
 
 import ast
 import importlib
@@ -42,9 +42,10 @@ def test_no_bound_or_depth_cap_parameter():
     assert overrides == []
 
 
-def bound_readers(sources: dict[str, str], names) -> dict[str, list[str]]:
+def bound_readers(sources: dict[str, str], names, count=None) -> dict[str, list[str]]:
     """For each of names, the module-level functions and the methods that
-    read it, nested functions counted with the function around them."""
+    read it, nested functions counted with the function around them; a
+    function's reads are counted by ``count``, ``read_names`` if None."""
     readers = {name: [] for name in names}
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -55,7 +56,7 @@ def bound_readers(sources: dict[str, str], names) -> dict[str, list[str]]:
                 functions += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
                               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for qualified, node in functions:
-            read = read_names(node)
+            read = (count or read_names)(node)
             for name in names:
                 if read[name]:
                     readers[name].append(qualified)
@@ -67,6 +68,8 @@ def test_bound_reader_finder():
                     "class C:\n    def m(self):\n        return a.B + B",
                "b": "from a import B\nX = B"}
     assert bound_readers(sources, ["B", "X"]) == {"B": ["a.f", "a.C.m"], "X": []}
+    calls = {"a": "def f(x):\n    return x.m\ndef g(x):\n    return x.m()"}
+    assert bound_readers(calls, ["m"], called_names) == {"m": ["a.g"]}
 
 
 def test_each_bound_is_read_by_one_function():
@@ -85,6 +88,23 @@ def test_an_axis_is_checked_only_when_it_is_built():
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
     assert bound_readers(sources, ["InvalidAxisError"]) == {
         "InvalidAxisError": ["bmtree.AxisData.__post_init__"]}
+
+
+def called_names(tree: ast.AST) -> Counter:
+    """How often each name is called, as ``name(...)`` or ``x.name(...)``."""
+    return Counter(node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and isinstance(node.func, (ast.Name, ast.Attribute)))
+
+
+def test_only_the_inverse_axis_is_built_unchecked():
+    # AxisData._derived skips every check, so it may build only an axis
+    # that is valid by its derivation; PermGroup's memo dict shares the
+    # name but is never called
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
+    assert bound_readers(sources, ["_derived"], called_names) == {
+        "_derived": ["bmtree.inverse_axis"]}
 
 
 def test_every_exported_name_resolves():

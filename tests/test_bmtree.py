@@ -19,12 +19,12 @@ from treescale.bmtree import (AxisData, _local_sylow_family, _local_table,
                               localized_scale, modular, scale, scale_spectrum,
                               symscale_case)
 from treescale.errors import InvalidAxisError, PreconditionError
-from treescale.groupspec import parse_group_spec
-from treescale.perm import PermGroup, Permutation
+from treescale.groupspec import parse_axis, parse_group_spec
+from treescale.perm import PermGroup, Permutation, _Chain
 from treescale.supernat import is_prime, prime_factors, rational_p_part, valuation
 from treescale.sylow import sylow_of_symmetric, sylow_subgroup
 
-from test_perm import same_subgroup
+from test_perm import chain_builds, same_subgroup
 
 S3 = PermGroup.symmetric(3)
 S4 = PermGroup.symmetric(4)
@@ -150,8 +150,44 @@ class TestInverse:
     def test_involution(self):
         for g in (S3, S4, C3_ON_5):
             for a in random_valid_axes(g, 25, 4, seed=7):
-                # inverse_axis returns, so the inverse axis passed AxisData's checks
                 assert inverse_axis(inverse_axis(a)) == a
+
+    @pytest.mark.parametrize("spec", ["sym:3", "sym:4", "alt:3", "alt:4", "cyclic:3",
+                                      "cyclic:4", "gens:5:(1 2 3)"])
+    def test_the_unchecked_inverse_passes_every_check(self, spec):
+        # inverse_axis builds its result unchecked; building the same axis
+        # through AxisData runs every check on it
+        f = parse_group_spec(spec).group
+        checked = 0
+        for a in valid_axes(f, 3):
+            inv = inverse_axis(a)
+            assert AxisData(inv.group, inv.twist, inv.word) == inv
+            assert inverse_axis(inv) == a
+            checked += 1
+        assert checked > 20
+
+    def test_inverse_and_modular_sift_nothing(self, monkeypatch):
+        axes = [a for g in (S4, PermGroup.alternating(4), C3_ON_5)
+                for a in random_valid_axes(g, 20, 4, seed=29)]
+        assert not all(a.twist.is_identity() for a in axes)
+        sifts = []
+        sift_from = _Chain._sift_from
+
+        def spying(chain, start, g):
+            sifts.append(g)
+            return sift_from(chain, start, g)
+
+        monkeypatch.setattr(_Chain, "_sift_from", spying)
+        for a in axes:
+            inverse_axis(a)
+            modular(a)
+        assert sifts == []
+        # building an axis with a twist other than the identity does sift it
+        f = PermGroup.symmetric(4)
+        f.chain()
+        sifts.clear()
+        AxisData(f, Permutation.parse("(1 2)", 4), (3, 2))
+        assert len(sifts) == 1
 
 
 class TestModular:
@@ -310,6 +346,49 @@ class TestLocalisationScale:
                     local = localisation_scale(amb, p)
                     assert local == p ** valuation(local, p)
                     assert valuation(scale(amb), p) <= valuation(local, p)
+
+
+class TestIdentityTwist:
+    """The identity lies in every group, so an axis of identity twist is
+    checked without a membership test and builds no chain."""
+
+    def test_parsing_builds_no_chain(self):
+        g = PermGroup.symmetric(9)
+        assert parse_axis(g, "twist=id; word=1,2").word == (1, 2)
+        assert g._chain is None
+
+    def test_aggregate_builds_no_local_chain(self, monkeypatch):
+        f = PermGroup.symmetric(6)
+        built = chain_builds(monkeypatch)
+        assert aggregate_scale(axis(f, "id", (1, 4))) == 36
+        # neither F nor any of F(2), F(3) and F(5)
+        assert built == []
+
+    def test_a_twist_outside_the_group_is_still_refused(self):
+        member = "twist is not a member of the local action group"
+        with pytest.raises(InvalidAxisError, match=member):
+            axis(C3_ON_5, "(1 2)", (3,))
+        for local in (localized_scale, localisation_scale):
+            with pytest.raises(InvalidAxisError, match=member):
+                local(axis(S5, "(4 5)", (1, 2)), 3)
+
+
+@pytest.mark.parametrize("spec, p, chains", [
+    ("cyclic:9", 3, 1), ("sylow:2:sym:8", 2, 1),
+    ("gens:8:(1 2);(1 3 5 7)(2 4 6 8)", 2, 1),  # C2 wr C4
+    ("sym:5", 2, 4),
+])
+def test_local_table_builds_one_chain_per_stabiliser(spec, p, chains, monkeypatch):
+    # per F(p)-orbit, F_r's chain, and F(p)_r's when F(p) is not F; the
+    # family's conjugates carry their element sets, so the meets build none
+    f = parse_group_spec(spec).group
+    f.chain()
+    f.elements()
+    built = chain_builds(monkeypatch)
+    _local_table(f, p)
+    fp = sylow_subgroup(f, p)
+    orbits = len({row[c] for c, row in enumerate(fp.orbitals().index)})
+    assert len(built) == chains == orbits * (1 if fp is f else 2)
 
 
 class TestAggregate:
