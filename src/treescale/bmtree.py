@@ -80,7 +80,7 @@ class AxisData:
 
     @property
     def seam_colour(self) -> int:
-        return self.twist(self.word[-1])
+        return self.twist.images[self.word[-1] - 1]
 
     def describe(self) -> str:
         twist = "id" if self.twist.is_identity() else str(self.twist)

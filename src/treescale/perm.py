@@ -272,7 +272,7 @@ class _Chain:
 
     __slots__ = ("degree", "gens", "orbits", "inverses", "done", "low", "odd", "parities")
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, order: int | None = None):
         self.degree = degree
         identity = Permutation.identity(degree)
         self.gens: list[list[Permutation]] = [[] for _ in range(degree)]
@@ -284,7 +284,7 @@ class _Chain:
         self.parities = 0
         for g in generators:  # distinct and nontrivial, as PermGroup keeps them
             self._place(g)
-        self._complete(degree - 1)
+        self._complete(degree - 1, order)
 
     def add(self, g: Permutation) -> bool:
         """Extend the group by g in place: sift g, place the residue and
@@ -328,16 +328,26 @@ class _Chain:
         self.parities = len(self.gens[0])
         return self.odd < j - 1
 
-    def _complete(self, i: int) -> None:
+    def _complete(self, i: int, order: int | None = None) -> None:
         """Sift the unsifted pairs of levels i, i-1, ..., 0, climbing back to
         the level of each new strong generator, until none is left.  A level
         whose next levels are full is passed over and its pairs stay
         unmarked: their Schreier generators lie in those levels already, and
         they are formed only if an odd generator added later voids the
-        alternating case."""
+        alternating case.  Given the group's stated order, it returns as
+        soon as the orbit lengths multiply to it, before the loop or after
+        a new strong generator: each orbit lies in the true basic orbit, so
+        every orbit is then the true one and every level complete."""
+        if order and order == self.order():
+            return
         while i >= 0:
             j = self._verify_level(i)
-            i = i - 1 if j is None else j
+            if j is None:
+                i -= 1
+            elif order and order == self.order():
+                return
+            else:
+                i = j
 
     def _verify_level(self, i: int) -> int | None:
         """Sift the unsifted Schreier generators of level i through the
@@ -430,11 +440,12 @@ class PermGroup:
     The chain is built on first need: by membership, by listing elements
     or by ``chain()`` itself, and by ``order()`` only when the order is not
     known.  ``symmetric``, ``alternating``, ``cyclic``, ``dihedral`` and
-    ``trivial``, and ``sylow.sylow_of_symmetric``, start with their order
-    (k!, k!/2, k, 2k, 1 and the p-part of k!).  A group built with its
-    element set (every group of order one, and every Sylow subgroup that
-    ``sylow`` grows) tests membership and lists its elements from that set,
-    with no chain.
+    ``sylow.sylow_of_symmetric`` start with their order (k!, k!/2, k, 2k
+    and the p-part of k!), and a chain built for a group of known order
+    stops once its orbit lengths multiply to that order.  A group with no
+    generator left, and every Sylow subgroup that ``sylow`` grows, starts
+    with its element set (the identity alone for the former), and tests
+    membership and lists its elements from that set, with no chain.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
@@ -462,6 +473,8 @@ class PermGroup:
         self._element_set = None
         self._orbitals = None
         self._derived = {}
+        if not cleaned:  # the trivial group: its order and element set are known
+            self._order, self._element_set = 1, frozenset([_IDENTITY[degree]])
 
     # -- constructors ------------------------------------------------------
 
@@ -471,17 +484,18 @@ class PermGroup:
                chain: _Chain | None = None) -> "PermGroup":
         """The group generated by generators, with what its construction
         proves filled in: its order, its element set of image tuples (which
-        gives the order; order one gives the set) or its chain."""
+        gives the order) or its chain."""
         group = cls(degree, generators)
-        if order == 1:
-            elements = frozenset([_IDENTITY[degree]])
-        group._order = order if elements is None else len(elements)
-        group._element_set, group._chain = elements, chain
+        if elements is not None:
+            group._order, group._element_set = len(elements), elements
+        elif order is not None:
+            group._order = order
+        group._chain = chain
         return group
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls._known(degree, order=1)
+        return cls(degree)
 
     @classmethod
     def symmetric(cls, k: int) -> "PermGroup":
@@ -527,7 +541,7 @@ class PermGroup:
 
     def chain(self) -> _Chain:
         if self._chain is None:
-            self._chain = _Chain(self.degree, self.generators)
+            self._chain = _Chain(self.degree, self.generators, self._order)
         return self._chain
 
     def order(self) -> int:
@@ -567,7 +581,11 @@ class PermGroup:
 
     def point_stabiliser(self, point: int) -> "PermGroup":
         """Stabiliser of a point, generated by Schreier generators."""
-        trans = self._transversal(point)
+        return self._point_stabiliser(self._transversal(point))
+
+    def _point_stabiliser(self, trans: dict[int, Permutation]) -> "PermGroup":
+        """The stabiliser of the point whose transversal trans is, generated
+        by the Schreier generators formed from trans."""
         return PermGroup(self.degree, _schreier_generators(
             trans, self.generators, _InverseImages(trans), {}))
 

@@ -5,7 +5,8 @@ function; InvalidAxisError is read only where an axis is built, and only
 the inverse axis is built unchecked; every exported name resolves; no
 module or test file imports a name it never uses, no module defines a
 private name that no module reads, and no public name is read only by
-the tests; and no two helper functions of the tests share a body."""
+the tests; no two helper functions of the tests share a body; and the
+ball walk reads no orbital table and no bmtree name but AxisData."""
 
 import ast
 import importlib
@@ -164,25 +165,27 @@ def read_names(tree: ast.AST) -> Counter:
     return read
 
 
+def defined_names(tree: ast.Module) -> list[str]:
+    """The names a module defines at module level by assignment, function
+    or class, in order; imported names are not among them."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` assignments, functions and classes that no
     module reads as a loaded name, an attribute or an import alias."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = sum(map(read_names, trees.values()), Counter())
-    unread = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            unread += [f"{module}.{name}" for name in names
-                       if name.startswith("_") and not name.endswith("__")
-                       and name not in read]
-    return unread
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name in defined_names(tree)
+            if name.startswith("_") and not name.endswith("__") and name not in read]
 
 
 def test_unread_private_name_finder():
@@ -198,6 +201,18 @@ def test_no_private_module_name_is_unread():
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
     assert len(sources) >= 9
     assert unread_private_names(sources) == []
+
+
+def test_the_ball_walk_shares_no_code_with_the_scale():
+    # c08 compares orbit_count with scale: the walk reads neither the
+    # orbital table nor any name bmtree defines but AxisData, so however
+    # the walk is made faster the two stay unshared computations
+    package = Path(treescale.__file__).parent
+    read = read_names(ast.parse((package / "balloracle.py").read_text()))
+    bmtree_names = defined_names(ast.parse((package / "bmtree.py").read_text()))
+    assert len(bmtree_names) > 10
+    assert read["orbitals"] == read["Orbitals"] == 0
+    assert [name for name in bmtree_names if read[name]] == ["AxisData"]
 
 
 def unread_public_names(sources: dict[str, str], readers=(), exported=()) -> list[str]:

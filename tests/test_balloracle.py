@@ -1,15 +1,17 @@
 """Transporter-walk and explicit-tuple oracle tests."""
 
+from collections import defaultdict
+
 import pytest
 
-from treescale import balloracle
+from treescale import balloracle, perm
 from treescale.acceptance import valid_axes
 from treescale.balloracle import (DEPTH_CAP, GROUP_CAP, exhaustive_orbit_count,
                                   explicit_sequences, extended_word, orbit_count)
 from treescale.bmtree import AxisData
 from treescale.errors import PreconditionError
 from treescale.groupspec import parse_group_spec
-from treescale.perm import PermGroup, Permutation
+from treescale.perm import PermGroup, Permutation, _orbit_transversal
 
 S3 = PermGroup.symmetric(3)
 S4 = PermGroup.symmetric(4)
@@ -126,18 +128,108 @@ def test_group_cap_constant_is_honoured():
     ("gens:7:(1 2);(3 4 5 6)", [1, 3, 7]),
     ("gens:6:(1 2);(1 2 3);(4 5 6)", [1, 4]),
 ])
-def test_walk_builds_one_stabiliser_per_orbit(spec, least_points, monkeypatch):
-    # one stabiliser per orbit of F, at the orbit's least point, however
-    # many walks read the table
-    calls = []
-    original = PermGroup.point_stabiliser
-
-    def counting(g, point):
-        calls.append((g, point))
-        return original(g, point)
-
-    monkeypatch.setattr(PermGroup, "point_stabiliser", counting)
+def test_walk_builds_one_transversal_and_schreier_set_per_orbit(spec, least_points,
+                                                                monkeypatch):
+    # per orbit of F, one transversal and one set of Schreier generators
+    # formed from it, both at the orbit's least point, however many walks
+    # read the table
     f = parse_group_spec(spec).group
-    for a in valid_axes(f, 3):
+    axes = list(valid_axes(f, 3))
+    transversals, schreier_sets = [], []
+    transversal = PermGroup._transversal
+    schreier_generators = perm._schreier_generators
+
+    def counting_transversal(g, point):
+        transversals.append((g, point))
+        return transversal(g, point)
+
+    def counting_schreier_generators(trans, *args):
+        schreier_sets.append(min(trans))
+        return schreier_generators(trans, *args)
+
+    monkeypatch.setattr(PermGroup, "_transversal", counting_transversal)
+    monkeypatch.setattr(perm, "_schreier_generators", counting_schreier_generators)
+    for a in axes:
         orbit_count(a)
-    assert calls == [(f, r) for r in least_points]
+    assert transversals == [(f, r) for r in least_points]
+    assert schreier_sets == least_points
+
+
+def reference_table(f):
+    """The walk's table as it was before the smaller-side step: per orbit of
+    F, with r its least point, F's transversal at r and the map from each
+    point to its orbit under the generators of ``f.point_stabiliser(r)``."""
+    table = {}
+    for r in range(1, f.degree + 1):
+        if r in table:
+            continue
+        trans = f._transversal(r)
+        gens = f.point_stabiliser(r).generators
+        orbits = {}
+        for x in range(1, f.degree + 1):
+            if x not in orbits:
+                suborbit = list(_orbit_transversal(f.degree, x, gens))
+                orbits.update(dict.fromkeys(suborbit, suborbit))
+        table.update(dict.fromkeys(trans, (trans, orbits)))
+    return table
+
+
+def reference_orbit_count(a, table, power):
+    """orbit_count with the step it had before the smaller side: every state
+    b adds its count at each point of u_b(S), S the F_r-orbit of
+    u_d^-1(c), over the table of ``reference_table``."""
+    prev = a.seam_colour
+    counts = {prev: 1}
+    for c in extended_word(a, power):
+        trans, orbits = table[prev]
+        suborbit = orbits[trans[prev].images.index(c) + 1]
+        nxt = defaultdict(int)
+        for b, n in counts.items():
+            u_b = trans[b].images
+            for x in suborbit:
+                nxt[u_b[x - 1]] += n
+        counts, prev = nxt, c
+    return sum(counts.values())
+
+
+@pytest.mark.parametrize("spec", [
+    "sym:3", "sym:4", "sym:5", "alt:4", "alt:5", "cyclic:6", "dihedral:5",
+    "gens:6:(1 2);(1 2 3);(1 4)(2 5)(3 6)",  # S3 wr S2
+    "gens:8:(1 2);(1 3 5 7)(2 4 6 8)",  # C2 wr C4
+    "sylow:2:sym:8", "gens:7:(1 2);(3 4 5 6)",
+])
+def test_walk_equals_the_adding_walk(spec):
+    """Subtracting over O' - S counts what adding over S counts, on every
+    axis of length at most 3 at powers 1 to 3: 2-transitive groups, whose
+    steps subtract, regular ones, whose steps add, and intransitive ones."""
+    f = parse_group_spec(spec).group
+    table = reference_table(f)
+    for a in valid_axes(f, 3):
+        for power in (1, 2, 3):
+            assert orbit_count(a, power) == reference_orbit_count(a, table, power), \
+                (a.describe(), power)
+
+
+@pytest.mark.parametrize("spec, subtracting", [
+    ("sym:5", 4), ("alt:5", 4), ("cyclic:6", 0),
+    # with r = 1, 3, 7: the points 3..7, 1 2 7 and 1..7, whose S is O'
+    ("gens:7:(1 2);(3 4 5 6)", 15),
+])
+def test_the_table_takes_the_smaller_side(spec, subtracting):
+    """side is the smaller of S and O' - S, O' - S only when strictly
+    smaller; O' is the F-orbit of x.  On a 2-transitive group every point
+    but r subtracts, and on a regular one none does."""
+    f = parse_group_spec(spec).group
+    found = 0
+    for r in {min(trans) for trans, _ in balloracle._suborbit_table(f).values()}:
+        trans, steps = balloracle._suborbit_table(f)[r]
+        stabiliser = [g for g in f.elements() if g(r) == r]
+        for x in range(1, f.degree + 1):
+            side, sign, orbit = steps[x - 1]
+            suborbit = {g(x) for g in stabiliser}
+            rest = set(orbit) - suborbit
+            assert set(orbit) == {g(x) for g in f.elements()}
+            assert {y + 1 for y in side} == (suborbit if sign > 0 else rest)
+            assert (sign < 0) == (len(rest) < len(suborbit))
+            found += sign < 0
+    assert found == subtracting

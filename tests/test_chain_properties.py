@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from treescale import perm
 from treescale.groupspec import parse_group_spec
 from treescale.perm import PermGroup, Permutation, _Chain
-from treescale.sylow import corpus
+from treescale.supernat import is_prime
+from treescale.sylow import corpus, sylow_of_symmetric
 
 from test_bmtree import small_groups
 from test_perm import brute_force_elements
@@ -220,6 +221,54 @@ def test_builds_form_the_pinned_number_of_schreier_generators(k, monkeypatch):
         _Chain(group.degree, group.generators)
         monkeypatch.undo()
         assert sum(n for _, n in checks) == FORMED[family][k - 1]
+
+
+def stated_order_groups():
+    """The groups whose construction states their order, other than sym:k
+    and alt:k: sylow_of_symmetric(k, p) for every prime p <= k, cyclic:k
+    and dihedral:k, for k <= 16."""
+    return ([sylow_of_symmetric(k, p) for k in range(2, 17) for p in range(2, k + 1)
+             if is_prime(p)]
+            + [PermGroup.cyclic(k) for k in range(1, 17)]
+            + [PermGroup.dihedral(k) for k in range(3, 17)])
+
+
+def test_a_stated_order_ends_the_build(monkeypatch):
+    """``chain()`` passes a stated order to the chain, which stops once its
+    orbit lengths multiply to it: 1,426 nontrivial Schreier generators
+    formed without the order become 485 with it, while sym:k and alt:k for
+    k <= 32 form the same 12,161 either way, since the per-level test
+    already ends their builds."""
+    checks, _ = record_schreier_generators(monkeypatch)
+
+    def formed(groups, stated):
+        checks.clear()
+        for g in groups:
+            chain = g.chain() if stated else _Chain(g.degree, g.generators)
+            assert chain.order() == g.order()
+        return sum(n for _, n in checks)
+
+    symmetric_and_alternating = [g for k in range(1, 33) for g in (
+        PermGroup.symmetric(k), PermGroup.alternating(k))]
+    assert formed(symmetric_and_alternating, True) == 12161
+    assert formed(stated_order_groups(), False) == 1426
+    assert formed(stated_order_groups(), True) == 485
+
+
+def test_a_chain_stopped_at_the_stated_order_is_complete():
+    """Every orbit of a chain stopped at the stated order is the true one:
+    its transversals are valid, it lists exactly the group's elements, and
+    (1 2) extends it exactly when it lies outside the group."""
+    for g in stated_order_groups():
+        if not 2 <= g.degree <= 8:
+            continue
+        chain = g.chain()
+        elements = brute_force_elements(g.degree, g.generators)
+        assert_transversals_valid(chain)
+        assert set(chain.elements()) == elements
+        swap = Permutation.from_cycles(g.degree, [[1, 2]])
+        assert chain.add(swap) == (swap.images not in elements)
+        assert chain.contains(swap)
 
 
 def assert_transversals_valid(chain):

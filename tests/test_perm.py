@@ -290,6 +290,18 @@ class TestGroupOrder:
         assert chain.order() == 1 and chain.add(Permutation.parse("(1 2)", 3))
         assert len(built) == 1 and chain.order() == 2
 
+    def test_a_group_with_no_generator_left_builds_no_chain(self, monkeypatch):
+        # no generators, only the identity, or a point stabiliser of a
+        # regular group, whose Schreier generators are all trivial
+        stabiliser = PermGroup.cyclic(9).point_stabiliser(1)
+        built = chain_builds(monkeypatch)
+        for g in (PermGroup(4), PermGroup(4, ["()", "(1)(2 )"]), stabiliser):
+            identity = Permutation.identity(g.degree)
+            assert g.generators == () and g.order() == 1
+            assert identity in g and Permutation.from_cycles(g.degree, [[1, 2]]) not in g
+            assert g.elements() == (identity,)
+        assert built == []
+
     def test_block_sylow_spectrum_builds_no_chain(self, monkeypatch):
         built = chain_builds(monkeypatch)
         f = parse_group_spec("sylow:3:sym:27").group
@@ -590,10 +602,12 @@ class TestOrbitalsPinnedToStabiliserConstruction:
 def transporter_images(g, a, b, c):
     """{f(c) : f in G, f(a) = b} for b in the orbit of a, read from the ball
     walk's suborbit table as ``orbit_count`` reads it: u_b applied to the
-    G_r-orbit of u_a^-1(c), with r the least point of the orbit."""
-    trans, orbits = balloracle._suborbit_table(g)[a]
-    u_b = trans[b].images
-    return {u_b[x - 1] for x in orbits[trans[a].images.index(c) + 1]}
+    G_r-orbit S of u_a^-1(c), with r the least point of the orbit, or the
+    G-orbit of c minus u_b applied to its complement there."""
+    trans, steps = balloracle._suborbit_table(g)[a]
+    side, sign, orbit = steps[trans[a].index(c)]
+    images = {trans[b][x] for x in side}
+    return images if sign > 0 else set(orbit) - images
 
 
 class TestTransporters:
