@@ -137,7 +137,8 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     One Q_r is grown from P_r per P-orbit, r its least colour, and carried
     along the orbit by conjugation, so Q_{pi c} = pi Q_c pi^-1 for pi in P;
     each conjugate keeps the conjugated element set, so meets of the family
-    build no chain.  When P = F, P_r is F_r and serves as both.
+    build no chain.  One transversal of P at r gives both P_r and the
+    conjugators along the orbit; when P = F, P_r is F_r and serves as both.
     Used at every depth, one such family does not in general define a local
     Sylow subgroup of U(F)_v: the group it generates on a ball need not be a
     p-group (ROADMAP item 17).  Growing Q_r scans the elements of F_r, so it
@@ -148,10 +149,12 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     for r in range(1, f.degree + 1):
         if r in family:
             continue
-        fr = f.point_stabiliser(r)
-        q = sylow_subgroup(fr, p, start=fr if root is f else root.point_stabiliser(r))
+        trans = root._transversal(r)
+        start = root._point_stabiliser(trans)
+        fr = start if root is f else f.point_stabiliser(r)
+        q = sylow_subgroup(fr, p, start=start)
         members = q.element_set()
-        for c, t in root._transversal(r).items():
+        for c, t in trans.items():
             ts = t.images
             family[c] = PermGroup._known(
                 f.degree, [h.conjugate(t) for h in q.generators],
@@ -226,13 +229,16 @@ class _SpectrumPlan(NamedTuple):
 
     ``moves`` are the distinct (source orbital, weight) pairs that extend a
     word, sorted; ``into[t]`` numbers the moves that extend a word into
-    orbital t.  ``seams`` pairs each distinct seam weight w, ascending, with
-    the orbitals o whose words are finalised by a first factor of weight w.
+    orbital t.  ``seams`` are the moves (i, w) of the seam pass, one per
+    distinct seam weight w, ascending: ``finalised[i]`` are the orbitals
+    whose words are finalised by a first factor of weight w, and the move
+    advances the union of their reached sets.
     """
 
     moves: tuple[tuple[int, int], ...]
     into: tuple[tuple[int, ...], ...]
-    seams: tuple[tuple[int, tuple[int, ...]], ...]
+    seams: tuple[tuple[int, int], ...]
+    finalised: tuple[tuple[int, ...], ...]
 
 
 def _spectrum_plan(f: PermGroup, prime: int | None) -> _SpectrumPlan:
@@ -265,10 +271,99 @@ def _spectrum_plan(f: PermGroup, prime: int | None) -> _SpectrumPlan:
         for o, (s, c) in enumerate(table.labels):
             for w in {column[s][x] for x in orbit[table.index[c - 1][c - 1]] if x != s - 1}:
                 seams.setdefault(w, []).append(o)
+        seam_weights = sorted(seams)
         return _SpectrumPlan(tuple(moves),
                              tuple(tuple(map(number.__getitem__, sources)) for sources in steps),
-                             tuple((w, tuple(seams[w])) for w in sorted(seams)))
+                             tuple(enumerate(seam_weights)),
+                             tuple(tuple(seams[w]) for w in seam_weights))
     return f._memo(("spectrum_plan", prime), make)
+
+
+class _ValueLattice(NamedTuple):
+    """The bitmask form of the values-mode spectrum DP, for one cap and reach.
+
+    A value prod p_i^e_i over the primes p_i of the weights up to the cap
+    sits at bit sum e_i * stride_i, so multiplying by a weight w is a left
+    shift by w's exponents dotted with the strides.  ``moves`` and ``seams``
+    are the plan's with each weight replaced by that shift; a weight above
+    the cap shifts past every field.  ``mask`` has the bits of the
+    products of at most reach weights up to the cap, and ``values`` maps
+    each of its bits to the value there.
+    """
+
+    moves: tuple[tuple[int, int], ...]
+    seams: tuple[tuple[int, int], ...]
+    mask: int
+    values: dict[int, int]
+
+
+def _value_lattice(f: PermGroup, cap: int, max_len: int) -> _ValueLattice:
+    """The lattice of the values-mode DP over words of length at most
+    max_len, that is of products of at most max_len weights.
+
+    With p_i^top_i the largest power of p_i up to the cap and hat_i the
+    largest exponent of p_i in a weight up to the cap, such a product up
+    to the cap has e_i <= min(top_i, max_len * hat_i), and field i has
+    width min(top_i, max_len * hat_i) + hat_i + 1: a shift never carries a
+    kept bit into the next field.  The mask holds those products, found by
+    multiplying in one weight other than 1 at a time.  A value up to the
+    cap has fewer than cap.bit_length() factors other than 1, so reach =
+    min(max_len, cap.bit_length()) gives the same lattice as max_len; it is
+    the cache key on f beside the cap.
+    """
+    reach = min(max_len, cap.bit_length())
+
+    def make() -> _ValueLattice:
+        plan = _spectrum_plan(f, None)
+        factors = {w: prime_factors(w) for w in {w for _, w in plan.moves + plan.seams}
+                   if w <= cap}
+        hat: dict[int, int] = {}
+        for exps in factors.values():
+            for p, e in exps.items():
+                hat[p] = max(hat.get(p, 0), e)
+        stride, size = {}, 1
+        for p in sorted(hat):
+            top = 0
+            while top < reach * hat[p] and p ** (top + 1) <= cap:
+                top += 1
+            stride[p] = size
+            size *= top + hat[p] + 1
+        shift = {w: sum(e * stride[p] for p, e in exps.items())
+                 for w, exps in factors.items()}
+        steps = [(w, s) for w, s in shift.items() if w > 1]
+        values = frontier = {0: 1}
+        for _ in range(reach):
+            frontier = {bit + s: value * w for bit, value in frontier.items()
+                        for w, s in steps if value * w <= cap and bit + s not in values}
+            values.update(frontier)
+        digits = bytearray(b"0") * size
+        for bit in values:
+            digits[size - 1 - bit] = ord("1")
+        return _ValueLattice(*(tuple((o, shift.get(w, size)) for o, w in moves)
+                               for moves in (plan.moves, plan.seams)),
+                             int(digits, 2), values)
+    return f._memo(("value_lattice", cap, reach), make)
+
+
+def _advance(states: list[int], moves, mask: int, limit: int) -> tuple[list[int], bool]:
+    """One step of the spectrum DP: per move (o, shift), the set states[o]
+    shifted, with the bits over the cap dropped (those outside mask, or
+    with mask 0 those from limit on), and whether any was dropped."""
+    kept, over = [], False
+    for o, shift in moves:
+        accs = states[o]
+        if accs:
+            moved = accs << shift
+            if mask:
+                accs = moved & mask
+            elif moved.bit_length() > limit:
+                accs = moved ^ (moved >> limit << limit)
+            else:
+                accs = moved
+            if accs != moved:
+                over = True
+        kept.append(accs)
+    return kept, over
 
 
 def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
@@ -281,9 +376,15 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     seam factor.  It is finalised over every seam colour c_0 in the F-orbit
     of c_j with c_0 != c_1 by multiplying in the first factor.  The weights
     |F_a . b| and the seam rule are F-invariant, so pairs in one orbital
-    carry the same accumulations and the quotient is exact.  In exponent
-    mode a state's exponents are the set bits of an int, so a step is a
-    shift.  Values over the cap are dropped and flagged.
+    carry the same accumulations and the quotient is exact.
+
+    A state's set is an int bitmask and a step is one left shift: in
+    exponent mode bit e is the exponent e and a weight shifts by itself; in
+    values mode the bits are those of ``_value_lattice``.  Values over the
+    cap are dropped and flagged: in exponent mode the bits past cap, when
+    a step reaches them, and in values mode the bits outside the lattice's
+    mask.  Neither mode builds a mask the size of the cap, so memory
+    follows the values the words can reach.
 
     Round n grows each orbital's reached set to the accumulations of words
     of length at most n, advancing only those first reached in round n - 1
@@ -292,11 +393,10 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
     loop stops at max_len or at the first round that reaches nothing new,
     whatever max_len is.
 
-    A step multiplies by w >= 1 (a one-to-one map) or shifts, so it
-    distributes over union: a round advances each distinct move of the
-    ``_spectrum_plan`` once and each target unions its moves' results, and
-    the seam pass advances, per seam weight, the union of the reached sets
-    of the orbitals it finalises.
+    A step is a shift, so it distributes over union: a round advances each
+    distinct move of the ``_spectrum_plan`` once and each target unions its
+    moves' results, and the seam pass advances, per seam weight, the union
+    of the reached sets of the orbitals it finalises.
     """
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
@@ -307,11 +407,6 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
             cap = VALUE_CAP
         if cap < 1:
             raise PreconditionError(f"value cap must be at least 1, got {cap}")
-        start, empty = {1}, set()
-
-        def advance(accs, w):
-            kept = {acc * w for acc in accs if acc * w <= cap}
-            return kept, len(kept) < len(accs)
     elif mode == "exponents":
         if prime is None or not is_prime(prime):
             raise PreconditionError(
@@ -320,29 +415,19 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
             cap = EXPONENT_CAP
         if cap < 0:
             raise PreconditionError(f"exponent cap must be at least 0, got {cap}")
-        start, empty = 1, 0
-
-        def advance(mask, w):
-            moved = mask << w
-            if moved.bit_length() <= cap + 1:
-                return moved, False
-            return moved ^ (moved >> (cap + 1) << (cap + 1)), True
     else:
         raise PreconditionError(f"unknown spectrum mode {mode!r}")
 
-    moves, into, seams = _spectrum_plan(f, prime)
+    moves, into, seams, finalised = _spectrum_plan(f, prime)
+    mask, limit = 0, cap + 1
+    if mode == "values":
+        moves, seams, mask, values = _value_lattice(f, cap, max_len)
     truncated = False
-    reached = [start if s == n else empty for s, n in f.orbitals().labels]
+    reached = [1 if s == n else 0 for s, n in f.orbitals().labels]
     fresh = reached
     for _ in range(1, max_len):
-        kept = []
-        for o, w in moves:
-            accs = fresh[o]
-            if accs:
-                accs, over = advance(accs, w)
-                if over:
-                    truncated = True
-            kept.append(accs)
+        kept, over = _advance(fresh, moves, mask, limit)
+        truncated = truncated or over
         grown = []
         for accs, numbers in zip(reached, into):
             for i in numbers:
@@ -354,18 +439,24 @@ def scale_spectrum(f: PermGroup, max_len: int, mode: str = "values",
         if not any(fresh):
             break
         reached = grown
-    found = start
-    for w, orbitals in seams:
-        accs = empty
+    unions = []
+    for orbitals in finalised:
+        accs = 0
         for o in orbitals:
             accs = accs | reached[o]
-        accs, over = advance(accs, w)
-        truncated = truncated or over
+        unions.append(accs)
+    finals, over = _advance(unions, seams, mask, limit)
+    truncated = truncated or over
+    found = 1
+    for accs in finals:
         found = found | accs
+    digits = bin(found)[:1:-1]  # bit i of found at index i
+    entries, i = [], digits.find("1")
+    while i >= 0:
+        entries.append(i)
+        i = digits.find("1", i + 1)
     if mode == "values":
-        entries = sorted(found)
-    else:
-        entries = [e for e in range(found.bit_length()) if found >> e & 1]
+        entries = sorted(map(values.__getitem__, entries))
     return ScaleSpectrum(mode, prime, max_len, cap, truncated, tuple(entries))
 
 

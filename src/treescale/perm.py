@@ -433,7 +433,9 @@ class PermGroup:
     ``start`` (key ``("sylow", p)``, the designated Sylow subgroup F(p)),
     ``sylow.p_core`` and the local orbital table of ``bmtree``, the
     spectrum DP's plan of ``bmtree`` (key ``("spectrum_plan", p)``, p None
-    for values), and the suborbit table of the ball walk in
+    for values) and its values lattice (key ``("value_lattice", cap,
+    reach)``, reach the word length bounded by the cap's bit length), and
+    the suborbit table of the ball walk in
     ``balloracle``.  Transversals and point stabilisers are made afresh on
     every call.
 

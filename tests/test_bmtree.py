@@ -7,6 +7,7 @@ oracle before being frozen here; the oracle cross-checks run alongside.
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -394,6 +395,28 @@ def test_local_table_builds_one_chain_per_stabiliser(spec, p, chains, monkeypatc
     assert len(built) == chains == sum(1 for s in stabilisers if s.generators)
 
 
+@pytest.mark.parametrize("spec, p", [
+    ("sylow:2:sym:8", 2), ("cyclic:9", 3),
+    ("gens:8:(1 2);(1 3 5 7)(2 4 6 8)", 2),  # C2 wr C4
+    ("sym:4", 2),  # F(2) is not F
+])
+def test_local_family_builds_each_transversal_once(spec, p, monkeypatch):
+    # one transversal of F(p) per F(p)-orbit gives both the stabiliser the
+    # Sylow subgroup grows from and the conjugators along the orbit
+    f = parse_group_spec(spec).group
+    built = []
+    original = PermGroup._transversal
+
+    def counting(g, point):
+        built.append((g, point))
+        return original(g, point)
+
+    monkeypatch.setattr(PermGroup, "_transversal", counting)
+    _local_sylow_family(f, p)
+    counts = Counter((id(g), point) for g, point in built)
+    assert counts and set(counts.values()) == {1}
+
+
 class TestAggregate:
     def test_trivial_ambient(self):
         assert aggregate_scale(axis(PermGroup.trivial(4), "id", (1, 2))) == 1
@@ -579,18 +602,26 @@ def reference_spectrum(f, max_len, mode="values", prime=None, cap=None):
     return truncated, tuple(e for e in range(found.bit_length()) if found >> e & 1)
 
 
+C2_C3_C5 = "gens:10:(1 2);(3 4 5);(6 7 8 9 10)"
+C2_C3_C5_C7 = "gens:17:(1 2);(3 4 5);(6 7 8 9 10);(11 12 13 14 15 16 17)"
+
 SPECTRUM_SPECS = (["trivial:2", "sym:2", "alt:2", "cyclic:2"]
                   + [f"{kind}:{k}" for k in range(3, 8)
                      for kind in ("sym", "alt", "cyclic", "dihedral")]
                   + [f"sylow:{p}:sym:{k}" for k, p in
                      ((4, 2), (5, 3), (6, 2), (6, 3), (8, 2), (9, 3), (10, 5))]
                   # tables where many targets share a move
-                  + ["dihedral:20", "cyclic:16", "sylow:5:sym:15", "sylow:7:sym:14"])
+                  + ["dihedral:20", "cyclic:16", "sylow:5:sym:15", "sylow:7:sym:14"]
+                  # suborbit sizes 1, 2, 3 and 5: a values lattice of three fields
+                  + [C2_C3_C5])
 
 
 def spectrum_options():
     yield {}
-    yield {"cap": 50}
+    # caps that cut the values lattice's fields: 1 keeps no weight but 1,
+    # 12 and 36 cut the powers of 2 and 3 short of their reach
+    for cap in (1, 12, 36, 50):
+        yield {"cap": cap}
     for p in (2, 3):
         yield {"mode": "exponents", "prime": p}
         yield {"mode": "exponents", "prime": p, "cap": 3}
@@ -629,6 +660,15 @@ def test_truncation_in_the_seam_pass_alone_is_flagged():
     assert (sp.truncated, sp.entries) == reference_spectrum(S3, 3, cap=4)
 
 
+def test_a_weight_above_the_cap_is_dropped_and_flagged():
+    # sym:7's suborbit sizes are 1 and 6: every word has a seam factor 6
+    f = parse_group_spec("sym:7").group
+    for n in (1, 2, 3, 5, 8):
+        sp = scale_spectrum(f, n, cap=5)
+        assert sp.truncated and sp.entries == (1,)
+        assert (sp.truncated, sp.entries) == reference_spectrum(f, n, cap=5)
+
+
 def test_one_plan_per_weight_kind_whatever_the_cap():
     f = parse_group_spec("sylow:2:sym:6").group
     calls = [(9, {}), (9, {"mode": "exponents", "prime": 2}),
@@ -638,9 +678,17 @@ def test_one_plan_per_weight_kind_whatever_the_cap():
         assert scale_spectrum(f, n, **kwargs) == scale_spectrum(fresh, n, **kwargs)
     plans = {key: value for key, value in f._derived.items() if key[0] == "spectrum_plan"}
     assert set(plans) == {("spectrum_plan", None), ("spectrum_plan", 2), ("spectrum_plan", 3)}
+    lattices = {key: value for key, value in f._derived.items() if key[0] == "value_lattice"}
+    assert set(lattices) == {("value_lattice", 10 ** 6, 9), ("value_lattice", 50, 5)}
     for n, kwargs in calls:
         scale_spectrum(f, n, **kwargs)
     assert all(f._derived[key] is plan for key, plan in plans.items())
+    assert all(f._derived[key] is lattice for key, lattice in lattices.items())
+    # every length from the cap's bit length on shares one lattice
+    for n in (20, 21, 10 ** 9):
+        scale_spectrum(f, n)
+    assert [key for key in f._derived if key[0] == "value_lattice"] == [
+        *lattices, ("value_lattice", 10 ** 6, 20)]
 
 
 def test_exponent_memory_follows_the_answer_not_the_cap():
@@ -654,6 +702,19 @@ def test_exponent_memory_follows_the_answer_not_the_cap():
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert huge.entries == scale_spectrum(f, 3, mode="exponents", prime=2, cap=40).entries
+
+
+def test_value_memory_follows_the_reach_not_the_cap():
+    f = parse_group_spec(C2_C3_C5_C7).group
+    f.orbitals()
+    tracemalloc.start()
+    try:
+        huge = scale_spectrum(f, 6, cap=10 ** 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert huge.entries == scale_spectrum(f, 6, cap=10 ** 12).entries
 
 
 def local_contains(pred, e):
