@@ -18,12 +18,12 @@ scale in the p-localisation (``localisation_scale``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidAxisError, PreconditionError
-from .perm import Orbitals, PermGroup, Permutation, _conjugate_images, meet_index
+from .perm import Orbitals, PermGroup, Permutation, meet_index
 from .supernat import is_prime, prime_factors, valuation
 from .sylow import _require_prime, sylow_subgroup
 
@@ -135,14 +135,14 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     stabilisers, Q_c a Sylow p-subgroup of F_c containing P_c.
 
     One Q_r is grown from P_r per P-orbit, r its least colour, and carried
-    along the orbit by conjugation, so Q_{pi c} = pi Q_c pi^-1 for pi in P;
-    each conjugate keeps the conjugated element set, so meets of the family
-    build no chain.  One transversal of P at r gives both P_r and the
-    conjugators along the orbit; when P = F, P_r is F_r and serves as both.
-    Used at every depth, one such family does not in general define a local
-    Sylow subgroup of U(F)_v: the group it generates on a ball need not be a
-    p-group (ROADMAP item 17).  Growing Q_r scans the elements of F_r, so it
-    is refused above the enumeration bound.
+    along the orbit by ``PermGroup.conjugate``, so Q_{pi c} = pi Q_c pi^-1
+    for pi in P; a conjugate keeps Q_r's element set, conjugated, so meets
+    of the family build no chain.  One transversal of P at r gives both P_r
+    and the conjugators along the orbit; when P = F, P_r is F_r and serves
+    as both.  Used at every depth, one such family does not in general
+    define a local Sylow subgroup of U(F)_v: the group it generates on a
+    ball need not be a p-group (ROADMAP item 17).  Growing Q_r scans the
+    elements of F_r, so it is refused above the enumeration bound.
     """
     root = sylow_subgroup(f, p)
     family: dict[int, PermGroup] = {}
@@ -153,12 +153,8 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
         start = root._point_stabiliser(trans)
         fr = start if root is f else f.point_stabiliser(r)
         q = sylow_subgroup(fr, p, start=start)
-        members = q.element_set()
         for c, t in trans.items():
-            ts = t.images
-            family[c] = PermGroup._known(
-                f.degree, [h.conjugate(t) for h in q.generators],
-                elements=frozenset([_conjugate_images(x, ts) for x in members]))
+            family[c] = q.conjugate(t)
     return family
 
 
@@ -216,12 +212,6 @@ class ScaleSpectrum:
     cap: int
     truncated: bool
     entries: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        out = asdict(self)
-        if self.prime is None:
-            del out["prime"]
-        return out
 
 
 class _SpectrumPlan(NamedTuple):

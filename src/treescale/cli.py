@@ -11,6 +11,7 @@ detail`` object per item.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -66,9 +67,11 @@ def cmd_spectrum(args) -> int:
     spec = parse_group_spec(args.group)
     sp = bmtree.scale_spectrum(spec.group, args.max_len, mode=args.mode,
                                prime=args.prime, cap=args.cap)
+    fields = {k: v for k, v in dataclasses.asdict(sp).items()
+              if k != "prime" or v is not None}
     _emit(args, " ".join(map(str, sp.entries)) + (" (truncated)" if sp.truncated else ""),
           "spectrum of achieved scale values over all valid axes",
-          group=spec.canonical, **sp.to_json_dict())
+          group=spec.canonical, **fields)
     return 0
 
 

@@ -9,10 +9,6 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
-class EnumerationBoundError(PreconditionError):
-    """An operation refused to enumerate a group above the element bound."""
-
-
 class InvalidAxisError(PreconditionError):
     """Axis data violates one or more of its invariants."""
 

@@ -62,7 +62,7 @@ _SIMPLE_BUILTINS = {
     "alt": PermGroup.alternating,
     "cyclic": PermGroup.cyclic,
     "dihedral": PermGroup.dihedral,
-    "trivial": PermGroup.trivial,
+    "trivial": PermGroup,
 }
 
 
@@ -170,7 +170,3 @@ def parse_axis(group: PermGroup, text: str) -> AxisData:
     if twist is None or word is None:
         raise ParseError("axis literal needs both twist=... and word=...")
     return AxisData(group, twist, word)
-
-
-__all__ = ["DEGREE_BOUND", "GroupSpec", "parse_group_spec", "parse_group_file",
-           "parse_axis"]

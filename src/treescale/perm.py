@@ -16,7 +16,7 @@ import math
 import re
 from typing import NamedTuple
 
-from .errors import EnumerationBoundError, ParseError, PreconditionError
+from .errors import ParseError, PreconditionError
 
 # PermGroup.elements(), and so every operation that lists elements, refuses
 # above this order.
@@ -447,7 +447,9 @@ class PermGroup:
     stops once its orbit lengths multiply to that order.  A group with no
     generator left, and every Sylow subgroup that ``sylow`` grows, starts
     with its element set (the identity alone for the former), and tests
-    membership and lists its elements from that set, with no chain.
+    membership and lists its elements from that set, with no chain.  A
+    conjugate starts with what its group knows: the order and, when the
+    group holds one, the conjugated element set.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
@@ -496,13 +498,9 @@ class PermGroup:
         return group
 
     @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree)
-
-    @classmethod
     def symmetric(cls, k: int) -> "PermGroup":
         if k < 2:
-            return cls.trivial(k)
+            return cls(k)
         # for k = 2 the long cycle is the transposition, dropped as a repeat
         return cls._known(k, [Permutation.from_cycles(k, [[1, 2]]),
                               Permutation.from_cycles(k, [range(1, k + 1)])],
@@ -511,7 +509,7 @@ class PermGroup:
     @classmethod
     def alternating(cls, k: int) -> "PermGroup":
         if k < 3:
-            return cls.trivial(k)
+            return cls(k)
         # (1 2 3) and the long cycle of odd length: (1 ... k) or (2 ... k)
         return cls._known(k, [Permutation.from_cycles(k, [[1, 2, 3]]),
                               Permutation.from_cycles(k, [range(2 - k % 2, k + 1)])],
@@ -561,8 +559,8 @@ class PermGroup:
         bound is checked."""
         if self._elements is None:
             if self.order() > ENUMERATION_BOUND:
-                raise EnumerationBoundError(f"group order {self.order()} exceeds "
-                                            f"enumeration bound {ENUMERATION_BOUND}")
+                raise PreconditionError(f"group order {self.order()} exceeds "
+                                        f"enumeration bound {ENUMERATION_BOUND}")
             self._elements = tuple(map(Permutation._of, sorted(
                 self._element_set or self.chain().elements())))
         return self._elements
@@ -636,12 +634,19 @@ class PermGroup:
         return self._memo("derived", lambda: commutator_subgroup(self, self))
 
     def conjugate(self, g: Permutation) -> "PermGroup":
-        """The conjugate g G g^-1; G itself when g is its identity."""
+        """The conjugate g G g^-1; G itself when g is its identity.  It
+        starts with G's order and, when G holds one, G's element set
+        conjugated by g."""
         if g.degree != self.degree:
             raise PreconditionError("degree mismatch in conjugation")
-        if g.images == _IDENTITY[self.degree]:
+        gs = g.images
+        if gs == _IDENTITY[self.degree]:
             return self
-        return PermGroup(self.degree, [h.conjugate(g) for h in self.generators])
+        members = self._element_set
+        if members is not None:
+            members = frozenset([_conjugate_images(x, gs) for x in members])
+        return PermGroup._known(self.degree, [h.conjugate(g) for h in self.generators],
+                                order=self._order, elements=members)
 
     def conjugators(self, pairs):
         """Each x in G, in canonical element order, with x H x^-1 = K for
@@ -660,7 +665,7 @@ def spanning_generators(degree: int, elements) -> PermGroup:
     """The subgroup the elements generate, on a greedy small generating set:
     each element outside the group of those taken before it, found on one
     chain extended in place, which the group keeps."""
-    chain = PermGroup.trivial(degree).chain()
+    chain = PermGroup(degree).chain()
     return PermGroup._known(degree, [x for x in elements if chain.add(x)], chain=chain)
 
 

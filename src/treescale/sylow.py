@@ -57,7 +57,7 @@ def _default_sylow(g: PermGroup, p: int) -> PermGroup:
         return sylow_of_symmetric(g.degree, p)
     if g.order() == p_part_of_order(g, p):
         return g
-    return _grow_sylow(g, p, PermGroup.trivial(g.degree))
+    return _grow_sylow(g, p, PermGroup(g.degree))
 
 
 def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
@@ -159,7 +159,7 @@ def pi_core(g: PermGroup, pi) -> PermGroup:
     pi = frozenset(pi)
     for p in pi:
         _require_prime(p)
-    chain = PermGroup.trivial(g.degree).chain()
+    chain = PermGroup(g.degree).chain()
     gens: list[Permutation] = []
     failed: set[tuple[int, ...]] = set()
     for x in g.elements():

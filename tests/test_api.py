@@ -108,6 +108,15 @@ def test_only_the_inverse_axis_is_built_unchecked():
         "_derived": ["bmtree.inverse_axis"]}
 
 
+def test_only_the_engine_and_the_sylow_layer_fill_in_what_a_group_knows():
+    # PermGroup._known trusts the order, element set or chain it is given,
+    # and a wrong element set would silently corrupt membership
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
+    callers = bound_readers(sources, ["_known"], called_names)["_known"]
+    assert callers and {name.split(".")[0] for name in callers} <= {"perm", "sylow"}
+
+
 def test_every_exported_name_resolves():
     assert len(treescale.__all__) == len(set(treescale.__all__)) > 20
     assert [name for name in treescale.__all__ if not hasattr(treescale, name)] == []

@@ -120,7 +120,7 @@ class TestScale:
         assert scale(axis(S4, "id", (1, 2))) == 9
 
     def test_trivial_group(self):
-        assert scale(axis(PermGroup.trivial(4), "id", (1, 2))) == 1
+        assert scale(axis(PermGroup(4), "id", (1, 2))) == 1
 
     def test_fixed_point_word(self):
         assert scale(axis(C3_ON_5, "id", (1, 4))) == 3
@@ -194,7 +194,7 @@ class TestInverse:
 class TestModular:
     def test_examples(self):
         assert modular(axis(S4, "id", (1, 2))) == 1
-        assert modular(axis(PermGroup.trivial(4), "id", (1, 2))) == 1
+        assert modular(axis(PermGroup(4), "id", (1, 2))) == 1
         assert modular(axis(C3_ON_5, "id", (1, 4))) == Fraction(3, 3)
 
     def test_unimodular_on_axis_families(self):
@@ -419,7 +419,7 @@ def test_local_family_builds_each_transversal_once(spec, p, monkeypatch):
 
 class TestAggregate:
     def test_trivial_ambient(self):
-        assert aggregate_scale(axis(PermGroup.trivial(4), "id", (1, 2))) == 1
+        assert aggregate_scale(axis(PermGroup(4), "id", (1, 2))) == 1
 
     def test_sym5_value(self):
         # 2-, 3- and 5-local scales are 4, 3 and 1
@@ -454,7 +454,7 @@ class TestSpectrum:
         assert not sp.truncated
 
     def test_trivial_group(self):
-        assert scale_spectrum(PermGroup.trivial(4), 5).entries == (1,)
+        assert scale_spectrum(PermGroup(4), 5).entries == (1,)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_len": 0}, "max_len must be at least 1"),

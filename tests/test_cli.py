@@ -290,6 +290,12 @@ def test_predict_refuses_a_non_prime(capsys):
     assert (code, out, err) == (1, "", "precondition-error: 4 is not prime\n")
 
 
+def test_enumeration_bound_refusal_is_a_precondition_error(capsys):
+    code, out, err = run(capsys, "sylow", "--group", "alt:10", "--prime", "2")
+    assert (code, out, err) == (1, "", "precondition-error: group order 1814400 exceeds "
+                                       "enumeration bound 200000\n")
+
+
 def test_values_spectrum_refuses_a_prime(capsys):
     code, out, err = run(capsys, "spectrum", "--group", "sym:4", "--prime", "3",
                          "--max-len", "3")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treescale import balloracle, bmtree, cli, perm
-from treescale.errors import EnumerationBoundError, ParseError, PreconditionError
+from treescale.errors import ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (Orbitals, PermGroup, Permutation,
                             _orbit_transversal, commutator_subgroup,
@@ -32,6 +32,9 @@ def chain_builds(monkeypatch):
 
     monkeypatch.setattr(perm._Chain, "__init__", counting)
     return built
+
+
+S3_S3 = "gens:6:(1 2 3);(1 2);(4 5 6);(4 5)"
 
 
 def brute_force_elements(degree, gens):
@@ -277,16 +280,16 @@ class TestGroupOrder:
         assert PermGroup.symmetric(4).chain().order() == 24
 
     def test_trivial(self):
-        assert PermGroup.trivial(5).order() == 1
+        assert PermGroup(5).order() == 1
 
     def test_trivial_group_builds_no_chain(self, monkeypatch):
         built = chain_builds(monkeypatch)
         for degree in (1, 2, 5):
-            g = PermGroup.trivial(degree)
+            g = PermGroup(degree)
             assert g.order() == 1 and g.element_set() == {tuple(range(1, degree + 1))}
         assert built == []
         # a chain is still built on request, and it can be extended
-        chain = PermGroup.trivial(3).chain()
+        chain = PermGroup(3).chain()
         assert chain.order() == 1 and chain.add(Permutation.parse("(1 2)", 3))
         assert len(built) == 1 and chain.order() == 2
 
@@ -377,7 +380,7 @@ class TestGroupOrder:
         assert {e.images for e in g.elements()} == brute_force_elements(6, g.generators)
 
     def test_enumeration_bound_refusal(self):
-        with pytest.raises(EnumerationBoundError):
+        with pytest.raises(PreconditionError, match="enumeration bound"):
             PermGroup.symmetric(15).elements()
 
     def test_membership(self):
@@ -423,7 +426,7 @@ class TestOrbits:
 
     def test_stabiliser_order(self):
         assert PermGroup.symmetric(4).point_stabiliser(1).order() == 6
-        assert PermGroup.trivial(4).point_stabiliser(2).order() == 1
+        assert PermGroup(4).point_stabiliser(2).order() == 1
 
     def test_stabiliser_two_cycles(self):
         # frozen by filtering the 9 elements for those fixing 1
@@ -519,7 +522,7 @@ class TestOrbitals:
         # the other; each label lies in its orbital; sizes are suborbits
         for g in (PermGroup.dihedral(5), PermGroup(6, ["(1 2 3)", "(4 5)"]),
                   PermGroup(6, ["(1 2)(3 4)(5 6)", "(1 3 5)(2 4 6)"]),
-                  PermGroup.trivial(3)):
+                  PermGroup(3)):
             table = g.orbitals()
             k = g.degree
             pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
@@ -616,11 +619,11 @@ class TestTransporters:
         assert transporter_images(PermGroup.symmetric(4), 1, 2, 3) == {1, 3, 4}
 
     def test_trivial(self):
-        assert transporter_images(PermGroup.trivial(3), 1, 1, 2) == {2}
+        assert transporter_images(PermGroup(3), 1, 1, 2) == {2}
 
     def test_transversal_keys_are_the_orbit(self):
         for g in (PermGroup(5, ["(1 2 3)"]), PermGroup(6, ["(1 2)", "(3 4 5 6)"]),
-                  PermGroup.trivial(3), PermGroup.dihedral(5)):
+                  PermGroup(3), PermGroup.dihedral(5)):
             table = balloracle._suborbit_table(g)
             for a in range(1, g.degree + 1):
                 assert set(table[a][0]) == {f(a) for f in g.elements()}, a
@@ -748,7 +751,7 @@ class TestNormaliser:
 
     def test_bound_refusal(self):
         big = PermGroup.symmetric(15)
-        with pytest.raises(EnumerationBoundError):
+        with pytest.raises(PreconditionError, match="enumeration bound"):
             normaliser(big, PermGroup(15, ["(1 2)"]))
 
     def test_requires_subgroup(self):
@@ -772,7 +775,7 @@ class TestPredicates:
         assert not PermGroup.symmetric(3).is_nilpotent()
         assert PermGroup.dihedral(4).is_nilpotent()
         assert PermGroup.cyclic(6).is_nilpotent()
-        assert PermGroup.trivial(3).is_nilpotent()
+        assert PermGroup(3).is_nilpotent()
 
     def test_derived_series_of_sym4(self):
         g = PermGroup.symmetric(4)
@@ -827,9 +830,9 @@ class TestMemo:
         g = PermGroup.symmetric(3)
 
         def refuse():
-            raise EnumerationBoundError("refused")
+            raise PreconditionError("refused")
 
-        with pytest.raises(EnumerationBoundError):
+        with pytest.raises(PreconditionError, match="refused"):
             g._memo("key", refuse)
         assert g._derived == {}
         assert g._memo("key", lambda: 7) == 7
@@ -847,15 +850,56 @@ class TestSubgroupAlgebra:
         assert Permutation.parse("(4 2 3)", 4) in h
 
     def test_conjugate_by_the_identity_is_the_group(self):
-        for g in (PermGroup.symmetric(4), PermGroup.trivial(3), PermGroup(5, ["(1 2 3)"])):
+        for g in (PermGroup.symmetric(4), PermGroup(3), PermGroup(5, ["(1 2 3)"]),
+                  sylow_of_symmetric(6, 3), sylow_subgroup(parse_group_spec(S3_S3).group, 3)):
             assert g.conjugate(Permutation.identity(g.degree)) is g
         # the degree is checked before the identity shortcut, with or
         # without generators to conjugate
         for g, x in ((PermGroup(4, ["(1 2)"]), Permutation.identity(3)),
-                     (PermGroup.trivial(3), Permutation.identity(4)),
-                     (PermGroup.trivial(3), Permutation.parse("(1 2)", 4))):
+                     (PermGroup(3), Permutation.identity(4)),
+                     (PermGroup(3), Permutation.parse("(1 2)", 4))):
             with pytest.raises(PreconditionError, match=r"^degree mismatch in conjugation$"):
                 g.conjugate(x)
+
+    def test_conjugate_keeps_the_element_set(self, monkeypatch):
+        # a grown Sylow subgroup holds its element set, and so does each
+        # conjugate: membership and listing on it build no chain
+        s = sylow_subgroup(parse_group_spec(S3_S3).group, 3)
+        x = Permutation.parse("(1 2 4)(3 6)", 6)
+        built = chain_builds(monkeypatch)
+        h = s.conjugate(x)
+        expected = {(x * y * x.inverse()).images for y in s.elements()}
+        assert h._element_set == expected and h.order() == 9
+        assert all(Permutation._of(y) in h for y in expected)
+        assert Permutation.parse("(1 2 3)", 6) not in h
+        assert {y.images for y in h.elements()} == expected
+        assert h._chain is None and built == []
+
+    def test_conjugate_keeps_the_order(self, monkeypatch):
+        built = chain_builds(monkeypatch)
+        h = sylow_of_symmetric(6, 3).conjugate(Permutation.parse("(1 4)(2 6)", 6))
+        assert h._order == 9 and h._chain is None and built == []
+        assert h.order() == 9 and built == []
+
+    @pytest.mark.parametrize("spec, p", [
+        ("sylow:2:sym:8", 2), ("cyclic:9", 3),
+        ("gens:8:(1 2);(1 3 5 7)(2 4 6 8)", 2),  # C2 wr C4
+        ("sym:4", 2),
+    ])
+    def test_local_family_is_the_hand_conjugated_family(self, spec, p):
+        f = parse_group_spec(spec).group
+        root = sylow_subgroup(f, p)
+        expected = {}
+        for r in range(1, f.degree + 1):
+            if r in expected:
+                continue
+            trans = root._transversal(r)
+            start = root.point_stabiliser(r)
+            q = sylow_subgroup(f.point_stabiliser(r), p, start=start)
+            for c, t in trans.items():
+                expected[c] = {(t * y * t.inverse()).images for y in q.elements()}
+        family = bmtree._local_sylow_family(f, p)
+        assert {c: q.element_set() for c, q in family.items()} == expected
 
     def test_spanned_group_builds_no_second_chain(self, monkeypatch):
         g = PermGroup.symmetric(5)
