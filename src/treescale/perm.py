@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError
@@ -109,11 +110,12 @@ class Permutation:
         return self.images[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        # Right factor first: (p * q)(i) = p(q(i)).
+        # Right factor first: (p * q)(i) = p(q(i)), q indexing p padded with 0
         if len(self.images) != len(other.images):
             raise PreconditionError("degree mismatch in composition")
-        mine = self.images
-        return Permutation._of(tuple([mine[q - 1] for q in other.images]))
+        if len(self.images) == 1:
+            return self
+        return Permutation._of(itemgetter(*other.images)((0,) + self.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -125,7 +127,7 @@ class Permutation:
         """x * self * x^-1."""
         if len(self.images) != len(x.images):
             raise PreconditionError("degree mismatch in conjugation")
-        return Permutation._of(_conjugate_images(self.images, x.images))
+        return Permutation._of(_conjugator(x.images)(self.images))
 
     def is_identity(self) -> bool:
         return self.images == _IDENTITY[len(self.images)]
@@ -173,13 +175,25 @@ class Permutation:
         return self.images < other.images
 
 
-def _conjugate_images(y: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
-    """The image tuple of x y x^-1 from those of y and x, in one pass: it
-    maps x(i) to x(y(i))."""
-    out = [0] * len(x)
-    for xi, img in zip(x, y):
-        out[xi - 1] = x[img - 1]
-    return tuple(out)
+# itemgetter of one index returns the bare item, not a 1-tuple, so the
+# kernels answer degree 1, where the identity is all there is, apart.
+def _times(xs: tuple[int, ...]):
+    """The map h -> h x on image tuples, xs that of x: one getter call."""
+    if len(xs) == 1:
+        return lambda h: h
+    return itemgetter(*[q - 1 for q in xs])
+
+
+def _conjugator(xs: tuple[int, ...]):
+    """The map y -> x y x^-1 on image tuples, xs that of x: y's images
+    index x's 0-padded tuple (x y), and x^-1's images, 0-based, index that."""
+    if len(xs) == 1:
+        return lambda y: y
+    back = [0] * len(xs)
+    for i, img in enumerate(xs):
+        back[img - 1] = i
+    padded, right = (0,) + xs, itemgetter(*back)
+    return lambda y: right(itemgetter(*y)(padded))
 
 
 def _orbit_transversal(degree: int, point: int, gens, trans=None) -> dict[int, Permutation]:
@@ -206,8 +220,8 @@ def _orbit_transversal(degree: int, point: int, gens, trans=None) -> dict[int, P
 
 
 class _InverseImages(dict):
-    """Image tuples of the inverses of a transversal's elements, each made
-    on first use and never changed after."""
+    """0-padded image tuples of the inverses of a transversal's elements,
+    each made on first use and never changed after."""
 
     __slots__ = ("trans",)
 
@@ -216,26 +230,25 @@ class _InverseImages(dict):
         self.trans = trans
 
     def __missing__(self, q: int) -> tuple[int, ...]:
-        images = self[q] = self.trans[q].inverse().images
+        images = self[q] = (0,) + self.trans[q].inverse().images
         return images
 
 
 def _schreier_generators(trans: dict[int, Permutation], gens, inverses: _InverseImages,
                          done: dict[int, int]):
     """The nontrivial Schreier generators t_{g(pt)}^-1 g t_pt of the point
-    stabiliser, in (sorted point, generator) order, each formed in one
-    pass with the inverse from the memo ``inverses`` of trans.  ``done``
-    maps a point to the number of leading generators whose pairs with it
-    are formed already; only later pairs are formed, each counted there
-    before its generator is yielded."""
-    gen_images = [g.images for g in gens]
+    stabiliser, in (sorted point, generator) order, each two getter calls
+    (degree 1 has no generators), the inverse from the memo ``inverses`` of
+    trans.  ``done`` maps a point to the number of leading generators whose
+    pairs with it are formed already; only later pairs are formed, each
+    counted there before its generator is yielded."""
+    gen_images = [(0,) + g.images for g in gens]
     for pt in sorted(trans):
         u = trans[pt].images
-        identity = _IDENTITY[len(u)]
+        identity, u = _IDENTITY[len(u)], itemgetter(*u)
         for n in range(done.get(pt, 0), len(gen_images)):
             g = gen_images[n]
-            inv = inverses[g[pt - 1]]
-            sg = tuple([inv[g[x - 1] - 1] for x in u])
+            sg = itemgetter(*u(g))(inverses[g[pt]])
             if sg != identity:
                 done[pt] = n + 1
                 yield Permutation._of(sg)
@@ -249,10 +262,11 @@ class _Chain:
     Level i has base point i+1 and an append-only list of the strong
     generators that fix 1..i, with the basic orbit of i+1 under them: a
     transversal extended in place whenever the list grows, so the memo of
-    its inverse image tuples stays valid.  A level whose orbit has grown
-    past one point also keeps, per orbit point, how many of its generators
-    have had their Schreier generator sifted, so no (point, generator)
-    pair is sifted twice.
+    its inverses stays valid, 0-padded image tuples that a sift step and a
+    Schreier generator index with one getter call.  A level whose orbit
+    has grown past one point also keeps, per orbit point, how many of its
+    generators have had their Schreier generator sifted, so no (point,
+    generator) pair is sifted twice.
 
     Each orbit lies in the true basic orbit, so the orbit lengths of levels
     j.. multiply to at most the order of the group H_j those levels
@@ -293,10 +307,10 @@ class _Chain:
         if g.degree != self.degree:
             raise PreconditionError(
                 f"generator degree {g.degree} does not match group degree {self.degree}")
-        residue = self._sift_from(0, g)
+        residue = self._sift_from(0, g.images)
         if residue is None:
             return False
-        self._complete(self._place(residue))
+        self._complete(self._place(Permutation._of(residue)))
         return True
 
     def _place(self, g: Permutation) -> int:
@@ -362,14 +376,14 @@ class _Chain:
         for sg in _schreier_generators(self.orbits[i], self.gens[i], self.inverses[i],
                                        self.done[i]):
             if sg.images not in deeper:
-                residue = self._sift_from(i + 1, sg)
+                residue = self._sift_from(i + 1, sg.images)
                 if residue is not None:
-                    return self._place(residue)
+                    return self._place(Permutation._of(residue))
         return None
 
-    def _sift_from(self, start: int, g: Permutation) -> Permutation | None:
-        """Divide g, which fixes 1..start, by transversal elements; None means membership."""
-        h = g.images
+    def _sift_from(self, start: int, h: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Divide the image tuple h, which fixes 1..start, by transversal
+        elements, one getter call each (none at degree 1); None means membership."""
         identity = _IDENTITY[self.degree]
         for lvl in range(start, self.degree):
             if h == identity:
@@ -378,13 +392,12 @@ class _Chain:
             if t == lvl + 1:
                 continue
             if t not in self.orbits[lvl]:
-                return Permutation._of(h)
-            inv = self.inverses[lvl][t]
-            h = tuple([inv[x - 1] for x in h])
+                return h
+            h = itemgetter(*h)(self.inverses[lvl][t])
         return None
 
     def contains(self, g: Permutation) -> bool:
-        return self._sift_from(0, g) is None
+        return self._sift_from(0, g.images) is None
 
     def order(self) -> int:
         n = 1
@@ -393,15 +406,17 @@ class _Chain:
         return n
 
     def elements(self) -> list[tuple[int, ...]]:
-        """The image tuples of every element, composed level by level as
-        t_1 t_2 ... t_k with t_i from level i's transversal; unsorted."""
+        """The image tuples of every element t_1 t_2 ... t_k, t_i from level
+        i's transversal; from the deepest level up, one getter per partial
+        product applied to each 0-padded t_i (none at degree 1); unsorted."""
         result = [_IDENTITY[self.degree]]
         for i in range(self.degree - 1, -1, -1):
             trans = self.orbits[i]
             if len(trans) == 1:
                 continue
-            result = [tuple([t[x - 1] for x in h])
-                      for t in [trans[pt].images for pt in sorted(trans)] for h in result]
+            getters = [itemgetter(*h) for h in result]
+            result = [get(t) for t in [(0,) + trans[pt].images for pt in sorted(trans)]
+                      for get in getters]
         return result
 
 
@@ -424,20 +439,20 @@ class Orbitals(NamedTuple):
 class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
-    Values are immutable; the stabiliser chain, order, element list, the
-    element set (of image tuples) and the orbital table are write-once
-    caches.  So are, through ``_memo``, the values derived from the group
-    as a whole: ``is_soluble()``, the derived subgroup [G, G] (key
-    ``derived``, shared by the derived and lower central series),
-    ``nilpotent_residual``, per prime p ``sylow.sylow_subgroup`` without
-    ``start`` (key ``("sylow", p)``, the designated Sylow subgroup F(p)),
-    ``sylow.p_core`` and the local orbital table of ``bmtree``, the
-    spectrum DP's plan of ``bmtree`` (key ``("spectrum_plan", p)``, p None
-    for values) and its values lattice (key ``("value_lattice", cap,
-    reach)``, reach the word length bounded by the cap's bit length), and
-    the suborbit table of the ball walk in
-    ``balloracle``.  Transversals and point stabilisers are made afresh on
-    every call.
+    Values are immutable; the stabiliser chain, order, canonical listing
+    of image tuples, element list (the listing wrapped), element set (of
+    image tuples) and orbital table are write-once caches.  So are,
+    through ``_memo``, the values derived from the group as a whole:
+    ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
+    by the derived and lower central series), ``nilpotent_residual``, per
+    prime p ``sylow.sylow_subgroup`` without ``start`` (key ``("sylow",
+    p)``, the designated Sylow subgroup F(p)), ``sylow.p_core`` and the
+    local orbital table of ``bmtree``, the spectrum DP's plan of ``bmtree``
+    (key ``("spectrum_plan", p)``, p None for values) and its values
+    lattice (key ``("value_lattice", cap, reach)``, reach the word length
+    bounded by the cap's bit length), and the suborbit table of the ball
+    walk in ``balloracle``.  Transversals and point stabilisers are made
+    afresh on every call.
 
     The chain is built on first need: by membership, by listing elements
     or by ``chain()`` itself, and by ``order()`` only when the order is not
@@ -449,10 +464,11 @@ class PermGroup:
     with its element set (the identity alone for the former), and tests
     membership and lists its elements from that set, with no chain.  A
     conjugate starts with what its group knows: the order and, when the
-    group holds one, the conjugated element set.
+    group holds one, the conjugated element set.  Scans read the canonical
+    listing and wrap only the elements they return.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_elements",
+    __slots__ = ("degree", "generators", "_chain", "_order", "_listed", "_elements",
                  "_element_set", "_orbitals", "_derived")
 
     def __init__(self, degree: int, generators=()):
@@ -473,6 +489,7 @@ class PermGroup:
         self.generators = tuple(cleaned)
         self._chain = None
         self._order = None
+        self._listed = None
         self._elements = None
         self._element_set = None
         self._orbitals = None
@@ -554,21 +571,26 @@ class PermGroup:
             return g.images in self._element_set
         return g.degree == self.degree and self.chain().contains(g)
 
-    def elements(self) -> tuple[Permutation, ...]:
-        """All elements in canonical order; the one place the enumeration
-        bound is checked."""
-        if self._elements is None:
+    def _listing(self) -> list[tuple[int, ...]]:
+        """The image tuples of all elements in canonical order, for scans;
+        the one place the enumeration bound is checked."""
+        if self._listed is None:
             if self.order() > ENUMERATION_BOUND:
                 raise PreconditionError(f"group order {self.order()} exceeds "
                                         f"enumeration bound {ENUMERATION_BOUND}")
-            self._elements = tuple(map(Permutation._of, sorted(
-                self._element_set or self.chain().elements())))
+            self._listed = sorted(self._element_set or self.chain().elements())
+        return self._listed
+
+    def elements(self) -> tuple[Permutation, ...]:
+        """All elements in canonical order."""
+        if self._elements is None:
+            self._elements = tuple(map(Permutation._of, self._listing()))
         return self._elements
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
         """The image tuples of all elements."""
         if self._element_set is None:
-            self._element_set = frozenset(x.images for x in self.elements())
+            self._element_set = frozenset(self._listing())
         return self._element_set
 
     # -- orbits and stabilisers --------------------------------------------
@@ -642,10 +664,10 @@ class PermGroup:
         gs = g.images
         if gs == _IDENTITY[self.degree]:
             return self
-        members = self._element_set
-        if members is not None:
-            members = frozenset([_conjugate_images(x, gs) for x in members])
-        return PermGroup._known(self.degree, [h.conjugate(g) for h in self.generators],
+        conj = _conjugator(gs)
+        members = self._element_set and frozenset(map(conj, self._element_set))
+        return PermGroup._known(self.degree,
+                                [Permutation._of(conj(h.images)) for h in self.generators],
                                 order=self._order, elements=members)
 
     def conjugators(self, pairs):
@@ -655,10 +677,10 @@ class PermGroup:
         if any(h.order() != k.order() for h, k in pairs):
             return
         checks = [([y.images for y in h.generators], k.element_set()) for h, k in pairs]
-        for x in self.elements():
-            xs = x.images
-            if all(_conjugate_images(y, xs) in kset for gens, kset in checks for y in gens):
-                yield x
+        for xs in self._listing():
+            conj = _conjugator(xs)
+            if all(conj(y) in kset for gens, kset in checks for y in gens):
+                yield Permutation._of(xs)
 
 
 def spanning_generators(degree: int, elements) -> PermGroup:
@@ -674,12 +696,17 @@ def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
 
 
 def meet_index(h: PermGroup, k: PermGroup) -> int:
-    """|H : H meet K|, from the elements of the smaller group that lie in
-    the larger one; the one place a subgroup meet is counted."""
+    """|H : H meet K|, from the element set of the smaller group: its
+    intersection with the larger one's when that is held, else one sift per
+    tuple; the one place a subgroup meet is counted."""
     if h.degree != k.degree:
         raise PreconditionError(f"degree mismatch: {h.degree} and {k.degree}")
     small, big = (h, k) if h.order() <= k.order() else (k, h)
-    return h.order() // sum(1 for x in small.elements() if x in big)
+    members = small.element_set()
+    if big._element_set is not None:
+        return h.order() // len(members & big._element_set)
+    sift = big.chain()._sift_from
+    return h.order() // sum(sift(0, xs) is None for xs in members)
 
 
 def normal_closure(g: PermGroup, seeds) -> PermGroup:
@@ -687,9 +714,10 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
     closure = PermGroup(g.degree, seeds)
     chain = closure.chain()
     gens = list(closure.generators)
+    maps = [_conjugator(c.images) for c in g.generators]
     for x in gens:  # the growing list is the breadth-first queue
-        for c in g.generators:
-            y = x.conjugate(c)
+        for conj in maps:
+            y = Permutation._of(conj(x.images))
             if chain.add(y):
                 gens.append(y)
     return PermGroup._known(g.degree, gens, chain=chain)
@@ -698,8 +726,8 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
 def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
     """[G, H] for H <= G, as a normal closure in G."""
     # the commutators [a, b] = a^-1 (b^-1 a b) of the generators
-    h_inverses = [b.inverse() for b in h.generators]
-    comms = [a.inverse() * a.conjugate(b_inv) for a in g.generators for b_inv in h_inverses]
+    maps = [_conjugator(b.inverse().images) for b in h.generators]
+    comms = [a.inverse() * Permutation._of(conj(a.images)) for a in g.generators for conj in maps]
     return normal_closure(g, comms)
 
 

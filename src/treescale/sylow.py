@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from operator import itemgetter
 
 from .errors import PreconditionError
-from .perm import (PermGroup, Permutation, _conjugate_images, is_subgroup, meet_index,
+from .perm import (PermGroup, Permutation, _conjugator, _times, is_subgroup, meet_index,
                    nilpotent_residual, normal_closure, spanning_generators)
 from .supernat import is_prime, prime_factors, valuation
 
@@ -67,24 +66,18 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     while len(members) < target:
         images = [y.images for y in gens]
         # the p-th power test first: it rejects more candidates
-        grown = next((x for x in g.elements()
-                      if (xs := x.images) not in members and _power(xs, p) in members
-                      and all(_conjugate_images(y, xs) in members for y in images)), None)
+        grown = next((xs for xs in g._listing()
+                      if xs not in members and _power(xs, p) in members
+                      and all(z in members for z in map(_conjugator(xs), images))), None)
         if grown is None:
             raise RuntimeError("Sylow growth step found no witness; this is a bug")
-        gens.append(grown)
-        times = _times(grown.images)
+        gens.append(Permutation._of(grown))
+        times = _times(grown)
         coset = members
         for _ in range(p - 1):
             coset = {times(h) for h in coset}  # H x^i from H x^(i-1)
             members |= coset
     return PermGroup._known(g.degree, gens, elements=frozenset(members))
-
-
-def _times(xs: tuple[int, ...]) -> itemgetter:
-    """The map h -> h x on image tuples, xs that of x; for degree at least
-    2, which every group with a nontrivial p-subgroup has."""
-    return itemgetter(*[q - 1 for q in xs])
 
 
 def _power(xs: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -136,10 +129,11 @@ def p_core(g: PermGroup, p: int) -> PermGroup:
 def _p_core(g: PermGroup, p: int) -> PermGroup:
     sylow = sylow_subgroup(g, p)
     members = sylow.element_set()
+    maps = [_conjugator(x.images) for x in g.generators]
     while True:
         before = len(members)
-        for x in g.generators:
-            members = members & {_conjugate_images(y, x.images) for y in members}
+        for conj in maps:
+            members = members & set(map(conj, members))
         if len(members) == before:
             break
     if len(members) == sylow.order():
@@ -180,10 +174,11 @@ def _conjugacy_class(g: PermGroup, x: tuple[int, ...]) -> set[tuple[int, ...]]:
     generators' conjugation."""
     found = {x}
     frontier = [x]
+    maps = [_conjugator(c.images) for c in g.generators]
     while frontier:
         y = frontier.pop()
-        for c in g.generators:
-            z = _conjugate_images(y, c.images)
+        for conj in maps:
+            z = conj(y)
             if z not in found:
                 found.add(z)
                 frontier.append(z)
@@ -263,8 +258,9 @@ def basis_normaliser(g: PermGroup, basis: SylowBasis) -> PermGroup:
 
 
 def is_normal_in(v: PermGroup, u: PermGroup) -> bool:
-    return (is_subgroup(v, u)
-            and all(y.conjugate(x) in v for x in u.generators for y in v.generators))
+    maps = [_conjugator(x.images) for x in u.generators]
+    return is_subgroup(v, u) and all(Permutation._of(conj(y.images)) in v
+                                     for conj in maps for y in v.generators)
 
 
 def verify_hall_covering(u: PermGroup, basis: SylowBasis, k: PermGroup) -> bool:

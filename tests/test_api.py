@@ -5,8 +5,9 @@ function; InvalidAxisError is read only where an axis is built, and only
 the inverse axis is built unchecked; every exported name resolves; no
 module or test file imports a name it never uses, no module defines a
 private name that no module reads, and no public name is read only by
-the tests; no two helper functions of the tests share a body; and the
-ball walk reads no orbital table and no bmtree name but AxisData."""
+the tests; no two helper functions of the tests share a body; the ball
+walk reads no orbital table and no bmtree name but AxisData; and only the
+itemgetter kernels of perm compose image tuples."""
 
 import ast
 import importlib
@@ -43,20 +44,26 @@ def test_no_bound_or_depth_cap_parameter():
     assert overrides == []
 
 
+def module_functions(module: str, source: str) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each module-level function, then of each
+    method; nested functions belong to the function around them."""
+    tree = ast.parse(source)
+    functions = [(f"{module}.{node.name}", node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return functions
+
+
 def bound_readers(sources: dict[str, str], names, count=None) -> dict[str, list[str]]:
     """For each of names, the module-level functions and the methods that
     read it, nested functions counted with the function around them; a
     function's reads are counted by ``count``, ``read_names`` if None."""
     readers = {name: [] for name in names}
     for module, source in sources.items():
-        tree = ast.parse(source)
-        functions = [(f"{module}.{node.name}", node) for node in tree.body
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                functions += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
-                              if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for qualified, node in functions:
+        for qualified, node in module_functions(module, source):
             read = (count or read_names)(node)
             for name in names:
                 if read[name]:
@@ -77,7 +84,7 @@ def test_each_bound_is_read_by_one_function():
     sources = {path.stem: path.read_text()
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
     assert bound_readers(sources, ["ENUMERATION_BOUND", "DEGREE_BOUND", "GROUP_CAP"]) == {
-        "ENUMERATION_BOUND": ["perm.PermGroup.elements"],
+        "ENUMERATION_BOUND": ["perm.PermGroup._listing"],
         "DEGREE_BOUND": ["groupspec._parse_degree"],
         "GROUP_CAP": ["balloracle.exhaustive_applies"],
     }
@@ -115,6 +122,66 @@ def test_only_the_engine_and_the_sylow_layer_fill_in_what_a_group_knows():
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
     callers = bound_readers(sources, ["_known"], called_names)["_known"]
     assert callers and {name.split(".")[0] for name in callers} <= {"perm", "sylow"}
+
+
+def indexed_by(node: ast.AST, names: set[str]) -> bool:
+    """Whether node is an item (not a slice) indexed by an expression of names."""
+    return (isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice)
+            and bool(names & {n.id for n in ast.walk(node.slice) if isinstance(n, ast.Name)}))
+
+
+def per_index_compositions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and methods that compose one index at a
+    time: a comprehension whose element is an item indexed by its own
+    variables, such as ``[t[x - 1] for x in h]``, or a loop that stores
+    such an item at such an index, such as ``out[xi - 1] = x[img - 1]``
+    for ``xi, img`` in the loop.  Slices and items read further do not
+    count."""
+    found = []
+    for module, source in sources.items():
+        for qualified, function in module_functions(module, source):
+            for node in ast.walk(function):
+                if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                    bound = {name.id for gen in node.generators for name in ast.walk(gen.target)
+                             if isinstance(name, ast.Name)}
+                    hit = indexed_by(node.elt, bound)
+                elif isinstance(node, ast.For):
+                    bound = {name.id for name in ast.walk(node.target) if isinstance(name, ast.Name)}
+                    hit = any(isinstance(stmt, ast.Assign) and indexed_by(stmt.value, bound)
+                              and any(indexed_by(t, bound) for t in stmt.targets)
+                              for stmt in ast.walk(node))
+                else:
+                    continue
+                if hit:
+                    found.append(qualified)
+                    break
+    return found
+
+
+def test_per_index_composition_finder():
+    sources = {"a": "def f(t, h):\n    return tuple([t[x - 1] for x in h])\n"
+                    "class C:\n    def m(self, g, u):\n"
+                    "        return {inv[g[x - 1] - 1] for inv in self for x in u}\n"
+                    "def loop(x, y, out):\n    for xi, img in zip(x, y):\n"
+                    "        out[xi - 1] = x[img - 1]\n"
+                    "def ok(at, k, inv):\n    for i, img in k:\n        inv[img] = i\n"
+                    "    return [at[a:a + k] for a in k] + [t[0] for t in k] + [at[a].x for a in k]"}
+    assert per_index_compositions(sources) == ["a.f", "a.loop", "a.C.m"]
+    assert per_index_compositions({"a": "def g(xs):\n    return [q - 1 for q in xs]"}) == []
+
+
+# The functions that compose image tuples, each with operator.itemgetter on
+# 0-padded tuples (see perm.py); no other function of perm or sylow may
+# compose tuples, and neither one index at a time.
+IMAGE_KERNELS = ["perm._times", "perm._conjugator", "perm._schreier_generators",
+                 "perm.Permutation.__mul__", "perm._Chain._sift_from", "perm._Chain.elements"]
+
+
+def test_image_tuples_are_composed_only_by_the_kernels():
+    package = Path(treescale.__file__).parent
+    sources = {stem: (package / f"{stem}.py").read_text() for stem in ("perm", "sylow")}
+    assert per_index_compositions(sources) == []
+    assert bound_readers(sources, ["itemgetter"], called_names) == {"itemgetter": IMAGE_KERNELS}
 
 
 def test_every_exported_name_resolves():

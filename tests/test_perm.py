@@ -18,7 +18,7 @@ from treescale.perm import (Orbitals, PermGroup, Permutation,
                             is_subgroup, nilpotent_residual, normal_closure,
                             spanning_generators)
 from treescale.supernat import prime_factors
-from treescale.sylow import corpus, sylow_of_symmetric, sylow_subgroup
+from treescale.sylow import _power, corpus, sylow_of_symmetric, sylow_subgroup
 
 
 def chain_builds(monkeypatch):
@@ -154,7 +154,7 @@ def image_tuples(degree, count):
 
 
 def kernel_cases(count):
-    return st.integers(1, 12).flatmap(lambda n: image_tuples(n, count))
+    return st.integers(1, 32).flatmap(lambda n: image_tuples(n, count))
 
 
 def mismatched_pairs():
@@ -171,6 +171,10 @@ def tuple_product(p, q):
 
 def tuple_inverse(p):
     return tuple(sorted(range(1, len(p) + 1), key=lambda i: p[i - 1]))
+
+
+def tuple_conjugate(y, x):
+    return tuple_product(tuple_product(x, y), tuple_inverse(x))
 
 
 def tuple_power(p, n):
@@ -204,10 +208,17 @@ class TestKernel:
     @given(kernel_cases(2))
     def test_conjugate(self, case):
         y, x = case
-        expected = tuple_product(tuple_product(x, y), tuple_inverse(x))
         got = Permutation(y).conjugate(Permutation(x))
-        assert_built_as(got, expected)
+        assert_built_as(got, tuple_conjugate(y, x))
         assert got == Permutation(x) * Permutation(y) * Permutation(x).inverse()
+
+    @given(kernel_cases(2))
+    def test_maps_on_image_tuples(self, case):
+        # what the scans apply to bare tuples, each map made once per x
+        y, x = case
+        assert perm._times(x)(y) == tuple_product(y, x)
+        assert perm._conjugator(x)(y) == tuple_conjugate(y, x)
+        assert _power(x, 3) == tuple_power(x, 3)
 
     @given(kernel_cases(1))
     def test_is_identity(self, case):
