@@ -18,6 +18,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError
+from .supernat import prime_factors
 
 # PermGroup.elements(), and so every operation that lists elements, refuses
 # above this order.
@@ -282,11 +283,13 @@ class _Chain:
     j..k-3 are all full, and ``odd`` the deepest level known to hold an
     odd strong generator, -1 if none: it covers the first ``parities``
     generators of level 0, whose parities are found on first need.
+    A build or an ``add`` may be given a ceiling, the order of a group known
+    to hold the chain's group (``_complete``); the chain does not keep it.
     """
 
     __slots__ = ("degree", "gens", "orbits", "inverses", "done", "low", "odd", "parities")
 
-    def __init__(self, degree: int, generators, order: int | None = None):
+    def __init__(self, degree: int, generators, ceiling: int | None = None):
         self.degree = degree
         identity = Permutation.identity(degree)
         self.gens: list[list[Permutation]] = [[] for _ in range(degree)]
@@ -298,11 +301,12 @@ class _Chain:
         self.parities = 0
         for g in generators:  # distinct and nontrivial, as PermGroup keeps them
             self._place(g)
-        self._complete(degree - 1, order)
+        self._complete(degree - 1, ceiling)
 
-    def add(self, g: Permutation) -> bool:
+    def add(self, g: Permutation, ceiling: int | None = None) -> bool:
         """Extend the group by g in place: sift g, place the residue and
-        complete the chain from its level.  False, with nothing changed,
+        complete the chain from its level, up to the ceiling when one is
+        given for the group that g extends.  False, with nothing changed,
         when g is already a member."""
         if g.degree != self.degree:
             raise PreconditionError(
@@ -310,7 +314,7 @@ class _Chain:
         residue = self._sift_from(0, g.images)
         if residue is None:
             return False
-        self._complete(self._place(Permutation._of(residue)))
+        self._complete(self._place(Permutation._of(residue)), ceiling)
         return True
 
     def _place(self, g: Permutation) -> int:
@@ -342,23 +346,23 @@ class _Chain:
         self.parities = len(self.gens[0])
         return self.odd < j - 1
 
-    def _complete(self, i: int, order: int | None = None) -> None:
+    def _complete(self, i: int, ceiling: int | None) -> None:
         """Sift the unsifted pairs of levels i, i-1, ..., 0, climbing back to
         the level of each new strong generator, until none is left.  A level
         whose next levels are full is passed over and its pairs stay
         unmarked: their Schreier generators lie in those levels already, and
         they are formed only if an odd generator added later voids the
-        alternating case.  Given the group's stated order, it returns as
-        soon as the orbit lengths multiply to it, before the loop or after
-        a new strong generator: each orbit lies in the true basic orbit, so
-        every orbit is then the true one and every level complete."""
-        if order and order == self.order():
+        alternating case.  Given a ceiling, it returns as soon as the orbit
+        lengths multiply to it, before the loop or after a new strong
+        generator: each orbit lies in the true basic orbit, so every orbit
+        is then the true one and every level complete."""
+        if ceiling and ceiling == self.order():
             return
         while i >= 0:
             j = self._verify_level(i)
             if j is None:
                 i -= 1
-            elif order and order == self.order():
+            elif ceiling and ceiling == self.order():
                 return
             else:
                 i = j
@@ -441,8 +445,8 @@ class PermGroup:
 
     Values are immutable; the stabiliser chain, order, canonical listing
     of image tuples, element list (the listing wrapped), element set (of
-    image tuples) and orbital table are write-once caches.  So are,
-    through ``_memo``, the values derived from the group as a whole:
+    image tuples, made unsorted) and orbital table are write-once caches.
+    So are, through ``_memo``, the values derived from the group as a whole:
     ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
     by the derived and lower central series), ``nilpotent_residual``, per
     prime p ``sylow.sylow_subgroup`` without ``start`` (key ``("sylow",
@@ -462,10 +466,12 @@ class PermGroup:
     stops once its orbit lengths multiply to that order.  A group with no
     generator left, and every Sylow subgroup that ``sylow`` grows, starts
     with its element set (the identity alone for the former), and tests
-    membership and lists its elements from that set, with no chain.  A
-    conjugate starts with what its group knows: the order and, when the
-    group holds one, the conjugated element set.  Scans read the canonical
-    listing and wrap only the elements they return.
+    membership and lists its elements from that set, with no chain; so
+    does a group spanned from a subgroup's full element set (``_spanned``,
+    for p-cores and basis normalisers).  A conjugate starts with what its
+    group knows: the order and, when the group holds one, the conjugated
+    element set.  Scans read the canonical listing and wrap only the
+    elements they return.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_order", "_listed", "_elements",
@@ -513,6 +519,22 @@ class PermGroup:
             group._order = order
         group._chain = chain
         return group
+
+    @classmethod
+    def _spanned(cls, degree: int, members: frozenset[tuple[int, ...]]) -> "PermGroup":
+        """The subgroup whose element set of image tuples is members, which
+        it keeps with the chain it grew.  Its generators are the tuples, in
+        canonical order, outside the group of those taken before them, taken
+        on one chain that stops at order len(members): no later tuple is
+        then outside."""
+        n, chain, gens = len(members), _Chain(degree, ()), []
+        for xs in sorted(members):
+            g = Permutation._of(xs)
+            if chain.add(g, n):
+                gens.append(g)
+                if chain.order() == n:
+                    break
+        return cls._known(degree, gens, elements=members, chain=chain)
 
     @classmethod
     def symmetric(cls, k: int) -> "PermGroup":
@@ -571,14 +593,19 @@ class PermGroup:
             return g.images in self._element_set
         return g.degree == self.degree and self.chain().contains(g)
 
+    def _members(self):
+        """The image tuples of all elements in no set order: the listing or
+        the element set when held, else the chain's; the one place the
+        enumeration bound is checked."""
+        if self.order() > ENUMERATION_BOUND:
+            raise PreconditionError(f"group order {self.order()} exceeds "
+                                    f"enumeration bound {ENUMERATION_BOUND}")
+        return self._listed or self._element_set or self.chain().elements()
+
     def _listing(self) -> list[tuple[int, ...]]:
-        """The image tuples of all elements in canonical order, for scans;
-        the one place the enumeration bound is checked."""
+        """The image tuples of all elements in canonical order, for scans."""
         if self._listed is None:
-            if self.order() > ENUMERATION_BOUND:
-                raise PreconditionError(f"group order {self.order()} exceeds "
-                                        f"enumeration bound {ENUMERATION_BOUND}")
-            self._listed = sorted(self._element_set or self.chain().elements())
+            self._listed = sorted(self._members())
         return self._listed
 
     def elements(self) -> tuple[Permutation, ...]:
@@ -590,7 +617,7 @@ class PermGroup:
     def element_set(self) -> frozenset[tuple[int, ...]]:
         """The image tuples of all elements."""
         if self._element_set is None:
-            self._element_set = frozenset(self._listing())
+            self._element_set = frozenset(self._members())
         return self._element_set
 
     # -- orbits and stabilisers --------------------------------------------
@@ -642,8 +669,10 @@ class PermGroup:
     # -- predicates ----------------------------------------------------------
 
     def is_soluble(self) -> bool:
-        return self._memo("soluble", lambda: _series(
-            self, PermGroup._derived_subgroup).order() == 1)
+        """Whether the derived series reaches a term whose order proves it
+        soluble; it stops there, or at a perfect term, which is not."""
+        return self._memo("soluble", lambda: _soluble_order(_series(
+            self, PermGroup._derived_subgroup, _soluble_order).order()))
 
     def is_nilpotent(self) -> bool:
         return nilpotent_residual(self).order() == 1
@@ -683,14 +712,6 @@ class PermGroup:
                 yield Permutation._of(xs)
 
 
-def spanning_generators(degree: int, elements) -> PermGroup:
-    """The subgroup the elements generate, on a greedy small generating set:
-    each element outside the group of those taken before it, found on one
-    chain extended in place, which the group keeps."""
-    chain = PermGroup(degree).chain()
-    return PermGroup._known(degree, [x for x in elements if chain.add(x)], chain=chain)
-
-
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
     return h.degree == g.degree and all(x in g for x in h.generators)
 
@@ -710,33 +731,57 @@ def meet_index(h: PermGroup, k: PermGroup) -> int:
 
 
 def normal_closure(g: PermGroup, seeds) -> PermGroup:
-    """Smallest subgroup containing the seeds and normalised by G."""
-    closure = PermGroup(g.degree, seeds)
-    chain = closure.chain()
-    gens = list(closure.generators)
+    """Smallest subgroup containing the seeds and normalised by G, grown on
+    one chain that stops at |G|."""
+    return _closure(g, seeds, g.order())
+
+
+def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
+    """[G, H] for H <= G, as a normal closure in G; H need not be normal,
+    so only |G| bounds it."""
+    return _closure(g, _commutators(g, h), g.order())
+
+
+def _commutators(g: PermGroup, h: PermGroup) -> list[Permutation]:
+    """The commutators [a, b] = a^-1 (b^-1 a b) of the generators a of G and
+    b of H; for H = G only a before b, as [b, a] = [a, b]^-1."""
+    maps = [_conjugator(b.inverse().images) for b in h.generators]
+    return [a.inverse() * Permutation._of(conj(a.images)) for i, a in enumerate(g.generators)
+            for conj in (maps[i + 1:] if h is g else maps)]
+
+
+def _closure(g: PermGroup, seeds, ceiling: int) -> PermGroup:
+    """The normal closure of the seeds in G on one chain, built and extended
+    up to ceiling, the order of a subgroup of G known to hold the closure;
+    once the chain reaches it, no conjugate is outside."""
+    gens = list(PermGroup(g.degree, seeds).generators)
+    chain = _Chain(g.degree, gens, ceiling)
     maps = [_conjugator(c.images) for c in g.generators]
     for x in gens:  # the growing list is the breadth-first queue
+        if chain.order() == ceiling:
+            break
         for conj in maps:
             y = Permutation._of(conj(x.images))
-            if chain.add(y):
+            if chain.add(y, ceiling):
                 gens.append(y)
     return PermGroup._known(g.degree, gens, chain=chain)
 
 
-def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
-    """[G, H] for H <= G, as a normal closure in G."""
-    # the commutators [a, b] = a^-1 (b^-1 a b) of the generators
-    maps = [_conjugator(b.inverse().images) for b in h.generators]
-    comms = [a.inverse() * Permutation._of(conj(a.images)) for a in g.generators for conj in maps]
-    return normal_closure(g, comms)
+def _soluble_order(n: int) -> bool:
+    """Whether every group of order n is soluble, read from n alone: when 4
+    does not divide n (odd order by Feit-Thompson, and order 2m with m odd
+    has a normal subgroup of index 2, from the sign of the regular
+    representation) or when n has at most two prime divisors (Burnside's
+    p^a q^b theorem)."""
+    return n % 4 != 0 or len(prime_factors(n)) <= 2
 
 
-def _series(g: PermGroup, step) -> PermGroup:
-    """The last term of g, step(g), step(step(g)), ...: the trivial group,
-    or the term before the first one whose order equals the one before.
-    Each step gives a subgroup of its argument, so the orders fall until
-    then."""
-    while g.order() > 1:
+def _series(g: PermGroup, step, done) -> PermGroup:
+    """The first term of g, step(g), step(step(g)), ... whose order done
+    accepts, or the term before the first one whose order equals the one
+    before.  Each step gives a subgroup of its argument, so the orders
+    fall until then."""
+    while not done(g.order()):
         nxt = step(g)
         if nxt.order() == g.order():
             break
@@ -745,7 +790,13 @@ def _series(g: PermGroup, step) -> PermGroup:
 
 
 def nilpotent_residual(g: PermGroup) -> PermGroup:
-    """Last term of the lower central series; G/residual is nilpotent.
-    Cached on g."""
-    return g._memo("nilpotent_residual", lambda: _series(
-        g, lambda h: g._derived_subgroup() if h is g else commutator_subgroup(g, h)))
+    """Last term of the lower central series; G/residual is nilpotent.  The
+    trivial group, with no series, when |G| is a prime power, as p-groups
+    are nilpotent; a step [G, H] lies in the normal term H, so its closure
+    stops at |H|.  Cached on g."""
+    def residual():
+        if len(prime_factors(g.order())) <= 1:
+            return PermGroup(g.degree)
+        return _series(g, lambda h: g._derived_subgroup() if h is g
+                       else _closure(g, _commutators(g, h), h.order()), (1).__eq__)
+    return g._memo("nilpotent_residual", residual)

@@ -13,7 +13,7 @@ from math import factorial
 
 from .errors import PreconditionError
 from .perm import (PermGroup, Permutation, _conjugator, _times, is_subgroup, meet_index,
-                   nilpotent_residual, normal_closure, spanning_generators)
+                   nilpotent_residual, normal_closure)
 from .supernat import is_prime, prime_factors, valuation
 
 
@@ -138,7 +138,7 @@ def _p_core(g: PermGroup, p: int) -> PermGroup:
             break
     if len(members) == sylow.order():
         return sylow
-    return spanning_generators(g.degree, map(Permutation._of, sorted(members)))
+    return PermGroup._spanned(g.degree, members)
 
 
 def pi_core(g: PermGroup, pi) -> PermGroup:
@@ -254,7 +254,7 @@ def sylow_basis(g: PermGroup) -> SylowBasis:
 def basis_normaliser(g: PermGroup, basis: SylowBasis) -> PermGroup:
     """Intersection of the normalisers of the basis members."""
     pairs = [(m, m) for m in basis.members.values()]
-    return spanning_generators(g.degree, g.conjugators(pairs))
+    return PermGroup._spanned(g.degree, frozenset(x.images for x in g.conjugators(pairs)))
 
 
 def is_normal_in(v: PermGroup, u: PermGroup) -> bool:

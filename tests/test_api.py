@@ -84,7 +84,7 @@ def test_each_bound_is_read_by_one_function():
     sources = {path.stem: path.read_text()
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
     assert bound_readers(sources, ["ENUMERATION_BOUND", "DEGREE_BOUND", "GROUP_CAP"]) == {
-        "ENUMERATION_BOUND": ["perm.PermGroup._listing"],
+        "ENUMERATION_BOUND": ["perm.PermGroup._members"],
         "DEGREE_BOUND": ["groupspec._parse_degree"],
         "GROUP_CAP": ["balloracle.exhaustive_applies"],
     }

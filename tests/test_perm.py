@@ -15,8 +15,7 @@ from treescale.errors import ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (Orbitals, PermGroup, Permutation,
                             _orbit_transversal, commutator_subgroup,
-                            is_subgroup, nilpotent_residual, normal_closure,
-                            spanning_generators)
+                            is_subgroup, nilpotent_residual, normal_closure)
 from treescale.supernat import prime_factors
 from treescale.sylow import _power, corpus, sylow_of_symmetric, sylow_subgroup
 
@@ -34,7 +33,56 @@ def chain_builds(monkeypatch):
     return built
 
 
+def schreier_generators_formed(monkeypatch):
+    """The list of every nontrivial Schreier generator formed from now on,
+    until the test ends."""
+    formed = []
+    original = perm._schreier_generators
+
+    def counting(*args):
+        for sg in original(*args):
+            formed.append(sg)
+            yield sg
+
+    monkeypatch.setattr(perm, "_schreier_generators", counting)
+    return formed
+
+
 S3_S3 = "gens:6:(1 2 3);(1 2);(4 5 6);(4 5)"
+
+# Groups whose order alone proves them soluble (4 does not divide it, or it
+# has at most two prime divisors), and groups whose order leaves it open,
+# as (degree, generators).
+ORDER_DECIDES = {
+    "C7:C3": (7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]),
+    "S3xC5": (8, ["(1 2 3)", "(1 2)", "(4 5 6 7 8)"]),
+}
+ORDER_LEAVES_OPEN = {
+    "S4xC5": (9, ["(1 2)", "(1 2 3 4)", "(5 6 7 8 9)"]),
+    "A5": (5, ["(1 2 3)", "(1 2 3 4 5)"]),
+    "S5": (5, ["(1 2)", "(1 2 3 4 5)"]),
+    "PSL(2,7)": (7, ["(1 2 3 4 5 6 7)", "(1 2)(3 6)"]),
+    "A5xC3": (8, ["(1 2 3)", "(1 2 3 4 5)", "(6 7 8)"]),
+    "A6": (6, ["(1 2 3)", "(2 3 4 5 6)"]),
+    "S6": (6, ["(1 2)", "(1 2 3 4 5 6)"]),
+    "A7": (7, ["(1 2 3)", "(1 2 3 4 5 6 7)"]),
+}
+NAMED_ORDERS = {"C7:C3": 21, "S3xC5": 30, "S4xC5": 120, "A5": 60, "S5": 120,
+                "PSL(2,7)": 168, "A5xC3": 180, "A6": 360, "S6": 720, "A7": 2520}
+
+
+def full_normal_closure(g, seeds):
+    """The normal closure on one chain that never stops early: every
+    conjugate of every generator taken is tried, each add completes the
+    chain, and the chain is returned."""
+    gens = list(PermGroup(g.degree, seeds).generators)
+    chain = perm._Chain(g.degree, gens)
+    for x in gens:
+        for c in g.generators:
+            y = x.conjugate(c)
+            if chain.add(y):
+                gens.append(y)
+    return chain
 
 
 def brute_force_elements(degree, gens):
@@ -712,7 +760,7 @@ def normaliser(g, h):
         raise PreconditionError("normaliser requires H <= G")
     if not h.generators:
         return g
-    return spanning_generators(g.degree, g.conjugators([(h, h)]))
+    return PermGroup._spanned(g.degree, frozenset(x.images for x in g.conjugators([(h, h)])))
 
 
 def lower_central_series(g):
@@ -796,6 +844,14 @@ class TestPredicates:
             orders.append(g.order())
         assert orders == [24, 12, 4, 1]
 
+    def test_commutators_with_a_subgroup_that_is_not_normal(self):
+        # [G, H] need not lie in H: [S4, <(1 2 3)>] is A4, and its first
+        # commutators already generate a group of order |H|
+        s4 = PermGroup.symmetric(4)
+        for h, order in ((PermGroup(4, ["(1 2 3)"]), 12), (PermGroup(4, ["(1 2)"]), 12),
+                         (PermGroup(4, ["(1 2)(3 4)"]), 4), (PermGroup(4, ["(1 2 3 4)"]), 12)):
+            assert commutator_subgroup(s4, h).order() == order
+
     def test_lower_central_stalls_for_sym3(self):
         g = PermGroup.symmetric(3)
         assert [h.order() for h in lower_central_series(g)] == [6, 3]
@@ -827,6 +883,50 @@ class TestPredicates:
         assert g.is_soluble()
         assert nilpotent_residual(g) is g._derived["derived"]
         assert [(a, b) for a, b in calls if a is g and b is g] == [(g, g)]
+
+
+class TestOrderCertificates:
+    @pytest.mark.parametrize("name", sorted(ORDER_DECIDES) + sorted(ORDER_LEAVES_OPEN))
+    def test_named_orders(self, name):
+        degree, gens = {**ORDER_DECIDES, **ORDER_LEAVES_OPEN}[name]
+        order = PermGroup(degree, gens).order()
+        assert order == NAMED_ORDERS[name]
+        assert perm._soluble_order(order) == (name in ORDER_DECIDES)
+
+    def test_soluble_orders(self):
+        # 4 does not divide n, or n has at most two prime divisors
+        assert [n for n in range(1, 130) if not perm._soluble_order(n)] == [60, 84, 120]
+        assert not perm._soluble_order(2 ** 2 * 3 * 5 * 7)
+        assert perm._soluble_order(2 * 3 * 5 * 7 * 11) and perm._soluble_order(2 ** 9 * 3 ** 4)
+
+    @pytest.mark.parametrize("g", [g for _, g in corpus()]
+                             + [PermGroup(d, gens) for d, gens in ORDER_DECIDES.values()]
+                             + [PermGroup.symmetric(4), PermGroup.dihedral(15)])
+    def test_a_certified_group_walks_no_series(self, monkeypatch, g):
+        calls = []
+        monkeypatch.setattr(perm, "commutator_subgroup", lambda *args: calls.append(args))
+        assert g.is_soluble() and calls == [] and "derived" not in g._derived
+
+    @pytest.mark.parametrize("g", [PermGroup.dihedral(4), sylow_of_symmetric(8, 2),
+                                   PermGroup.cyclic(9), PermGroup(6, ["(1 2)(3 4)"])])
+    def test_a_prime_power_group_is_nilpotent_with_no_series(self, monkeypatch, g):
+        calls = []
+        monkeypatch.setattr(perm, "_closure", lambda *args: calls.append(args))
+        residual = nilpotent_residual(g)
+        assert residual.order() == 1 and residual.generators == () and calls == []
+        assert g.is_nilpotent() and g.is_soluble()
+
+    def test_the_stall_step_stops_at_its_term(self, monkeypatch):
+        # [A7, A7] = A7: the full closure keeps sifting after the chain has
+        # reached |A7|, and the series step stops there
+        formed = schreier_generators_formed(monkeypatch)
+        a7 = PermGroup.alternating(7)
+        comms = [a.inverse() * b.inverse() * a * b for a in a7.generators for b in a7.generators]
+        assert full_normal_closure(a7, comms).order() == 2520
+        full = len(formed)
+        formed.clear()
+        assert not PermGroup.alternating(7).is_soluble()
+        assert 0 < len(formed) < full
 
 
 class TestMemo:
@@ -916,12 +1016,12 @@ class TestSubgroupAlgebra:
         g = PermGroup.symmetric(5)
         elements = g.elements()
         built = chain_builds(monkeypatch)
-        spanned = spanning_generators(5, elements[::-1])
-        assert spanned.order() == 120
+        spanned = PermGroup._spanned(5, g.element_set())
+        assert spanned.order() == 120 and spanned._element_set is g.element_set()
         assert all(x in spanned for x in elements)
-        assert spanning_generators(5, []).order() == 1
+        assert PermGroup._spanned(5, PermGroup(5).element_set()).order() == 1
         # one chain per spanning set, extended in place and kept by the group
-        assert len(built) == 2
+        assert len(built) == 2 and spanned._chain is built[0]
 
 
     def test_no_conjugator_between_groups_of_unequal_order(self):

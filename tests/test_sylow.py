@@ -5,13 +5,13 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treescale import sylow
+from treescale import perm, sylow
 from treescale.acceptance import normal_subgroups
 from treescale.errors import PreconditionError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
                             is_subgroup, meet_index, nilpotent_residual,
-                            normal_closure, spanning_generators)
+                            normal_closure)
 from treescale.supernat import prime_factors, valuation
 from treescale.sylow import (SylowBasis, are_permutable,
                              basis_normaliser, core_commensurability_check,
@@ -153,8 +153,7 @@ def intersect(h, k):
     if h.degree != k.degree:
         raise PreconditionError("degree mismatch")
     small, big = (h, k) if h.order() <= k.order() else (k, h)
-    common = [x for x in small.elements() if x in big]
-    return spanning_generators(h.degree, common)
+    return PermGroup._spanned(h.degree, frozenset(x.images for x in small.elements() if x in big))
 
 
 def reference_p_core(g, p):
@@ -257,7 +256,7 @@ class TestGrowthOnElementSets:
 
 def rebuilt_spanning_generators(degree, elements):
     """The greedy generating set, with a new group built for every element
-    taken; ``spanning_generators`` must take the same elements."""
+    taken; ``PermGroup._spanned`` must take the same elements."""
     gens = []
     group = PermGroup(degree)
     for x in elements:
@@ -297,16 +296,28 @@ def reference_pi_core(g, pi):
 
 
 def assert_closures_pinned(g):
-    """normal_closure and spanning_generators, which extend one chain, take
+    """normal_closure, the commutator closures of both series and
+    PermGroup._spanned, which extend one chain and stop at a ceiling, take
     the generators that rebuilding a group per element taken takes."""
     elements = g.elements()
     for x in elements[::max(1, len(elements) // 10)]:
         assert normal_closure(g, [x]).generators == rebuilt_normal_closure(g, [x]).generators
     comms = [a.inverse() * b.inverse() * a * b for a in g.generators for b in g.generators]
     assert normal_closure(g, comms).generators == rebuilt_normal_closure(g, comms).generators
-    for picked in (elements, elements[::-1], elements[1::3]):
-        assert (spanning_generators(g.degree, picked).generators
-                == tuple(rebuilt_spanning_generators(g.degree, picked)))
+    # the series steps: [G, G], and [G, H] for each later lower central
+    # term H, whose closure stops at |H|
+    for h in lower_central_series(g):
+        seeds = perm._commutators(g, h)
+        assert (perm._closure(g, seeds, h.order()).generators
+                == rebuilt_normal_closure(g, seeds).generators)
+    sets = [g.element_set()] + [s(g, p).element_set() for p in prime_factors(g.order())
+                                for s in (sylow_subgroup, p_core)]
+    for members in sets:
+        spanned = PermGroup._spanned(g.degree, members)
+        assert spanned.generators == tuple(rebuilt_spanning_generators(
+            g.degree, map(Permutation._of, sorted(members))))
+        assert spanned.element_set() is members
+        assert spanned.chain().order() == len(members)
 
 
 class TestClosuresPinnedToRebuilding:
@@ -319,18 +330,13 @@ class TestClosuresPinnedToRebuilding:
     def test_random_groups(self, g):
         assert_closures_pinned(g)
 
-    def test_degree_mismatch_is_refused(self):
-        for x in (Permutation.identity(2), Permutation.parse("(1 2)", 4)):
-            with pytest.raises(PreconditionError):
-                spanning_generators(3, [x])
-
     def test_one_chain_per_closure(self, monkeypatch):
         g = PermGroup.symmetric(6)
         g.elements()
         built = chain_builds(monkeypatch)
         closure = normal_closure(g, [Permutation.parse("(1 2 3)", 6)])
         assert closure.order() == 360 and len(built) == 1
-        spanning_generators(6, g.elements())
+        PermGroup._spanned(6, g.element_set())
         assert len(built) == 2
 
 
@@ -881,7 +887,7 @@ def assert_kernel_pinned(g, basis, k):
 
 
 def subgroup_list(g):
-    return [spanning_generators(g.degree, sorted(sub))
+    return [PermGroup._spanned(g.degree, frozenset(x.images for x in sub))
             for sub in sorted(all_subgroups(g), key=sorted)]
 
 
@@ -896,11 +902,17 @@ class TestMeetIndex:
     def test_subgroup_pairs(self, name):
         g = GROUPS[name]
         subs = sorted(all_subgroups(g), key=sorted)
-        groups = [spanning_generators(g.degree, sorted(sub)) for sub in subs]
-        # every ordered pair, so both the smaller and the larger group come first
+        groups = [PermGroup._spanned(g.degree, frozenset(x.images for x in sub))
+                  for sub in subs]
+        # every ordered pair, so both the smaller and the larger group come
+        # first; the spanned groups hold their element sets, and a fresh
+        # group on the same generators sifts through its chain
         for hs, h in zip(subs, groups):
             for ks, k in zip(subs, groups):
-                assert meet_index(h, k) == len(hs) // len(hs & ks)
+                expected = len(hs) // len(hs & ks)
+                assert meet_index(h, k) == expected
+                assert meet_index(PermGroup(h.degree, h.generators),
+                                  PermGroup(k.degree, k.generators)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(small_groups, st.lists(st.integers(0, 719), min_size=3, max_size=3))

@@ -7,15 +7,18 @@ subgroup; stabiliser-chain orders, bases and membership on structured
 generator sets, and the orders and elements of chains extended in place,
 chains of groups whose lower levels generate a whole symmetric or
 alternating group before the levels above them are complete,
-normal-closure orders, the orders that builtin groups start with, and
-membership in the Sylow subgroups grown over the built-in corpus.  Skipped
-when sympy is absent."""
+normal-closure orders, the orders that builtin groups start with,
+membership in the Sylow subgroups grown over the built-in corpus, and
+solubility and nilpotency read from the order against the full series.
+Every chain built or extended here with a ceiling must end at an order no
+larger than it.  Skipped when sympy is absent."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treescale import perm
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subgroup,
                             nilpotent_residual, normal_closure)
@@ -23,9 +26,39 @@ from treescale.supernat import prime_factors
 from treescale.sylow import corpus, fitting, p_core, sylow_subgroup
 
 from test_chain_properties import assert_transversals_valid, is_even
-from test_perm import brute_force_elements, chain_base, lower_central_series, orbit
+from test_perm import (NAMED_ORDERS, ORDER_DECIDES, ORDER_LEAVES_OPEN, brute_force_elements,
+                       chain_base, lower_central_series, orbit)
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def ceilings_are_upper_bounds():
+    """Every ``_Chain`` built or extended with a ceiling ends at an order no
+    larger than it, so a ceiling that is not a true upper bound fails the
+    test that set it."""
+    def guarded(method, at):
+        def call(chain, *args):
+            result = method(chain, *args)
+            ceiling = args[at] if len(args) > at else None
+            if ceiling and chain.order() > ceiling:
+                raise AssertionError(f"chain of order {chain.order()} passed its ceiling {ceiling}")
+            return result
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perm._Chain, "__init__", guarded(perm._Chain.__init__, 2))
+        patch.setattr(perm._Chain, "add", guarded(perm._Chain.add, 1))
+        yield
+
+
+def test_a_false_ceiling_is_caught():
+    s3 = [Permutation.parse("(1 2 3)", 3), Permutation.parse("(1 2)", 3)]
+    with pytest.raises(AssertionError, match="passed its ceiling 2"):
+        perm._Chain(3, s3, 2)
+    chain = perm._Chain(3, s3[:1], 3)
+    with pytest.raises(AssertionError, match="passed its ceiling 4"):
+        chain.add(s3[1], 4)
 
 
 @st.composite
@@ -291,6 +324,18 @@ def test_normal_closure_agrees_with_sympy(case, index):
     assert normal_closure(ours, [seed]).order() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(gens_specs(), st.integers(0, 5039))
+def test_commutator_subgroup_agrees_with_sympy(case, index):
+    # H is cyclic and need not be normal, so [G, H] need not lie in H
+    spec, degree, images = case
+    ours = parse_group_spec(spec).group
+    h = PermGroup(degree, [ours.elements()[index % ours.order()]])
+    theirs = sympy_group(degree, images)
+    expected = theirs.commutator(theirs, sympy_subgroup(h)).order()
+    assert commutator_subgroup(ours, h).order() == expected
+
+
 def derived_length(group):
     """Number of terms of the derived series G, G', G'', ... up to and
     including its first repeated order, the convention of sympy's
@@ -363,3 +408,45 @@ def test_grown_sylow_membership_agrees_with_sympy(name, group):
         theirs = sympy_subgroup(sylow)
         for x in group.elements():
             assert (x in sylow) == theirs.contains(sympy_permutation(x))
+
+
+def uncertified_soluble(group):
+    """Whether the derived series, each term from the public
+    ``commutator_subgroup`` and no order read as proof, reaches 1."""
+    while group.order() > 1:
+        nxt = commutator_subgroup(group, group)
+        if nxt.order() == group.order():
+            return False
+        group = nxt
+    return True
+
+
+def assert_certified_as_the_series(group):
+    """is_soluble and is_nilpotent, which stop where the order decides,
+    answer as the full series and as sympy."""
+    theirs = sympy_subgroup(group)
+    soluble, nilpotent = group.is_soluble(), group.is_nilpotent()
+    fresh = PermGroup(group.degree, group.generators)
+    assert soluble == uncertified_soluble(fresh) == theirs.is_solvable
+    assert nilpotent == (lower_central_series(fresh)[-1].order() == 1) == theirs.is_nilpotent
+
+
+@pytest.mark.parametrize("name, group", corpus())
+def test_corpus_certificates_agree_with_the_series(name, group):
+    assert_certified_as_the_series(group)
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_DECIDES) + sorted(ORDER_LEAVES_OPEN))
+def test_named_certificates_agree_with_the_series(name):
+    degree, gens = {**ORDER_DECIDES, **ORDER_LEAVES_OPEN}[name]
+    group = PermGroup(degree, gens)
+    assert group.order() == NAMED_ORDERS[name]
+    assert_certified_as_the_series(group)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.permutations(list(range(1, d + 1))), max_size=3).map(
+        lambda images, d=d: PermGroup(d, [Permutation(im) for im in images]))))
+def test_random_certificates_agree_with_the_series(group):
+    assert_certified_as_the_series(group)
