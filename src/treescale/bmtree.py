@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import InvalidAxisError, PreconditionError
 from .perm import Orbitals, PermGroup, Permutation, meet_index
 from .supernat import is_prime, prime_factors, valuation
-from .sylow import _require_prime, sylow_subgroup
+from .sylow import _grow_sylow, _require_prime, sylow_subgroup
 
 VALUE_CAP = 10 ** 6
 EXPONENT_CAP = 12
@@ -134,15 +134,17 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
     """Q: with P = F(p), a colour-indexed family of Sylow subgroups of point
     stabilisers, Q_c a Sylow p-subgroup of F_c containing P_c.
 
-    One Q_r is grown from P_r per P-orbit, r its least colour, and carried
-    along the orbit by ``PermGroup.conjugate``, so Q_{pi c} = pi Q_c pi^-1
-    for pi in P; a conjugate keeps Q_r's element set, conjugated, so meets
-    of the family build no chain.  One transversal of P at r gives both P_r
-    and the conjugators along the orbit; when P = F, P_r is F_r and serves
-    as both.  Used at every depth, one such family does not in general
-    define a local Sylow subgroup of U(F)_v: the group it generates on a
-    ball need not be a p-group (ROADMAP item 17).  Growing Q_r scans the
-    elements of F_r, so it is refused above the enumeration bound.
+    One Q_r is grown from P_r by ``sylow._grow_sylow`` per P-orbit, r its
+    least colour, and carried along the orbit by ``PermGroup.conjugate``,
+    so Q_{pi c} = pi Q_c pi^-1 for pi in P; a conjugate keeps Q_r's element
+    set, conjugated, so meets of the family build no chain.  One
+    transversal of P at r gives both P_r and the conjugators along the
+    orbit; when P = F, P_r is F_r and serves as both.  Used at every depth,
+    one such family does not in general define a local Sylow subgroup of
+    U(F)_v: the group it generates on a ball need not be a p-group (ROADMAP
+    item 17).  Growing Q_r scans the elements of F_r, so it is refused
+    above the enumeration bound.  P_r is a p-subgroup of F_r, as P is a
+    p-group, so the growth needs no check of its start.
     """
     root = sylow_subgroup(f, p)
     family: dict[int, PermGroup] = {}
@@ -152,7 +154,7 @@ def _local_sylow_family(f: PermGroup, p: int) -> dict[int, PermGroup]:
         trans = root._transversal(r)
         start = root._point_stabiliser(trans)
         fr = start if root is f else f.point_stabiliser(r)
-        q = sylow_subgroup(fr, p, start=start)
+        q = _grow_sylow(fr, p, start)
         for c, t in trans.items():
             family[c] = q.conjugate(t)
     return family

@@ -124,12 +124,6 @@ class Permutation:
             inv[img - 1] = i
         return Permutation._of(tuple(inv))
 
-    def conjugate(self, x: "Permutation") -> "Permutation":
-        """x * self * x^-1."""
-        if len(self.images) != len(x.images):
-            raise PreconditionError("degree mismatch in conjugation")
-        return Permutation._of(_conjugator(x.images)(self.images))
-
     def is_identity(self) -> bool:
         return self.images == _IDENTITY[len(self.images)]
 
@@ -304,13 +298,10 @@ class _Chain:
         self._complete(degree - 1, ceiling)
 
     def add(self, g: Permutation, ceiling: int | None = None) -> bool:
-        """Extend the group by g in place: sift g, place the residue and
-        complete the chain from its level, up to the ceiling when one is
-        given for the group that g extends.  False, with nothing changed,
-        when g is already a member."""
-        if g.degree != self.degree:
-            raise PreconditionError(
-                f"generator degree {g.degree} does not match group degree {self.degree}")
+        """Extend the group by g, of the chain's degree, in place: sift g,
+        place the residue and complete the chain from its level, up to the
+        ceiling when one is given for the group that g extends.  False, with
+        nothing changed, when g is already a member."""
         residue = self._sift_from(0, g.images)
         if residue is None:
             return False
@@ -449,8 +440,8 @@ class PermGroup:
     So are, through ``_memo``, the values derived from the group as a whole:
     ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
     by the derived and lower central series), ``nilpotent_residual``, per
-    prime p ``sylow.sylow_subgroup`` without ``start`` (key ``("sylow",
-    p)``, the designated Sylow subgroup F(p)), ``sylow.p_core`` and the
+    prime p ``sylow.sylow_subgroup`` (key ``("sylow", p)``, the designated
+    Sylow subgroup F(p)), ``sylow.p_core`` and the
     local orbital table of ``bmtree``, the spectrum DP's plan of ``bmtree``
     (key ``("spectrum_plan", p)``, p None for values) and its values
     lattice (key ``("value_lattice", cap, reach)``, reach the word length
@@ -681,8 +672,9 @@ class PermGroup:
 
     def _derived_subgroup(self) -> "PermGroup":
         """[G, G], the step of the derived series and the first step of the
-        lower central series.  Cached."""
-        return self._memo("derived", lambda: commutator_subgroup(self, self))
+        lower central series, a normal closure up to |G|.  Cached."""
+        return self._memo("derived", lambda: _closure(self, _commutators(self, self),
+                                                      self.order()))
 
     def conjugate(self, g: Permutation) -> "PermGroup":
         """The conjugate g G g^-1; G itself when g is its identity.  It
@@ -734,12 +726,6 @@ def normal_closure(g: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and normalised by G, grown on
     one chain that stops at |G|."""
     return _closure(g, seeds, g.order())
-
-
-def commutator_subgroup(g: PermGroup, h: PermGroup) -> PermGroup:
-    """[G, H] for H <= G, as a normal closure in G; H need not be normal,
-    so only |G| bounds it."""
-    return _closure(g, _commutators(g, h), g.order())
 
 
 def _commutators(g: PermGroup, h: PermGroup) -> list[Permutation]:

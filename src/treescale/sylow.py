@@ -26,12 +26,25 @@ def p_part_of_order(g: PermGroup, p: int) -> int:
     return p ** valuation(g.order(), p)
 
 
-def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> PermGroup:
-    """A Sylow p-subgroup of g containing the p-subgroup ``start``, grown
-    one p-step at a time.  Without ``start`` it is the designated one, F(p)
-    of ``bmtree``, cached on g, write-once per prime: the block subgroup
-    ``sylow_of_symmetric`` when |g| = k! on k points, g itself when |g| is
-    a power of p, and otherwise grown from the trivial group.
+def sylow_subgroup(g: PermGroup, p: int) -> PermGroup:
+    """The designated Sylow p-subgroup of g, F(p) of ``bmtree``, cached on
+    g, write-once per prime: the block subgroup ``sylow_of_symmetric`` when
+    |g| = k! on k points, g itself when |g| is a power of p, and otherwise
+    grown from the trivial group by ``_grow_sylow``."""
+    _require_prime(p)
+
+    def make() -> PermGroup:
+        if g.order() == factorial(g.degree):
+            return sylow_of_symmetric(g.degree, p)
+        if g.order() == p_part_of_order(g, p):
+            return g
+        return _grow_sylow(g, p, PermGroup(g.degree))
+    return g._memo(("sylow", p), make)
+
+
+def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
+    """A Sylow p-subgroup of g containing its p-subgroup ``start``, grown
+    one p-step at a time.
 
     At each step the elements of g are scanned in canonical element order
     for the first one outside the current p-subgroup H that normalises H
@@ -43,23 +56,6 @@ def sylow_subgroup(g: PermGroup, p: int, *, start: PermGroup | None = None) -> P
     it need no chain.  Such an element exists while H is not Sylow, since H
     is then a proper normal subgroup of a p-subgroup of its normaliser.
     """
-    _require_prime(p)
-    if start is None:
-        return g._memo(("sylow", p), lambda: _default_sylow(g, p))
-    if not is_subgroup(start, g) or start.order() != p_part_of_order(start, p):
-        raise PreconditionError(f"start must be a {p}-subgroup of the group")
-    return _grow_sylow(g, p, start)
-
-
-def _default_sylow(g: PermGroup, p: int) -> PermGroup:
-    if g.order() == factorial(g.degree):
-        return sylow_of_symmetric(g.degree, p)
-    if g.order() == p_part_of_order(g, p):
-        return g
-    return _grow_sylow(g, p, PermGroup(g.degree))
-
-
-def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     target = p_part_of_order(g, p)
     gens = list(start.generators)
     members = set(start.element_set())

@@ -4,8 +4,10 @@ degree bound and the explicit-oracle cap are each read by exactly one
 function; InvalidAxisError is read only where an axis is built, and only
 the inverse axis is built unchecked; every exported name resolves; no
 module or test file imports a name it never uses, no module defines a
-private name that no module reads, and no public name is read only by
-the tests; no two helper functions of the tests share a body; the ball
+private name that no module reads, no public name is read only by the
+tests, and every definition of a public method name that two classes
+share is called by the sylow and inclusion suites; no two helper
+functions of the tests share a body; the ball
 walk reads no orbital table and no bmtree name but AxisData; and only the
 itemgetter kernels of perm compose image tuples."""
 
@@ -17,6 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 import treescale
+from treescale import acceptance
 from treescale.perm import PermGroup
 
 
@@ -332,6 +335,40 @@ def test_no_public_name_is_read_only_by_tests():
     sources["acceptance"] += "\n\ndef all_subgroups(g):\n    return {g}\n"
     assert unread_public_names(sources, readers, treescale.__all__) == [
         "acceptance.all_subgroups"]
+
+
+def shared_method_names() -> dict[str, list[type]]:
+    """Each public method name that two or more classes of treescale
+    define, with those classes."""
+    owners: dict[str, list[type]] = {}
+    for qualified, _ in defined_callables():
+        package, module, *owner, name = qualified.split(".")
+        if owner and not name.startswith("_"):
+            cls = getattr(importlib.import_module(f"{package}.{module}"), owner[0])
+            owners.setdefault(name, []).append(cls)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_every_definition_of_a_shared_method_name_is_called(monkeypatch):
+    # the guard above counts reads by name, so it cannot see a method
+    # whose name another class's method shares and is read under
+    shared = shared_method_names()
+    assert {"order", "elements"} <= set(shared)
+    calls = {}
+    for name, classes in shared.items():
+        for cls in classes:
+            key, original = f"{cls.__qualname__}.{name}", vars(cls)[name]
+            fn = getattr(original, "__func__", original)
+            calls[key] = 0
+
+            def counting(*args, fn=fn, key=key, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting if fn is original else type(original)(counting))
+    acceptance.run_suite("sylow")
+    acceptance.run_suite("inclusion")
+    assert [key for key, n in calls.items() if n == 0] == []
 
 
 def duplicate_helpers(sources: dict[str, str]) -> list[list[str]]:

@@ -13,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 from treescale import balloracle, bmtree, cli, perm
 from treescale.errors import ParseError, PreconditionError
 from treescale.groupspec import parse_group_spec
-from treescale.perm import (Orbitals, PermGroup, Permutation,
-                            _orbit_transversal, commutator_subgroup,
+from treescale.perm import (Orbitals, PermGroup, Permutation, _orbit_transversal,
                             is_subgroup, nilpotent_residual, normal_closure)
 from treescale.supernat import prime_factors
-from treescale.sylow import _power, corpus, sylow_of_symmetric, sylow_subgroup
+from treescale.sylow import _grow_sylow, _power, corpus, sylow_of_symmetric, sylow_subgroup
 
 
 def chain_builds(monkeypatch):
@@ -79,7 +78,7 @@ def full_normal_closure(g, seeds):
     chain = perm._Chain(g.degree, gens)
     for x in gens:
         for c in g.generators:
-            y = x.conjugate(c)
+            y = c * x * c.inverse()
             if chain.add(y):
                 gens.append(y)
     return chain
@@ -254,13 +253,6 @@ class TestKernel:
         assert_built_as(Permutation(p).inverse(), tuple_inverse(p))
 
     @given(kernel_cases(2))
-    def test_conjugate(self, case):
-        y, x = case
-        got = Permutation(y).conjugate(Permutation(x))
-        assert_built_as(got, tuple_conjugate(y, x))
-        assert got == Permutation(x) * Permutation(y) * Permutation(x).inverse()
-
-    @given(kernel_cases(2))
     def test_maps_on_image_tuples(self, case):
         # what the scans apply to bare tuples, each map made once per x
         y, x = case
@@ -282,8 +274,6 @@ class TestKernel:
         (p,), (q,) = case
         with pytest.raises(PreconditionError):
             Permutation(p) * Permutation(q)
-        with pytest.raises(PreconditionError):
-            Permutation(p).conjugate(Permutation(q))
 
 
 class TestGenerators:
@@ -763,8 +753,16 @@ def normaliser(g, h):
     return PermGroup._spanned(g.degree, frozenset(x.images for x in g.conjugators([(h, h)])))
 
 
+def commutator_subgroup(g, h):
+    """[G, H] for H <= G, which need not be normal: the normal closure in G
+    of every commutator a^-1 b^-1 a b of a generator a of G and b of H,
+    with no a-before-b shortcut."""
+    return normal_closure(g, [a.inverse() * b.inverse() * a * b
+                              for a in g.generators for b in h.generators])
+
+
 def lower_central_series(g):
-    """G, [G, G], [G, [G, G]], ... from the public ``commutator_subgroup``,
+    """G, [G, G], [G, [G, G]], ... from the reference ``commutator_subgroup``,
     up to the trivial group or the last term before the first repeated
     order, where sympy's ``lower_central_series`` also stops."""
     series = [g]
@@ -844,14 +842,6 @@ class TestPredicates:
             orders.append(g.order())
         assert orders == [24, 12, 4, 1]
 
-    def test_commutators_with_a_subgroup_that_is_not_normal(self):
-        # [G, H] need not lie in H: [S4, <(1 2 3)>] is A4, and its first
-        # commutators already generate a group of order |H|
-        s4 = PermGroup.symmetric(4)
-        for h, order in ((PermGroup(4, ["(1 2 3)"]), 12), (PermGroup(4, ["(1 2)"]), 12),
-                         (PermGroup(4, ["(1 2)(3 4)"]), 4), (PermGroup(4, ["(1 2 3 4)"]), 12)):
-            assert commutator_subgroup(s4, h).order() == order
-
     def test_lower_central_stalls_for_sym3(self):
         g = PermGroup.symmetric(3)
         assert [h.order() for h in lower_central_series(g)] == [6, 3]
@@ -871,18 +861,20 @@ class TestPredicates:
                                   "soluble": soluble}
 
     def test_both_series_share_one_derived_subgroup(self, monkeypatch):
+        # [G, G] is the one closure of G up to |G|; a lower central step
+        # [G, H] stops at |H| < |G|
         calls = []
-        original = perm.commutator_subgroup
+        original = perm._closure
 
-        def counting(g, h):
-            calls.append((g, h))
-            return original(g, h)
+        def counting(g, seeds, ceiling):
+            calls.append((g, ceiling))
+            return original(g, seeds, ceiling)
 
-        monkeypatch.setattr(perm, "commutator_subgroup", counting)
+        monkeypatch.setattr(perm, "_closure", counting)
         g = PermGroup.symmetric(4)
         assert g.is_soluble()
         assert nilpotent_residual(g) is g._derived["derived"]
-        assert [(a, b) for a, b in calls if a is g and b is g] == [(g, g)]
+        assert [(a, c) for a, c in calls if a is g and c == g.order()] == [(g, 24)]
 
 
 class TestOrderCertificates:
@@ -904,7 +896,7 @@ class TestOrderCertificates:
                              + [PermGroup.symmetric(4), PermGroup.dihedral(15)])
     def test_a_certified_group_walks_no_series(self, monkeypatch, g):
         calls = []
-        monkeypatch.setattr(perm, "commutator_subgroup", lambda *args: calls.append(args))
+        monkeypatch.setattr(perm, "_closure", lambda *args: calls.append(args))
         assert g.is_soluble() and calls == [] and "derived" not in g._derived
 
     @pytest.mark.parametrize("g", [PermGroup.dihedral(4), sylow_of_symmetric(8, 2),
@@ -1006,7 +998,7 @@ class TestSubgroupAlgebra:
                 continue
             trans = root._transversal(r)
             start = root.point_stabiliser(r)
-            q = sylow_subgroup(f.point_stabiliser(r), p, start=start)
+            q = _grow_sylow(f.point_stabiliser(r), p, start)
             for c, t in trans.items():
                 expected[c] = {(t * y * t.inverse()).images for y in q.elements()}
         family = bmtree._local_sylow_family(f, p)

