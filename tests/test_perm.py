@@ -253,6 +253,17 @@ class TestKernel:
         assert_built_as(Permutation(p).inverse(), tuple_inverse(p))
 
     @given(kernel_cases(2))
+    def test_conjugate(self, case):
+        # the conjugation kernel and PermGroup.conjugate agree with the
+        # product x * y * x^-1 of checked permutations
+        y, x = case
+        px, py = Permutation(x), Permutation(y)
+        expected = px * py * px.inverse()
+        assert_built_as(Permutation._of(perm._conjugator(x)(y)), expected.images)
+        assert (PermGroup(len(y), [py]).conjugate(px).element_set()
+                == PermGroup(len(y), [expected]).element_set())
+
+    @given(kernel_cases(2))
     def test_maps_on_image_tuples(self, case):
         # what the scans apply to bare tuples, each map made once per x
         y, x = case
@@ -841,6 +852,17 @@ class TestPredicates:
             g = commutator_subgroup(g, g)
             orders.append(g.order())
         assert orders == [24, 12, 4, 1]
+
+    def test_commutators_with_a_subgroup_that_is_not_normal(self):
+        # [G, H] need not lie in H: [S4, <(1 2 3)>] is A4, and its first
+        # commutators already generate a group of order |H|; the closure of
+        # the engine's commutators for a general H is the reference [G, H]
+        s4 = PermGroup.symmetric(4)
+        for h, order in ((PermGroup(4, ["(1 2 3)"]), 12), (PermGroup(4, ["(1 2)"]), 12),
+                         (PermGroup(4, ["(1 2)(3 4)"]), 4), (PermGroup(4, ["(1 2 3 4)"]), 12)):
+            got = normal_closure(s4, perm._commutators(s4, h))
+            assert got.order() == order
+            assert got.element_set() == commutator_subgroup(s4, h).element_set()
 
     def test_lower_central_stalls_for_sym3(self):
         g = PermGroup.symmetric(3)

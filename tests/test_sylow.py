@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from treescale import perm, sylow
+from treescale import bmtree, perm, sylow
 from treescale.acceptance import normal_subgroups
 from treescale.errors import PreconditionError
 from treescale.groupspec import parse_group_spec
@@ -102,6 +102,26 @@ class TestSylowSubgroup:
             s = _grow_sylow(g, p, start)
             assert s.order() == p_part_of_order(g, p)
             assert all(x in s for x in start.generators)
+
+    def test_start_must_be_a_p_subgroup(self, monkeypatch):
+        # _grow_sylow does not check its start: every start the local Sylow
+        # family grows from, P_r for P = F(p), is a p-subgroup of F_r
+        starts = []
+
+        def recording(g, p, start):
+            starts.append((g, p, start))
+            return _grow_sylow(g, p, start)
+
+        monkeypatch.setattr(bmtree, "_grow_sylow", recording)
+        for spec, p in (("sym:4", 2), ("sym:4", 3), ("sym:5", 2), ("alt:5", 2),
+                        ("dihedral:6", 2), ("sylow:2:sym:8", 2),
+                        ("gens:8:(1 2);(1 3 5 7)(2 4 6 8)", 2)):
+            del starts[:]
+            bmtree._local_sylow_family(parse_group_spec(spec).group, p)
+            assert starts
+            for g, q, start in starts:
+                assert q == p and is_subgroup(start, g)
+                assert start.order() == p_part_of_order(start, p)
 
     def test_generic_algorithm_refuses_huge_groups(self):
         with pytest.raises(PreconditionError, match="enumeration bound"):
