@@ -12,6 +12,7 @@ Points are 1-based throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from operator import itemgetter
@@ -400,19 +401,27 @@ class _Chain:
             n *= len(trans)
         return n
 
-    def elements(self) -> list[tuple[int, ...]]:
+    def elements(self, by_coset: bool = False):
         """The image tuples of every element t_1 t_2 ... t_k, t_i from level
         i's transversal; from the deepest level up, one getter per partial
-        product applied to each 0-padded t_i (none at degree 1); unsorted."""
+        product applied to each 0-padded t_i (none at degree 1); unsorted.
+        The last product, at the first level whose orbit is not one point,
+        gives one coset t H per t of its transversal, in increasing point
+        order, H the group of the levels below.  By coset, for a group that
+        moves some point, a function from i to the i-th such coset instead,
+        which composes only that coset."""
+        levels = [[(0,) + trans[pt].images for pt in sorted(trans)]
+                  for trans in self.orbits if len(trans) > 1]
         result = [_IDENTITY[self.degree]]
-        for i in range(self.degree - 1, -1, -1):
-            trans = self.orbits[i]
-            if len(trans) == 1:
-                continue
+        for ts in levels[:0:-1]:
             getters = [itemgetter(*h) for h in result]
-            result = [get(t) for t in [(0,) + trans[pt].images for pt in sorted(trans)]
-                      for get in getters]
-        return result
+            result = [get(t) for t in ts for get in getters]
+        if not levels:
+            return result
+        top, getters = levels[0], [itemgetter(*h) for h in result]
+        if by_coset:
+            return lambda i: [get(t) for t in [top[i]] for get in getters]
+        return [get(t) for t in top for get in getters]
 
 
 class Orbitals(NamedTuple):
@@ -435,9 +444,11 @@ class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
     Values are immutable; the stabiliser chain, order, canonical listing
-    of image tuples, element list (the listing wrapped), element set (of
-    image tuples, made unsorted) and orbital table are write-once caches.
-    So are, through ``_memo``, the values derived from the group as a whole:
+    of image tuples, its sorted cosets (``_scan``, until the listing joins
+    them), element list (the listing wrapped), element set (of image
+    tuples, made unsorted) and orbital table are write-once caches.  So
+    are, through ``_memo``, the values derived from the group as a whole:
+    the least moved point b and |G_b| (key ``stabiliser``),
     ``is_soluble()``, the derived subgroup [G, G] (key ``derived``, shared
     by the derived and lower central series), ``nilpotent_residual``, per
     prime p ``sylow.sylow_subgroup`` (key ``("sylow", p)``, the designated
@@ -461,12 +472,14 @@ class PermGroup:
     does a group spanned from a subgroup's full element set (``_spanned``,
     for p-cores and basis normalisers).  A conjugate starts with what its
     group knows: the order and, when the group holds one, the conjugated
-    element set.  Scans read the canonical listing and wrap only the
-    elements they return.
+    element set.  Scans that stop at a first witness read the canonical
+    listing one sorted coset at a time (``_scan``), full scans that need
+    no order read the members unsorted, and both wrap only the elements
+    they return.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_listed", "_elements",
-                 "_element_set", "_orbitals", "_derived")
+    __slots__ = ("degree", "generators", "_chain", "_order", "_listed", "_cosets",
+                 "_elements", "_element_set", "_orbitals", "_derived")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -487,6 +500,7 @@ class PermGroup:
         self._chain = None
         self._order = None
         self._listed = None
+        self._cosets = None
         self._elements = None
         self._element_set = None
         self._orbitals = None
@@ -584,19 +598,62 @@ class PermGroup:
             return g.images in self._element_set
         return g.degree == self.degree and self.chain().contains(g)
 
-    def _members(self):
-        """The image tuples of all elements in no set order: the listing or
-        the element set when held, else the chain's; the one place the
-        enumeration bound is checked."""
+    def _bounded_order(self) -> int:
+        """The order, refused above the enumeration bound: the one place
+        the bound is checked, before anything lists elements."""
         if self.order() > ENUMERATION_BOUND:
             raise PreconditionError(f"group order {self.order()} exceeds "
                                     f"enumeration bound {ENUMERATION_BOUND}")
+        return self.order()
+
+    def _members(self):
+        """The image tuples of all elements in no set order: the listing or
+        the element set when held, else the chain's; the listing once a
+        scan has begun its cosets."""
+        self._bounded_order()
+        if self._cosets is not None:
+            return self._listing()
         return self._listed or self._element_set or self.chain().elements()
 
+    def _stabiliser(self) -> tuple[int, int]:
+        """(b, |G_b|) for b the least point that G moves, G nontrivial: |G|
+        over the length of b's orbit in the chain.  Cached."""
+        def make():
+            b = min(x.min_moved() for x in self.generators)
+            return b, self._bounded_order() // len(self.chain().orbits[b - 1])
+        return self._memo("stabiliser", make)
+
+    def _scan(self, skip: bool = False):
+        """The listing, from entry |G_b| on with skip, for scans that stop
+        at a first witness.  Every element fixes the points before b, the
+        least point that G moves, so the listing is the sorted cosets u_q
+        G_b, q over b's orbit in increasing order: each is composed and
+        sorted when a scan first reaches it and kept until the listing
+        joins them.  A group holding its listing, or its element set before
+        any scan, reads the listing."""
+        state = self._cosets  # read once: a join elsewhere may drop it
+        if state is None:
+            if self._listed is not None or self._element_set is not None:
+                inner = self._stabiliser()[1] if skip else 0
+                return itertools.islice(self._listing(), inner, None)
+            cosets = [None] * (self.order() // self._stabiliser()[1])
+            compose = self.chain().elements(by_coset=True)
+
+            def coset(i: int) -> list[tuple[int, ...]]:
+                if cosets[i] is None:
+                    cosets[i] = sorted(compose(i))
+                return cosets[i]
+            state = self._cosets = coset, len(cosets)
+        coset, count = state
+        return itertools.chain.from_iterable(map(coset, range(skip, count)))
+
     def _listing(self) -> list[tuple[int, ...]]:
-        """The image tuples of all elements in canonical order, for scans."""
+        """The image tuples of all elements in canonical order: the cosets
+        of ``_scan`` joined when a scan has begun them, else the members
+        sorted."""
         if self._listed is None:
-            self._listed = sorted(self._members())
+            self._listed = list(self._scan()) if self._cosets else sorted(self._members())
+            self._cosets = None
         return self._listed
 
     def elements(self) -> tuple[Permutation, ...]:
@@ -692,13 +749,15 @@ class PermGroup:
                                 order=self._order, elements=members)
 
     def conjugators(self, pairs):
-        """Each x in G, in canonical element order, with x H x^-1 = K for
-        every pair (H, K); none when some pair has unequal orders."""
+        """Each x in G, in no set order, with x H x^-1 = K for every pair
+        (H, K); none when some pair has unequal orders.  A full scan: it
+        reads the members unsorted, so callers that need more than the
+        whole set or whether any exists must sort what they take."""
         pairs = list(pairs)
         if any(h.order() != k.order() for h, k in pairs):
             return
         checks = [([y.images for y in h.generators], k.element_set()) for h, k in pairs]
-        for xs in self._listing():
+        for xs in self._members():
             conj = _conjugator(xs)
             if all(conj(y) in kset for gens, kset in checks for y in gens):
                 yield Permutation._of(xs)

@@ -55,14 +55,24 @@ def _grow_sylow(g: PermGroup, p: int, start: PermGroup) -> PermGroup:
     element set and order already known, so that membership and listing on
     it need no chain.  Such an element exists while H is not Sylow, since H
     is then a proper normal subgroup of a p-subgroup of its normaliser.
+
+    The scan reads the listing one coset of G_b at a time, b the least
+    point that g moves (``PermGroup._scan``), and stops at the witness.
+    When every generator of H fixes b and |H| is the p-part of |G_b|, H is
+    Sylow in G_b, so no witness lies there (it would give a larger
+    p-subgroup of G_b) and the scan starts after G_b, which leads the
+    listing: for H = 1 that is when p does not divide |G_b|.
     """
     target = p_part_of_order(g, p)
     gens = list(start.generators)
     members = set(start.element_set())
     while len(members) < target:
         images = [y.images for y in gens]
+        b, inner = g._stabiliser()
+        # when H fixes b, |H| divides |G_b|: it is the p-part iff p|H| does not
+        skip = inner % (p * len(members)) != 0 and all(y[b - 1] == b for y in images)
         # the p-th power test first: it rejects more candidates
-        grown = next((xs for xs in g._listing()
+        grown = next((xs for xs in g._scan(skip)
                       if xs not in members and _power(xs, p) in members
                       and all(z in members for z in map(_conjugator(xs), images))), None)
         if grown is None:
@@ -238,7 +248,7 @@ def sylow_basis(g: PermGroup) -> SylowBasis:
     members: dict[int, PermGroup] = {}
     for p in sorted(prime_factors(g.order())):
         base = sylow_subgroup(g, p)
-        candidates = map(base.conjugate, g.elements())
+        candidates = map(base.conjugate, map(Permutation._of, g._scan()))
         fit = next((c for c in candidates
                     if all(are_permutable(c, old) for old in members.values())), None)
         if fit is None:

@@ -8,8 +8,9 @@ private name that no module reads, no public name is read only by the
 tests, and every definition of a public method name that two classes
 share is called by the sylow and inclusion suites; no two helper
 functions of the tests share a body; the ball
-walk reads no orbital table and no bmtree name but AxisData; and only the
-itemgetter kernels of perm compose image tuples."""
+walk reads no orbital table and no bmtree name but AxisData; only the
+itemgetter kernels of perm compose image tuples; and no scan that stops
+at its first witness lists the whole group first."""
 
 import ast
 import importlib
@@ -87,7 +88,7 @@ def test_each_bound_is_read_by_one_function():
     sources = {path.stem: path.read_text()
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
     assert bound_readers(sources, ["ENUMERATION_BOUND", "DEGREE_BOUND", "GROUP_CAP"]) == {
-        "ENUMERATION_BOUND": ["perm.PermGroup._members"],
+        "ENUMERATION_BOUND": ["perm.PermGroup._bounded_order"],
         "DEGREE_BOUND": ["groupspec._parse_degree"],
         "GROUP_CAP": ["balloracle.exhaustive_applies"],
     }
@@ -185,6 +186,51 @@ def test_image_tuples_are_composed_only_by_the_kernels():
     sources = {stem: (package / f"{stem}.py").read_text() for stem in ("perm", "sylow")}
     assert per_index_compositions(sources) == []
     assert bound_readers(sources, ["itemgetter"], called_names) == {"itemgetter": IMAGE_KERNELS}
+
+
+def listing_witness_scans(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and methods with a ``next(...)`` call,
+    a scan that stops at its first witness, that iterates a call of
+    ``_listing`` or ``elements``: in its own argument, or in the value
+    assigned to a name that the argument reads."""
+    found = []
+    for module, source in sources.items():
+        for qualified, function in module_functions(module, source):
+            assigned = {}
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            assigned.setdefault(target.id, []).append(node.value)
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "next" and node.args):
+                    continue
+                scanned = [node.args[0]] + [value for name in ast.walk(node.args[0])
+                                            if isinstance(name, ast.Name)
+                                            for value in assigned.get(name.id, [])]
+                if any(called_names(tree)[attr] for tree in scanned
+                       for attr in ("_listing", "elements")):
+                    found.append(qualified)
+                    break
+    return found
+
+
+def test_listing_witness_scan_finder():
+    sources = {"a": "def f(g):\n    return next(x for x in g._listing() if x)\n"
+                    "def h(g, b):\n    c = map(b.conjugate, g.elements())\n"
+                    "    return next((y for y in c if y), None)\n"
+                    "class C:\n    def m(self, g):\n        return next(iter(g._scan()))\n"
+                    "    def full(self, g):\n        return [x for x in g.elements() if x]"}
+    assert listing_witness_scans(sources) == ["a.f", "a.h"]
+
+
+def test_no_first_witness_scan_lists_the_whole_group():
+    # a scan that stops at its first witness reads the listing one coset
+    # at a time through PermGroup._scan, so it never lists all of G first
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
+    assert listing_witness_scans(sources) == []
 
 
 def test_every_exported_name_resolves():

@@ -5,9 +5,14 @@ against sympy on degrees up to 32; and every kernel on groups of degree 1
 and 2.  A kernel indexes a 0-padded tuple with ``operator.itemgetter``,
 and itemgetter of one index returns the bare point, not a 1-tuple, so
 degree 1 is answered apart.  ``TestKernel`` in ``test_perm`` checks the
-products, inverses and conjugation maps on single permutations."""
+products, inverses and conjugation maps on single permutations.  Last,
+the scan that reads the listing one sorted coset at a time, with and
+without its skip past the stabiliser, is checked against the sorted
+closure, and the Sylow growth that uses it against a growth that scans
+the whole sorted listing."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +23,8 @@ from treescale.errors import InvalidAxisError
 from treescale.groupspec import parse_group_spec
 from treescale.perm import (PermGroup, Permutation, _Chain, _InverseImages,
                             _orbit_transversal, is_subgroup, normal_closure)
-from treescale.sylow import _power, p_core, sylow_subgroup
+from treescale.supernat import prime_factors, valuation
+from treescale.sylow import _grow_sylow, _power, p_core, sylow_subgroup
 
 from test_perm import (assert_built_as, brute_force_elements, reference_schreier_generators,
                        tuple_conjugate, tuple_inverse, tuple_power, tuple_product)
@@ -84,6 +90,10 @@ def test_chain_kernels_match_their_references(case):
     listing = chain.elements()
     assert listing == comprehension_listing(chain)
     assert len(listing) == chain.order() and set(listing) == members
+    if len(members) > 1:  # the cosets of the first level that moves a point
+        compose = chain.elements(by_coset=True)
+        count = next(len(trans) for trans in chain.orbits if len(trans) > 1)
+        assert [xs for i in range(count) for xs in compose(i)] == listing
     for h in candidates:
         assert chain._sift_from(0, h) == comprehension_sift(chain, h)
         assert chain.contains(Permutation(h)) == (h in members)
@@ -158,3 +168,149 @@ def test_every_kernel_answers_degrees_one_and_two(spec):
             AxisData(g, identity, (1,))
     else:
         assert scale(AxisData(g, identity, (1, 2))) == 1
+
+
+# groups of degree 1 to 8 for the coset scan: trivial ones, groups that fix
+# their leading points, and a few whole builtin groups
+SCAN_SPECS = ["trivial:1", "sym:1", "sym:2", "trivial:5", "gens:6:(4 5)",
+              "gens:8:(6 7 8);(7 8)", "gens:7:(3 4)(5 6);(3 5)(4 6)", "sym:4", "alt:5",
+              "dihedral:6", "cyclic:8"]
+
+
+@st.composite
+def scan_specs(draw):
+    """A spec from SCAN_SPECS, or one of degree 1 to 8 whose generators
+    move at most six points, often not the leading ones."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SCAN_SPECS))
+    degree = draw(st.integers(1, 8))
+    moved = draw(st.lists(st.integers(1, degree), unique=True, max_size=6))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        images = list(range(1, degree + 1))
+        for a, b in zip(moved, draw(st.permutations(moved))):
+            images[a - 1] = b
+        gens.append(str(Permutation(images)))
+    return f"gens:{degree}:" + ";".join(gens)
+
+
+def fresh(spec):
+    """A new group for spec, with no listing, coset or element set yet
+    unless its construction gives one."""
+    return parse_group_spec(spec).group
+
+
+def stabiliser_of_least_moved(members):
+    """(b, |G_b|) from the element tuples: b the least point some element
+    moves, G_b the elements that fix it."""
+    b = min(i for xs in members for i, x in enumerate(xs, 1) if x != i)
+    return b, sum(xs[b - 1] == b for xs in members)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scan_specs(), st.integers(0, 60))
+def test_the_coset_scan_yields_the_listing(spec, stop):
+    g = fresh(spec)
+    listing = sorted(brute_force_elements(g.degree, g.generators))
+    assert list(itertools.islice(g._scan(), stop)) == listing[:stop]
+    assert list(g._scan()) == listing and g._listing() == listing
+    # the listing joined from cosets a partial scan sorted, and the
+    # members read from them
+    h = fresh(spec)
+    assert list(itertools.islice(h._scan(), stop)) == listing[:stop]
+    assert sorted(h._members()) == listing and h._listing() == listing
+    assert list(h._scan()) == listing
+    assert fresh(spec)._listing() == listing
+
+
+@settings(max_examples=120, deadline=None)
+@given(scan_specs(), st.integers(0, 60))
+def test_the_skip_yields_the_listing_after_the_stabiliser(spec, stop):
+    members = brute_force_elements(fresh(spec).degree, fresh(spec).generators)
+    if len(members) == 1:
+        return
+    listing = sorted(members)
+    b, inner = stabiliser_of_least_moved(members)
+    g = fresh(spec)
+    assert g._stabiliser() == (b, inner) and listing[inner - 1][b - 1] == b
+    assert list(g._scan(True)) == listing[inner:]
+    # after a partial scan, from a held listing and from a held element set
+    h = fresh(spec)
+    assert list(itertools.islice(h._scan(), stop)) == listing[:stop]
+    assert list(h._scan(True)) == listing[inner:]
+    h._listing()
+    assert list(h._scan(True)) == listing[inner:]
+    e = fresh(spec)
+    e.element_set()
+    assert list(e._scan(True)) == listing[inner:] and list(e._scan()) == listing
+
+
+def full_scan_sylow(spec, p, start):
+    """Sylow growth from the p-subgroup start that scans the whole sorted
+    listing at every step, sorted(chain.elements()), for the first x
+    outside H with x^p in H that normalises H.  Returns the image tuples
+    of the generators and, per step, the element a scan that skips
+    exactly when H fixes b and |H| is the p-part of |G_b| reads first."""
+    g = fresh(spec)
+    listing = sorted(g.chain().elements())
+    gens = [x.images for x in start.generators]
+    members = brute_force_elements(g.degree, start.generators)
+    firsts = []
+    while len(members) < p ** valuation(len(listing), p):
+        b, inner = stabiliser_of_least_moved(listing)
+        sylow_in_stabiliser = (all(y[b - 1] == b for y in gens)
+                               and len(members) == p ** valuation(inner, p))
+        firsts.append(listing[inner if sylow_in_stabiliser else 0])
+        gens.append(next(xs for xs in listing if xs not in members
+                         and tuple_power(xs, p) in members
+                         and all(tuple_conjugate(y, xs) in members for y in gens)))
+        members = brute_force_elements(g.degree, map(Permutation, gens))
+    return gens, firsts
+
+
+def grown_with_firsts(spec, p, start):
+    """``_grow_sylow`` on a fresh group: its generators' image tuples and
+    the first element of each scan it makes."""
+    firsts, scan = [], PermGroup._scan
+
+    def recording(self, skip=False):
+        it = scan(self, skip)
+        first = next(it)
+        firsts.append(first)
+        return itertools.chain([first], it)
+    with mock.patch.object(PermGroup, "_scan", recording):
+        grown = _grow_sylow(fresh(spec), p, start)
+    return [x.images for x in grown.generators], firsts
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_specs(), st.data())
+def test_growth_matches_a_scan_of_the_full_listing(spec, data):
+    g = fresh(spec)
+    degree = g.degree
+    for p in prime_factors(g.order()):
+        gens, _ = full_scan_sylow(spec, p, PermGroup(degree))
+        sylow = sorted(brute_force_elements(degree, map(Permutation, gens)))
+        picks = data.draw(st.lists(st.sampled_from(sylow), max_size=2), label=f"start at {p}")
+        starts = [PermGroup(degree), PermGroup(degree, map(Permutation, picks))]
+        b = min(x.min_moved() for x in g.generators)
+        # a Sylow subgroup of G_b, where the first scan skips G_b
+        in_stabiliser, _ = full_scan_sylow(
+            f"gens:{degree}:" + ";".join(map(str, g.point_stabiliser(b).generators)),
+            p, PermGroup(degree))
+        starts.append(PermGroup(degree, map(Permutation, in_stabiliser)))
+        for start in starts:
+            assert grown_with_firsts(spec, p, start) == full_scan_sylow(spec, p, start)
+
+
+@pytest.mark.parametrize("spec, p, start, skipped", [
+    ("alt:7", 7, [], 360),  # 7 does not divide |A6|: none of A6 is read
+    ("sym:4", 2, ["(1 2)(3 4)"], 0),  # H moves 1: the witness (3 4) lies in S3
+    ("sym:4", 2, ["(3 4)"], 6),  # H is Sylow in S3 = G_1
+])
+def test_the_growth_skips_the_stabiliser_only_when_h_is_sylow_in_it(spec, p, start, skipped):
+    degree = fresh(spec).degree
+    start = PermGroup(degree, start)
+    gens, firsts = grown_with_firsts(spec, p, start)
+    assert (gens, firsts) == full_scan_sylow(spec, p, start)
+    assert firsts[0] == sorted(fresh(spec).element_set())[skipped]
