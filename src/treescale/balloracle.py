@@ -123,7 +123,7 @@ def explicit_sequences(a: AxisData) -> set[tuple[int, ...]]:
     if not exhaustive_applies(a):
         raise PreconditionError(f"exhaustive oracle refuses group order {a.group.order()} "
                                 f"with word length {len(a.word)}")
-    elems = a.group._listing()
+    elems = [g.images for g in a.group.elements()]
     word = list(a.word)
     c0 = a.seam_colour
     n = len(word)

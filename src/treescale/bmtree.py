@@ -30,6 +30,8 @@ from .sylow import _grow_sylow, _require_prime, sylow_subgroup
 VALUE_CAP = 10 ** 6
 EXPONENT_CAP = 12
 LENGTH_CAP = 8
+# _value_lattice refuses a values-mode lattice of more bits than this.
+LATTICE_BITS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,8 @@ def _value_lattice(f: PermGroup, cap: int, max_len: int) -> _ValueLattice:
     multiplying in one weight other than 1 at a time.  A value up to the
     cap has fewer than cap.bit_length() factors other than 1, so reach =
     min(max_len, cap.bit_length()) gives the same lattice as max_len; it is
-    the cache key on f beside the cap.
+    the cache key on f beside the cap.  A lattice of more than LATTICE_BITS
+    bits is refused before any product is found.
     """
     reach = min(max_len, cap.bit_length())
 
@@ -320,6 +323,9 @@ def _value_lattice(f: PermGroup, cap: int, max_len: int) -> _ValueLattice:
                 top += 1
             stride[p] = size
             size *= top + hat[p] + 1
+        if size > LATTICE_BITS:
+            raise PreconditionError(f"values-mode lattice of {size} bits exceeds "
+                                    f"the lattice bound {LATTICE_BITS}")
         shift = {w: sum(e * stride[p] for p, e in exps.items())
                  for w, exps in factors.items()}
         steps = [(w, s) for w, s in shift.items() if w > 1]

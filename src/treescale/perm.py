@@ -21,8 +21,8 @@ from typing import NamedTuple
 from .errors import ParseError, PreconditionError
 from .supernat import prime_factors
 
-# PermGroup.elements(), and so every operation that lists elements, refuses
-# above this order.
+# PermGroup._bounded_order(), and so every operation that lists elements,
+# refuses above this order.
 ENUMERATION_BOUND = 200_000
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -401,15 +401,15 @@ class _Chain:
             n *= len(trans)
         return n
 
-    def elements(self, by_coset: bool = False):
-        """The image tuples of every element t_1 t_2 ... t_k, t_i from level
-        i's transversal; from the deepest level up, one getter per partial
-        product applied to each 0-padded t_i (none at degree 1); unsorted.
-        The last product, at the first level whose orbit is not one point,
-        gives one coset t H per t of its transversal, in increasing point
-        order, H the group of the levels below.  By coset, for a group that
-        moves some point, a function from i to the i-th such coset instead,
-        which composes only that coset."""
+    def cosets(self):
+        """(compose, count): the elements t_1 t_2 ... t_k, t_i from level
+        i's transversal, as count cosets t H, one per t of the transversal
+        of the first level whose orbit is not one point, in increasing point
+        order, H the group of the levels below (one coset, the identity, if
+        there is no such level).  compose(i) gives the image tuples of the
+        i-th coset, unsorted: H is composed once, from the deepest level up,
+        one getter per partial product applied to each 0-padded t_i (none at
+        degree 1), and each coset is one getter per element of H."""
         levels = [[(0,) + trans[pt].images for pt in sorted(trans)]
                   for trans in self.orbits if len(trans) > 1]
         result = [_IDENTITY[self.degree]]
@@ -417,11 +417,9 @@ class _Chain:
             getters = [itemgetter(*h) for h in result]
             result = [get(t) for t in ts for get in getters]
         if not levels:
-            return result
+            return lambda i: result, 1
         top, getters = levels[0], [itemgetter(*h) for h in result]
-        if by_coset:
-            return lambda i: [get(t) for t in [top[i]] for get in getters]
-        return [get(t) for t in top for get in getters]
+        return lambda i: [get(top[i]) for get in getters], len(top)
 
 
 class Orbitals(NamedTuple):
@@ -443,9 +441,9 @@ class Orbitals(NamedTuple):
 class PermGroup:
     """A permutation group on {1..degree} given by generators.
 
-    Values are immutable; the stabiliser chain, order, canonical listing
-    of image tuples, its sorted cosets (``_scan``, until the listing joins
-    them), element list (the listing wrapped), element set (of image
+    Values are immutable; the stabiliser chain, order, sorted cosets of
+    image tuples (``_scan``, the canonical listing, each filled on first
+    reach), element list (the listing wrapped), element set (of image
     tuples, made unsorted) and orbital table are write-once caches.  So
     are, through ``_memo``, the values derived from the group as a whole:
     the least moved point b and |G_b| (key ``stabiliser``),
@@ -472,14 +470,13 @@ class PermGroup:
     does a group spanned from a subgroup's full element set (``_spanned``,
     for p-cores and basis normalisers).  A conjugate starts with what its
     group knows: the order and, when the group holds one, the conjugated
-    element set.  Scans that stop at a first witness read the canonical
-    listing one sorted coset at a time (``_scan``), full scans that need
-    no order read the members unsorted, and both wrap only the elements
-    they return.
+    element set.  Every scan reads the canonical listing one sorted coset
+    at a time (``_scan``), so one that stops at a first witness lists no
+    more of G, and wraps only the elements it returns.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_listed", "_cosets",
-                 "_elements", "_element_set", "_orbitals", "_derived")
+    __slots__ = ("degree", "generators", "_chain", "_order", "_cosets", "_elements",
+                 "_element_set", "_orbitals", "_derived")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -499,7 +496,6 @@ class PermGroup:
         self.generators = tuple(cleaned)
         self._chain = None
         self._order = None
-        self._listed = None
         self._cosets = None
         self._elements = None
         self._element_set = None
@@ -606,66 +602,54 @@ class PermGroup:
                                     f"enumeration bound {ENUMERATION_BOUND}")
         return self.order()
 
-    def _members(self):
-        """The image tuples of all elements in no set order: the listing or
-        the element set when held, else the chain's; the listing once a
-        scan has begun its cosets."""
-        self._bounded_order()
-        if self._cosets is not None:
-            return self._listing()
-        return self._listed or self._element_set or self.chain().elements()
-
     def _stabiliser(self) -> tuple[int, int]:
-        """(b, |G_b|) for b the least point that G moves, G nontrivial: |G|
-        over the length of b's orbit in the chain.  Cached."""
+        """(b, |G_b|) for b the least point that G moves, 1 for the trivial
+        group: |G| over the length of b's orbit, read from the element set
+        when the group holds one and no chain, else from the chain.  Cached."""
         def make():
-            b = min(x.min_moved() for x in self.generators)
-            return b, self._bounded_order() // len(self.chain().orbits[b - 1])
+            b = min((x.min_moved() for x in self.generators), default=1)
+            held = self._chain is None and self._element_set
+            orbit = {xs[b - 1] for xs in held} if held else self.chain().orbits[b - 1]
+            return b, self._bounded_order() // len(orbit)
         return self._memo("stabiliser", make)
 
     def _scan(self, skip: bool = False):
-        """The listing, from entry |G_b| on with skip, for scans that stop
-        at a first witness.  Every element fixes the points before b, the
+        """The image tuples of all elements in canonical order, from entry
+        |G_b| on with skip.  Every element fixes the points before b, the
         least point that G moves, so the listing is the sorted cosets u_q
-        G_b, q over b's orbit in increasing order: each is composed and
-        sorted when a scan first reaches it and kept until the listing
-        joins them.  A group holding its listing, or its element set before
-        any scan, reads the listing."""
-        state = self._cosets  # read once: a join elsewhere may drop it
-        if state is None:
-            if self._listed is not None or self._element_set is not None:
-                inner = self._stabiliser()[1] if skip else 0
-                return itertools.islice(self._listing(), inner, None)
-            cosets = [None] * (self.order() // self._stabiliser()[1])
-            compose = self.chain().elements(by_coset=True)
+        G_b, q over b's orbit in increasing order, G_b first: the group's
+        one ordered store.  Each coset is composed from the chain and
+        sorted when a scan first reaches it, and kept; a group holding its
+        element set sorts the set once instead, |G_b| entries a coset."""
+        if self._cosets is None:
+            inner = self._stabiliser()[1]
+            if self._element_set is not None:
+                listing = sorted(self._element_set)
+                self._cosets = [listing[i:i + inner] for i in range(0, len(listing), inner)], None
+            else:
+                compose, count = self.chain().cosets()
+                self._cosets = [None] * count, compose
+        cosets, compose = self._cosets
 
-            def coset(i: int) -> list[tuple[int, ...]]:
-                if cosets[i] is None:
-                    cosets[i] = sorted(compose(i))
-                return cosets[i]
-            state = self._cosets = coset, len(cosets)
-        coset, count = state
-        return itertools.chain.from_iterable(map(coset, range(skip, count)))
-
-    def _listing(self) -> list[tuple[int, ...]]:
-        """The image tuples of all elements in canonical order: the cosets
-        of ``_scan`` joined when a scan has begun them, else the members
-        sorted."""
-        if self._listed is None:
-            self._listed = list(self._scan()) if self._cosets else sorted(self._members())
-            self._cosets = None
-        return self._listed
+        def coset(i: int) -> list[tuple[int, ...]]:
+            if cosets[i] is None:
+                cosets[i] = sorted(compose(i))
+            return cosets[i]
+        return itertools.chain.from_iterable(map(coset, range(skip, len(cosets))))
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements in canonical order."""
         if self._elements is None:
-            self._elements = tuple(map(Permutation._of, self._listing()))
+            self._elements = tuple(map(Permutation._of, self._scan()))
         return self._elements
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
-        """The image tuples of all elements."""
+        """The image tuples of all elements, composed from the chain's
+        cosets unsorted."""
         if self._element_set is None:
-            self._element_set = frozenset(self._members())
+            self._bounded_order()
+            compose, count = self.chain().cosets()
+            self._element_set = frozenset(itertools.chain.from_iterable(map(compose, range(count))))
         return self._element_set
 
     # -- orbits and stabilisers --------------------------------------------
@@ -749,15 +733,15 @@ class PermGroup:
                                 order=self._order, elements=members)
 
     def conjugators(self, pairs):
-        """Each x in G, in no set order, with x H x^-1 = K for every pair
-        (H, K); none when some pair has unequal orders.  A full scan: it
-        reads the members unsorted, so callers that need more than the
-        whole set or whether any exists must sort what they take."""
+        """Each x in G, in canonical order, with x H x^-1 = K for every
+        pair (H, K); none when some pair has unequal orders.  It reads G
+        one sorted coset at a time (``_scan``), so a caller that takes only
+        the first stops there."""
         pairs = list(pairs)
         if any(h.order() != k.order() for h, k in pairs):
             return
         checks = [([y.images for y in h.generators], k.element_set()) for h, k in pairs]
-        for xs in self._members():
+        for xs in self._scan():
             conj = _conjugator(xs)
             if all(conj(y) in kset for gens, kset in checks for y in gens):
                 yield Permutation._of(xs)

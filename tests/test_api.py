@@ -1,7 +1,7 @@
 """The public surface: the enumeration bound and the walk-depth cap are
 module constants with no per-call override; the enumeration bound, the
-degree bound and the explicit-oracle cap are each read by exactly one
-function; InvalidAxisError is read only where an axis is built, and only
+degree bound, the explicit-oracle cap and the values-lattice bound are
+each read by exactly one function; InvalidAxisError is read only where an axis is built, and only
 the inverse axis is built unchecked; every exported name resolves; no
 module or test file imports a name it never uses, no module defines a
 private name that no module reads, no public name is read only by the
@@ -9,8 +9,9 @@ tests, and every definition of a public method name that two classes
 share is called by the sylow and inclusion suites; no two helper
 functions of the tests share a body; the ball
 walk reads no orbital table and no bmtree name but AxisData; only the
-itemgetter kernels of perm compose image tuples; and no scan that stops
-at its first witness lists the whole group first."""
+itemgetter kernels of perm compose image tuples; no scan that stops at
+its first witness lists the whole group first; and a group's sorted
+cosets, its one ordered store, are kept only by ``PermGroup._scan``."""
 
 import ast
 import importlib
@@ -87,10 +88,12 @@ def test_bound_reader_finder():
 def test_each_bound_is_read_by_one_function():
     sources = {path.stem: path.read_text()
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
-    assert bound_readers(sources, ["ENUMERATION_BOUND", "DEGREE_BOUND", "GROUP_CAP"]) == {
+    assert bound_readers(sources, ["ENUMERATION_BOUND", "DEGREE_BOUND", "GROUP_CAP",
+                                   "LATTICE_BITS"]) == {
         "ENUMERATION_BOUND": ["perm.PermGroup._bounded_order"],
         "DEGREE_BOUND": ["groupspec._parse_degree"],
         "GROUP_CAP": ["balloracle.exhaustive_applies"],
+        "LATTICE_BITS": ["bmtree._value_lattice"],
     }
 
 
@@ -178,7 +181,7 @@ def test_per_index_composition_finder():
 # 0-padded tuples (see perm.py); no other function of perm or sylow may
 # compose tuples, and neither one index at a time.
 IMAGE_KERNELS = ["perm._times", "perm._conjugator", "perm._schreier_generators",
-                 "perm.Permutation.__mul__", "perm._Chain._sift_from", "perm._Chain.elements"]
+                 "perm.Permutation.__mul__", "perm._Chain._sift_from", "perm._Chain.cosets"]
 
 
 def test_image_tuples_are_composed_only_by_the_kernels():
@@ -191,8 +194,8 @@ def test_image_tuples_are_composed_only_by_the_kernels():
 def listing_witness_scans(sources: dict[str, str]) -> list[str]:
     """The module-level functions and methods with a ``next(...)`` call,
     a scan that stops at its first witness, that iterates a call of
-    ``_listing`` or ``elements``: in its own argument, or in the value
-    assigned to a name that the argument reads."""
+    ``elements``: in its own argument, or in the value assigned to a name
+    that the argument reads."""
     found = []
     for module, source in sources.items():
         for qualified, function in module_functions(module, source):
@@ -209,15 +212,14 @@ def listing_witness_scans(sources: dict[str, str]) -> list[str]:
                 scanned = [node.args[0]] + [value for name in ast.walk(node.args[0])
                                             if isinstance(name, ast.Name)
                                             for value in assigned.get(name.id, [])]
-                if any(called_names(tree)[attr] for tree in scanned
-                       for attr in ("_listing", "elements")):
+                if any(called_names(tree)["elements"] for tree in scanned):
                     found.append(qualified)
                     break
     return found
 
 
 def test_listing_witness_scan_finder():
-    sources = {"a": "def f(g):\n    return next(x for x in g._listing() if x)\n"
+    sources = {"a": "def f(g):\n    return next(x for x in g.elements() if x)\n"
                     "def h(g, b):\n    c = map(b.conjugate, g.elements())\n"
                     "    return next((y for y in c if y), None)\n"
                     "class C:\n    def m(self, g):\n        return next(iter(g._scan()))\n"
@@ -231,6 +233,15 @@ def test_no_first_witness_scan_lists_the_whole_group():
     sources = {path.stem: path.read_text()
                for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
     assert listing_witness_scans(sources) == []
+
+
+def test_the_cosets_are_kept_only_by_the_scan():
+    # _scan fills the cosets on first reach and never joins or drops them,
+    # so no other path may write or read them
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(treescale.__file__).parent.glob("*.py"))}
+    assert bound_readers(sources, ["_cosets"]) == {
+        "_cosets": ["perm.PermGroup.__init__", "perm.PermGroup._scan"]}
 
 
 def test_every_exported_name_resolves():
@@ -399,7 +410,7 @@ def test_every_definition_of_a_shared_method_name_is_called(monkeypatch):
     # the guard above counts reads by name, so it cannot see a method
     # whose name another class's method shares and is read under
     shared = shared_method_names()
-    assert {"order", "elements"} <= set(shared)
+    assert "order" in shared and len(shared["order"]) == 3
     calls = {}
     for name, classes in shared.items():
         for cls in classes:

@@ -275,6 +275,21 @@ def test_spectrum_cap_below_the_unit(capsys):
     assert code == 1 and "value cap" in err
 
 
+# five weight primes: at --cap 10**24 the values-mode lattice has 116,532,000 bits
+FIVE_PRIME_WEIGHTS = ("gens:32:(1 2);(1 2 3);(4 5);(4 5 6 7);(8 9);(8 9 10 11 12 13);(14 15);"
+                      "(14 15 16 17 18 19 20 21);(22 23);(22 23 24 25 26 27 28 29 30 31 32)")
+
+
+def test_spectrum_refuses_a_lattice_over_the_bound_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--group", FIVE_PRIME_WEIGHTS,
+                         "--max-len", "1000", "--cap", str(10 ** 24))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
+    assert err == ("precondition-error: values-mode lattice of 116532000 bits exceeds "
+                   "the lattice bound 16777216\n")
+
+
 def test_verification_failure_exit_code(capsys, monkeypatch):
     name = "c13_spectrum_exponent_inclusion"
     monkeypatch.setitem(acceptance.CHECKS, name,

@@ -8,8 +8,9 @@ degree 1 is answered apart.  ``TestKernel`` in ``test_perm`` checks the
 products, inverses and conjugation maps on single permutations.  Last,
 the scan that reads the listing one sorted coset at a time, with and
 without its skip past the stabiliser, is checked against the sorted
-closure, and the Sylow growth that uses it against a growth that scans
-the whole sorted listing."""
+closure, from the chain and from a held element set with no chain, with
+``conjugators`` in the same order, and the Sylow growth that uses it
+against a growth that scans the whole sorted listing."""
 
 import itertools
 from unittest import mock
@@ -26,8 +27,9 @@ from treescale.perm import (PermGroup, Permutation, _Chain, _InverseImages,
 from treescale.supernat import prime_factors, valuation
 from treescale.sylow import _grow_sylow, _power, p_core, sylow_subgroup
 
-from test_perm import (assert_built_as, brute_force_elements, reference_schreier_generators,
-                       tuple_conjugate, tuple_inverse, tuple_power, tuple_product)
+from test_perm import (assert_built_as, brute_force_elements, chain_listing,
+                       reference_schreier_generators, tuple_conjugate, tuple_inverse, tuple_power,
+                       tuple_product)
 
 
 def comprehension_sift(chain, h):
@@ -87,13 +89,12 @@ def test_chain_kernels_match_their_references(case):
     gens = PermGroup(degree, gens).generators  # distinct and nontrivial, as a chain takes them
     chain = _Chain(degree, gens)
     members = brute_force_elements(degree, gens)
-    listing = chain.elements()
+    listing = chain_listing(chain)
     assert listing == comprehension_listing(chain)
     assert len(listing) == chain.order() and set(listing) == members
-    if len(members) > 1:  # the cosets of the first level that moves a point
-        compose = chain.elements(by_coset=True)
-        count = next(len(trans) for trans in chain.orbits if len(trans) > 1)
-        assert [xs for i in range(count) for xs in compose(i)] == listing
+    # one coset per point of the first level that moves a point, or one in all
+    _, count = chain.cosets()
+    assert count == next((len(trans) for trans in chain.orbits if len(trans) > 1), 1)
     for h in candidates:
         assert chain._sift_from(0, h) == comprehension_sift(chain, h)
         assert chain.contains(Permutation(h)) == (h in members)
@@ -156,7 +157,7 @@ def test_every_kernel_answers_degrees_one_and_two(spec):
         closure = normal_closure(PermGroup.symmetric(k), [x])
         assert closure.order() == {(1,): 1, (1, 2): 1, (2, 1): 2}[x.images]
     chain = _Chain(k, g.generators)
-    assert chain.order() == len(members) and set(chain.elements()) == members
+    assert chain.order() == len(members) and set(chain_listing(chain)) == members
     assert [x.images for x in g.elements()] == sorted(members)
     for p in (2, 3):
         sylow = sylow_subgroup(g, p)
@@ -207,20 +208,38 @@ def stabiliser_of_least_moved(members):
     return b, sum(xs[b - 1] == b for xs in members)
 
 
+def images(elements):
+    """The image tuples of the permutations, in order."""
+    return [x.images for x in elements]
+
+
 @settings(max_examples=120, deadline=None)
-@given(scan_specs(), st.integers(0, 60))
-def test_the_coset_scan_yields_the_listing(spec, stop):
+@given(scan_specs(), st.integers(0, 60), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_the_coset_scan_yields_the_listing(spec, stop, i, j):
     g = fresh(spec)
     listing = sorted(brute_force_elements(g.degree, g.generators))
     assert list(itertools.islice(g._scan(), stop)) == listing[:stop]
-    assert list(g._scan()) == listing and g._listing() == listing
-    # the listing joined from cosets a partial scan sorted, and the
-    # members read from them
+    assert list(g._scan()) == listing and images(g.elements()) == listing
+    # the element set and the elements after a partial scan, and the scan
+    # after them
     h = fresh(spec)
     assert list(itertools.islice(h._scan(), stop)) == listing[:stop]
-    assert sorted(h._members()) == listing and h._listing() == listing
+    assert sorted(h.element_set()) == listing and images(h.elements()) == listing
     assert list(h._scan()) == listing
-    assert fresh(spec)._listing() == listing
+    assert images(fresh(spec).elements()) == listing
+    # a copy that holds only the element set lists the same, with no chain
+    s = PermGroup._known(g.degree, g.generators, elements=g.element_set())
+    assert list(itertools.islice(s._scan(), stop)) == listing[:stop]
+    assert list(s._scan()) == listing and images(s.elements()) == listing
+    # the x with x H x^-1 = K, H = <a> and K = y H y^-1, in canonical order
+    a, y = (Permutation(listing[n % len(listing)]) for n in (i, j))
+    hk = PermGroup(g.degree, [a])
+    pairs = [(hk, hk.conjugate(y))]
+    target = pairs[0][1].element_set()
+    witnesses = [xs for xs in listing if tuple_conjugate(a.images, xs) in target]
+    for group in (g, s, fresh(spec)):
+        assert images(group.conjugators(pairs)) == witnesses
+    assert s._chain is None
 
 
 @settings(max_examples=120, deadline=None)
@@ -234,25 +253,51 @@ def test_the_skip_yields_the_listing_after_the_stabiliser(spec, stop):
     g = fresh(spec)
     assert g._stabiliser() == (b, inner) and listing[inner - 1][b - 1] == b
     assert list(g._scan(True)) == listing[inner:]
-    # after a partial scan, from a held listing and from a held element set
+    # after a partial scan, after the elements and from a held element set
     h = fresh(spec)
     assert list(itertools.islice(h._scan(), stop)) == listing[:stop]
     assert list(h._scan(True)) == listing[inner:]
-    h._listing()
+    h.elements()
     assert list(h._scan(True)) == listing[inner:]
     e = fresh(spec)
     e.element_set()
     assert list(e._scan(True)) == listing[inner:] and list(e._scan()) == listing
+    s = PermGroup._known(e.degree, e.generators, elements=e.element_set())
+    assert s._stabiliser() == (b, inner) and list(s._scan(True)) == listing[inner:]
+    assert s._chain is None
+
+
+@pytest.mark.parametrize("spec, p", [("alt:5", 2), ("alt:5", 3), ("dihedral:6", 2),
+                                     ("gens:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)", 3),
+                                     ("gens:6:(1 2);(1 2 3);(1 4)(2 5)(3 6)", 2)])
+def test_a_group_holding_only_its_element_set_scans_with_no_chain(spec, p):
+    g = fresh(spec)
+    sylow = sylow_subgroup(g, p)
+    conjugate = sylow.conjugate(g.elements()[-1])
+    for h in (sylow, conjugate):
+        assert h._chain is None and h._element_set is not None
+        listing = sorted(brute_force_elements(h.degree, h.generators))
+        b, inner = stabiliser_of_least_moved(listing)
+        assert h._stabiliser() == (b, inner)
+        assert list(h._scan(True)) == listing[inner:] and list(h._scan()) == listing
+        assert h._chain is None
+
+
+def test_the_trivial_group_scans_its_identity():
+    g = PermGroup(3)
+    assert g._stabiliser() == (1, 1)
+    assert list(g._scan()) == [(1, 2, 3)] and list(g._scan(True)) == []
+    assert g._chain is None
 
 
 def full_scan_sylow(spec, p, start):
     """Sylow growth from the p-subgroup start that scans the whole sorted
-    listing at every step, sorted(chain.elements()), for the first x
+    listing at every step, sorted(chain_listing(chain)), for the first x
     outside H with x^p in H that normalises H.  Returns the image tuples
     of the generators and, per step, the element a scan that skips
     exactly when H fixes b and |H| is the p-part of |G_b| reads first."""
     g = fresh(spec)
-    listing = sorted(g.chain().elements())
+    listing = sorted(chain_listing(g.chain()))
     gens = [x.images for x in start.generators]
     members = brute_force_elements(g.degree, start.generators)
     firsts = []
@@ -280,7 +325,7 @@ def grown_with_firsts(spec, p, start):
         return itertools.chain([first], it)
     with mock.patch.object(PermGroup, "_scan", recording):
         grown = _grow_sylow(fresh(spec), p, start)
-    return [x.images for x in grown.generators], firsts
+    return images(grown.generators), firsts
 
 
 @settings(max_examples=100, deadline=None)

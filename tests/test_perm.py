@@ -100,6 +100,13 @@ def brute_force_elements(degree, gens):
     return elems
 
 
+def chain_listing(chain):
+    """The image tuples of the chain's group: its cosets, each unsorted,
+    joined in order."""
+    compose, count = chain.cosets()
+    return [xs for i in range(count) for xs in compose(i)]
+
+
 perms = st.integers(3, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(Permutation)
 
